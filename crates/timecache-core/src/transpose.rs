@@ -55,9 +55,10 @@ pub struct TransposeArray {
     /// Word-major authoritative storage: `words[i]` is line `i`'s
     /// (truncated) timestamp. Every hot-path operation touches only this.
     words: Vec<u64>,
-    /// `planes[b]` = bit `b` of every word, `words_per_plane` u64s each.
-    /// Lazily rebuilt from `words` by [`TransposeArray::sync_planes`].
-    planes: Vec<Vec<u64>>,
+    /// All bit-planes in one block: plane `b` (bit `b` of every word) is
+    /// `planes[b*words_per_plane..(b+1)*words_per_plane]`. Lazily rebuilt
+    /// from `words` by [`TransposeArray::sync_planes`].
+    planes: Vec<u64>,
     /// One bit per 64-line group (group `g` covers flat lines
     /// `g*64..(g+1)*64`), set when the group's words changed since the
     /// planes were last rebuilt.
@@ -80,7 +81,7 @@ impl TransposeArray {
         let words_per_plane = num_words.div_ceil(WORD_BITS);
         TransposeArray {
             words: vec![0; num_words],
-            planes: vec![vec![0; words_per_plane]; width.bits() as usize],
+            planes: vec![0; words_per_plane * width.bits() as usize],
             dirty: vec![0; words_per_plane.div_ceil(WORD_BITS)],
             stale: false,
             num_words,
@@ -153,7 +154,11 @@ impl TransposeArray {
         let base = group * WORD_BITS;
         let end = (base + WORD_BITS).min(self.num_words);
         let words = &self.words[base..end];
-        for (bit, plane) in self.planes.iter_mut().enumerate() {
+        for (bit, plane) in self
+            .planes
+            .chunks_exact_mut(self.words_per_plane)
+            .enumerate()
+        {
             let mut acc = 0u64;
             for (lane, &w) in words.iter().enumerate() {
                 acc |= (w >> bit & 1) << lane;
@@ -183,7 +188,8 @@ impl TransposeArray {
             "bit plane {bit} out of range for {} timestamps",
             self.width
         );
-        &self.planes[bit as usize]
+        let start = bit as usize * self.words_per_plane;
+        &self.planes[start..start + self.words_per_plane]
     }
 
     /// Number of `u64` words per bit-plane (the comparator mask length).
@@ -286,6 +292,30 @@ mod tests {
                 let expect = t.read_word(i) >> bit & 1;
                 let got = t.bit_plane(bit)[i / 64] >> (i % 64) & 1;
                 assert_eq!(got, expect, "bit {bit} line {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_width_planes_match_words_with_partial_last_group() {
+        // 64-bit timestamps over 150 lines (two full groups plus 22 lines):
+        // every plane slice must be exactly the transposition of `words`,
+        // with the phantom lanes of the last plane word left clear.
+        let w = TimestampWidth::new(64);
+        let n = 150;
+        let mut t = TransposeArray::new(n, w);
+        for i in 0..n {
+            t.write_word(i, (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        }
+        t.sync_planes();
+        for bit in 0..64u8 {
+            let plane = t.bit_plane(bit);
+            assert_eq!(plane.len(), t.words_per_plane());
+            for (word, &got) in plane.iter().enumerate() {
+                let expect = (word * 64..((word + 1) * 64).min(n))
+                    .map(|i| (t.read_word(i) >> bit & 1) << (i % 64))
+                    .fold(0, |acc, b| acc | b);
+                assert_eq!(got, expect, "bit {bit} plane word {word}");
             }
         }
     }

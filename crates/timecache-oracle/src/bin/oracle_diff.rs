@@ -12,8 +12,12 @@
 //! (`skip-grant-on-fill`, `skip-sbit-clear-on-evict`,
 //! `first-access-treated-as-hit`, `ignore-rollover`) to demonstrate the
 //! harness catching it; such runs exit nonzero *by design*.
+//!
+//! A clean run's summary line also reports the campaign's host cost:
+//! elapsed wall-clock seconds and traces replayed per second.
 
 use std::process::ExitCode;
+use std::time::Instant;
 use timecache_oracle::{run_random, BugKind};
 use timecache_telemetry::Telemetry;
 
@@ -75,12 +79,17 @@ fn main() -> ExitCode {
     } else {
         Telemetry::disabled()
     };
+    let start = Instant::now();
     let report = run_random(traces, seed, bug, &tel);
+    let elapsed = start.elapsed().as_secs_f64();
     match report.divergence {
         None => {
             println!(
-                "oracle-differential: {} traces from seed {:#x}, zero divergences",
-                report.traces, seed
+                "oracle-differential: {} traces from seed {:#x}, zero divergences \
+                 in {elapsed:.2} s ({:.0} traces/s)",
+                report.traces,
+                seed,
+                report.traces as f64 / elapsed.max(f64::MIN_POSITIVE)
             );
             ExitCode::SUCCESS
         }

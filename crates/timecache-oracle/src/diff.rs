@@ -60,24 +60,24 @@ pub struct ReplaySummary {
     pub final_cycle: u64,
 }
 
-fn check<T: std::fmt::Debug>(
+/// Compares one observable by value. This runs for every replayed event,
+/// so the `Debug` strings are built only for the divergence report.
+fn check<T: std::fmt::Debug + PartialEq>(
     step: usize,
     event: Event,
     field: &'static str,
     real: &T,
     reference: &T,
 ) -> Result<(), Divergence> {
-    let a = format!("{real:?}");
-    let b = format!("{reference:?}");
-    if a == b {
+    if real == reference {
         Ok(())
     } else {
         Err(Divergence {
             step: Some(step),
             event: Some(event),
             field,
-            real: a,
-            reference: b,
+            real: format!("{real:?}"),
+            reference: format!("{reference:?}"),
         })
     }
 }
@@ -269,6 +269,7 @@ pub fn run_random(count: u64, seed: u64, bug: Option<BugKind>, tel: &Telemetry) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timecache_sim::SwitchCost;
 
     #[test]
     fn generated_traces_agree_smoke() {
@@ -278,6 +279,24 @@ mod tests {
                 panic!("seed {seed} diverged: {d}\ntrace:\n{}", doc.to_text());
             }
         }
+    }
+
+    #[test]
+    fn check_compares_by_value_and_formats_only_on_divergence() {
+        let ev = Event::Flush { addr: 0x40 };
+        assert_eq!(check(3, ev, "clflush latency", &7u64, &7u64), Ok(()));
+
+        let real = SwitchCost::default();
+        let reference = SwitchCost {
+            rollover: true,
+            ..real
+        };
+        let d = check(5, ev, "switch cost", &real, &reference).expect_err("values differ");
+        assert_eq!(d.step, Some(5));
+        assert_eq!(d.event, Some(ev));
+        assert_eq!(d.field, "switch cost");
+        assert_eq!(d.real, format!("{real:?}"));
+        assert_eq!(d.reference, format!("{reference:?}"));
     }
 
     #[test]

@@ -42,6 +42,12 @@ fn mutation_is_caught_and_shrunk(bug: BugKind) {
         found.shrunk.events.len(),
         found.shrunk.to_text()
     );
+    // A witness whose two sides print alike would not show what diverged.
+    assert_ne!(
+        found.divergence.real, found.divergence.reference,
+        "{bug:?}: {}",
+        found.divergence
+    );
     let reg = tel.registry().expect("telemetry enabled");
     assert_eq!(reg.counter_value("oracle_divergences_total", &[]), Some(1));
     // The minimized witness is deterministic and format-stable.

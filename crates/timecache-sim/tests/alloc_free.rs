@@ -2,7 +2,9 @@
 //! disabled every instrumentation site short-circuits on one `Option`
 //! branch, and with telemetry enabled all metric handles are resolved at
 //! attach time and the event ring is preallocated, so steady-state
-//! recording is also allocation-free.
+//! recording is also allocation-free. Construction allocates too, but a
+//! fixed number of times: a TimeCache cache keeps all its timestamp
+//! bit-planes in one block, whatever the timestamp width.
 //!
 //! This file contains a single test on purpose: the counting allocator is
 //! process-global, and a concurrently running test would perturb the
@@ -32,12 +34,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn hierarchy(tel: &Telemetry) -> Hierarchy {
+fn config(timestamp_bits: u8) -> HierarchyConfig {
     let mut cfg = HierarchyConfig::with_cores(1);
-    cfg.security = SecurityMode::TimeCache(TimeCacheConfig::default());
-    let mut h = Hierarchy::new(cfg).expect("valid config");
+    cfg.security = SecurityMode::TimeCache(TimeCacheConfig::new(timestamp_bits));
+    cfg
+}
+
+fn hierarchy(tel: &Telemetry) -> Hierarchy {
+    let mut h = Hierarchy::new(config(32)).expect("valid config");
     h.attach_telemetry(tel);
     h
+}
+
+/// Heap allocations made by `Hierarchy::new` for the given timestamp width.
+fn construction_allocations(timestamp_bits: u8) -> u64 {
+    let cfg = config(timestamp_bits);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let h = Hierarchy::new(cfg).expect("valid config");
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    drop(h);
+    after - before
 }
 
 /// A mix of L1 hits, LLC/DRAM misses, and the occasional flush.
@@ -60,6 +76,14 @@ fn drive(h: &mut Hierarchy, now: &mut u64, iters: u64) {
 
 #[test]
 fn access_hot_path_never_allocates() {
+    // Construction: the per-cache timestamp planes are one allocation, so
+    // widening the timestamps adds no allocations.
+    assert_eq!(
+        construction_allocations(8),
+        construction_allocations(32),
+        "Hierarchy::new must allocate the same number of times at 8 and 32 timestamp bits"
+    );
+
     // Disabled telemetry: the documented zero-cost guarantee.
     let mut h = hierarchy(&Telemetry::disabled());
     let mut now = 0u64;
