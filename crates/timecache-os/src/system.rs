@@ -436,13 +436,25 @@ impl System {
     /// Runs until every process completes or the global clock passes
     /// `max_cycles` (a safety valve for non-terminating programs; those are
     /// reported with `completed == false`).
+    ///
+    /// Contexts execute in global `(clock, context index)` order. The
+    /// chosen context runs a burst of instructions while it stays first in
+    /// that order: stepping one context never changes another's clock or
+    /// runnability, so the burst bound computed at selection stays exact
+    /// and the interleaving is the same as re-selecting after every step.
     pub fn run(&mut self, max_cycles: u64) -> RunReport {
-        while let Some(ctx) = self.next_runnable_context(max_cycles) {
+        while let Some((ctx, limit)) = self.next_runnable_context(max_cycles) {
             if self.contexts[ctx].current.is_none() {
                 self.dispatch(ctx);
                 continue;
             }
-            self.step(ctx);
+            loop {
+                self.step(ctx);
+                let c = &self.contexts[ctx];
+                if c.current.is_none() || c.clock >= limit {
+                    break;
+                }
+            }
         }
         self.report()
     }
@@ -455,14 +467,31 @@ impl System {
             .position(|c| c.core == core && c.thread == thread)
     }
 
-    /// The context with the smallest clock that still has work to do.
-    fn next_runnable_context(&self, max_cycles: u64) -> Option<usize> {
-        self.contexts
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| (c.current.is_some() || !c.queue.is_empty()) && c.clock < max_cycles)
-            .min_by_key(|(_, c)| c.clock)
-            .map(|(i, _)| i)
+    /// The context with the smallest clock that still has work to do (the
+    /// lowest index among ties), and the clock it may run up to while it
+    /// stays first: `min(max_cycles, clock_j + [j > ctx])` over every other
+    /// runnable context `j`. One scan computes both.
+    fn next_runnable_context(&self, max_cycles: u64) -> Option<(usize, u64)> {
+        let mut best: Option<(usize, u64)> = None;
+        let mut limit = max_cycles;
+        for (i, c) in self.contexts.iter().enumerate() {
+            if (c.current.is_none() && c.queue.is_empty()) || c.clock >= max_cycles {
+                continue;
+            }
+            match best {
+                // `i` comes after the leader, which still goes first at a
+                // tie.
+                Some((_, lead)) if c.clock >= lead => limit = limit.min(c.clock + 1),
+                // A new leader: the old one (lower index, and no later
+                // than any context seen so far) now bounds it at its clock.
+                Some((_, lead)) => {
+                    limit = limit.min(lead);
+                    best = Some((i, c.clock));
+                }
+                None => best = Some((i, c.clock)),
+            }
+        }
+        best.map(|(i, _)| (i, limit))
     }
 
     /// Brings the next queued process onto the context, restoring its
@@ -1184,6 +1213,101 @@ mod tests {
         assert_eq!(retries, aborts * 4);
         // No snapshot ever completed, so none were counted as saved.
         assert_eq!(reg.counter_value("os_snapshot_saves_total", &[]), Some(0));
+    }
+
+    /// Global observation log: `(pid, instr_index, now)` in retirement
+    /// order across every process of a system.
+    type ObsLog = std::rc::Rc<std::cell::RefCell<Vec<(u32, u64, u64)>>>;
+
+    /// Appends every observation of the wrapped program to a shared log.
+    struct Logged {
+        inner: Box<dyn Program>,
+        pid: u32,
+        log: ObsLog,
+    }
+
+    impl Program for Logged {
+        fn next_op(&mut self) -> Op {
+            self.inner.next_op()
+        }
+
+        fn observe(&mut self, obs: Observation) {
+            self.log
+                .borrow_mut()
+                .push((self.pid, obs.instr_index, obs.now));
+            self.inner.observe(obs);
+        }
+    }
+
+    /// 2 cores x 2 SMT contexts, all tied at clock 0, with yielding
+    /// writers sharing lines across cores, a self-terminating spin, and
+    /// unequal instruction targets.
+    fn interleaving_system(log: &ObsLog) -> System {
+        use timecache_core::TimeCacheConfig;
+        let mut cfg = SystemConfig::default();
+        cfg.hierarchy.cores = 2;
+        cfg.hierarchy.smt_per_core = 2;
+        cfg.hierarchy.security = SecurityMode::TimeCache(TimeCacheConfig::default());
+        cfg.quantum_cycles = 2_000;
+        let mut s = System::new(cfg).unwrap();
+        let mut spawn = |inner: Box<dyn Program>, core, thread, target| {
+            let logged = Logged {
+                inner,
+                pid: s.processes.len() as u32,
+                log: log.clone(),
+            };
+            s.spawn(Box::new(logged), core, thread, target);
+        };
+        spawn(Box::new(SharedWriter::new(0x9000, 4, 64)), 0, 0, Some(400));
+        spawn(Box::new(Spin::new(u64::MAX)), 0, 0, Some(900));
+        let strided = StridedLoop::new(0x10_0000, 16 * 1024, 64);
+        spawn(Box::new(strided), 0, 1, Some(1_500));
+        spawn(Box::new(SharedWriter::new(0x9000, 6, 64)), 0, 1, Some(300));
+        spawn(Box::new(Spin::new(600)), 1, 0, None);
+        spawn(Box::new(SharedWriter::new(0x9040, 3, 64)), 1, 0, Some(350));
+        let strided = StridedLoop::new(0x20_0000, 64 * 1024, 64);
+        spawn(Box::new(strided), 1, 1, Some(1_200));
+        spawn(Box::new(SharedWriter::new(0xA000, 5, 64)), 1, 1, Some(250));
+        s
+    }
+
+    #[test]
+    fn scheduler_order_is_pinned_and_slice_invariant() {
+        let full_log = ObsLog::default();
+        let full = interleaving_system(&full_log).run(u64::MAX);
+        assert!(full.all_completed());
+        assert!(full.context_switches > 0);
+
+        let sliced_log = ObsLog::default();
+        let mut s = interleaving_system(&sliced_log);
+        let mut cap = 0;
+        let sliced = loop {
+            cap += 7;
+            let r = s.run(cap);
+            if r.all_completed() {
+                break r;
+            }
+        };
+        assert_eq!(sliced, full);
+        let (a, b) = (sliced_log.borrow(), full_log.borrow());
+        let first_diff = a.iter().zip(b.iter()).position(|(x, y)| x != y);
+        assert_eq!(first_diff, None, "sliced and full logs diverge");
+        assert_eq!(a.len(), b.len());
+
+        // FNV-1a over the log: any change to the (clock, context index)
+        // tie-break or to the interleaving shows up here.
+        let log = full_log.borrow();
+        assert_eq!(log.len() as u64, full.total_instructions);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(pid, idx, now) in log.iter() {
+            for b in [u64::from(pid), idx, now]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+            {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x94a6_7fef_e090_8c5b, "interleaving digest {h:#018x}");
     }
 
     #[test]

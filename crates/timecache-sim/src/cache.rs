@@ -139,25 +139,41 @@ impl Cache {
         }
     }
 
+    /// Bitmask of the ways in the set starting at flat index `base` whose
+    /// tag equals `tag`: bit `w` set iff way `w` matches. Building the whole
+    /// mask is branch-free, so a hit at a random way costs no mispredicted
+    /// early exit; callers take `trailing_zeros` for the first match.
+    ///
+    /// The mask is shifted in from the last way down, one bit per way. The
+    /// equivalent `mask | eq << w` form gets auto-vectorised into
+    /// per-lane variable shifts, which measured ~12 % slower end to end.
+    #[inline]
+    fn match_mask(&self, base: usize, tag: u64) -> u64 {
+        self.tags[base..base + self.ways]
+            .iter()
+            .rev()
+            .fold(0, |mask, &t| mask << 1 | u64::from(t == tag))
+    }
+
     /// Tag lookup without side effects.
     ///
-    /// This is the innermost loop of the whole simulator (three calls per
-    /// simulated memory access in the worst case), so the scan is kept
-    /// branch-lean: one tag compare per way against the set's contiguous
-    /// tag slab, with validity folded into the tag via [`INVALID_TAG`].
+    /// This is the innermost loop of the whole simulator, so the scan is a
+    /// branch-free [`Cache::match_mask`] over the set's contiguous tag
+    /// slab, with validity folded into the tag via [`INVALID_TAG`]. Tags are
+    /// unique within a set, so at most one bit of the mask is set.
     #[inline]
     pub fn lookup(&self, line: LineAddr) -> Option<LookupResult> {
         let set = self.index.set_of(line, self.num_sets);
         let base = set as usize * self.ways;
-        let raw = line.raw();
-        self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == raw)
-            .map(|way| LookupResult {
+        let mask = self.match_mask(base, line.raw());
+        (mask != 0).then(|| {
+            let way = mask.trailing_zeros();
+            LookupResult {
                 set,
-                way: way as u32,
-                flat: base + way,
-            })
+                way,
+                flat: base + way as usize,
+            }
+        })
     }
 
     /// Records a demand hit for replacement purposes.
@@ -194,12 +210,13 @@ impl Cache {
         let set = self.index.set_of(line, self.num_sets);
         let base = set as usize * self.ways;
 
-        // Prefer an invalid way; otherwise ask the replacement policy.
-        let way = self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == INVALID_TAG)
-            .map(|w| w as u32)
-            .unwrap_or_else(|| self.replacement.victim(set));
+        // Prefer the first invalid way; otherwise ask the replacement policy.
+        let invalid = self.match_mask(base, INVALID_TAG);
+        let way = if invalid != 0 {
+            invalid.trailing_zeros()
+        } else {
+            self.replacement.victim(set)
+        };
         let flat = base + way as usize;
 
         let old = self.tags[flat];
@@ -332,6 +349,54 @@ mod tests {
         let hit = c.lookup(la(0x100)).unwrap();
         assert_eq!(hit, slot);
         assert_eq!(hit.set, (0x100 / 64) % 4);
+    }
+
+    #[test]
+    fn lookup_finds_every_way_position() {
+        for ways in [1u32, 2, 8, 16, 64] {
+            // 4 sets of `ways` ways; lines `set + 4k` all map to `set`.
+            let sets = 4u64;
+            let mut c = Cache::new(
+                "T",
+                CacheConfig::new(sets * ways as u64 * 64, ways, 64),
+                1,
+                None,
+            );
+            let line = |set: u64, k: u64| LineAddr::from_raw(set + sets * k);
+            for set in 0..sets {
+                // Fill every way but the last, so INVALID_TAG ways remain.
+                for k in 0..ways as u64 - 1 {
+                    c.fill(line(set, k), 0, 0);
+                }
+                assert_eq!(c.lookup(line(set, ways as u64)), None, "{ways}-way miss");
+                c.fill(line(set, ways as u64 - 1), 0, 0);
+            }
+            for set in 0..sets {
+                let mut seen = 0u64;
+                for k in 0..ways as u64 {
+                    let hit = c.lookup(line(set, k)).expect("resident");
+                    assert_eq!(hit.set, set);
+                    assert_eq!(hit.flat, (set * ways as u64) as usize + hit.way as usize);
+                    assert_eq!(c.tags[hit.flat], line(set, k).raw());
+                    seen |= 1 << hit.way;
+                }
+                // Every way position produced a hit exactly once.
+                assert_eq!(seen.count_ones(), ways, "{ways}-way set {set}");
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_ways_never_match() {
+        let mut c = Cache::new("T", CacheConfig::new(64 * 64, 64, 64), 1, None);
+        assert!(c.tags.iter().all(|&t| t == INVALID_TAG));
+        for raw in [0, 1, 63, 1 << 40] {
+            assert_eq!(c.lookup(LineAddr::from_raw(raw)), None);
+        }
+        let (slot, _) = c.fill(LineAddr::from_raw(5), 0, 0);
+        assert_eq!(slot.way, 0, "fills take the first invalid way");
+        c.invalidate(LineAddr::from_raw(5));
+        assert_eq!(c.lookup(LineAddr::from_raw(5)), None);
     }
 
     #[test]

@@ -63,6 +63,10 @@ impl CacheConfig {
     }
 }
 
+/// Most cores a hierarchy can have: the width of the LLC directory's
+/// per-line sharer bitmask.
+pub const MAX_CORES: usize = u32::BITS as usize;
+
 /// Configuration for a full hierarchy: per-core split L1s over an inclusive
 /// shared LLC.
 ///
@@ -70,7 +74,8 @@ impl CacheConfig {
 /// no SMT, 32 KB 8-way L1I and L1D, 2 MB 16-way LLC, 64 B lines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyConfig {
-    /// Number of cores, each with private L1I and L1D.
+    /// Number of cores, each with private L1I and L1D (at most
+    /// [`MAX_CORES`]).
     pub cores: usize,
     /// Hardware threads (SMT contexts) per core.
     pub smt_per_core: usize,
@@ -131,15 +136,21 @@ impl HierarchyConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] describing the first violated constraint:
-    /// zero cores/threads, mismatched line sizes, an LLC smaller than a
-    /// single core's L1s (inclusivity would thrash), or inconsistent
-    /// latencies.
+    /// zero cores/threads, more than [`MAX_CORES`] cores, mismatched line
+    /// sizes, an LLC smaller than a single core's L1s (inclusivity would
+    /// thrash), or inconsistent latencies.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::new("hierarchy needs at least one core"));
         }
         if self.smt_per_core == 0 {
             return Err(ConfigError::new("cores need at least one SMT context"));
+        }
+        if self.cores > MAX_CORES {
+            return Err(ConfigError::new(format!(
+                "{} cores exceed the directory sharer mask ({MAX_CORES} cores)",
+                self.cores
+            )));
         }
         let ls = self.llc.geometry.line_size();
         if self.l1i.geometry.line_size() != ls || self.l1d.geometry.line_size() != ls {
@@ -209,6 +220,15 @@ mod tests {
             ..HierarchyConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_more_cores_than_the_sharer_mask() {
+        HierarchyConfig::with_cores(MAX_CORES).validate().unwrap();
+        for cores in [MAX_CORES + 1, 64, 65] {
+            let err = HierarchyConfig::with_cores(cores).validate().unwrap_err();
+            assert!(err.to_string().contains("sharer mask"), "{err}");
+        }
     }
 
     #[test]

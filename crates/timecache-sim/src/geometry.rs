@@ -26,7 +26,8 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics unless `line_size` is a power of two, `ways` is nonzero, and
+    /// Panics unless `line_size` is a power of two, `ways` is in `1..=64`
+    /// (the width of [`crate::Cache::lookup`]'s per-set match mask), and
     /// `size_bytes` is a multiple of `ways * line_size` with a power-of-two
     /// number of sets.
     pub fn new(size_bytes: u64, ways: u32, line_size: u64) -> Self {
@@ -35,6 +36,10 @@ impl CacheGeometry {
             "line size must be a power of two, got {line_size}"
         );
         assert!(ways > 0, "cache must have at least one way");
+        assert!(
+            ways <= 64,
+            "at most 64 ways fit the lookup mask, got {ways}"
+        );
         assert!(
             size_bytes.is_multiple_of(ways as u64 * line_size),
             "size {size_bytes} is not a multiple of ways*line_size"
@@ -133,6 +138,17 @@ mod tests {
     #[should_panic(expected = "at least one way")]
     fn rejects_zero_ways() {
         CacheGeometry::new(1024, 0, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn rejects_more_ways_than_the_match_mask() {
+        CacheGeometry::new(128 * 64, 128, 64);
+    }
+
+    #[test]
+    fn accepts_64_ways() {
+        assert_eq!(CacheGeometry::new(64 * 64, 64, 64).num_sets(), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! `dram_wait_on_remote_hit` mitigation removes.
 
 use crate::addr::{Addr, LineAddr};
-use crate::cache::Cache;
+use crate::cache::{Cache, LookupResult};
 use crate::config::{ConfigError, HierarchyConfig, SecurityMode};
 use crate::stats::HierarchyStats;
 use timecache_core::{
@@ -141,13 +141,42 @@ impl ContextSnapshot {
     }
 }
 
-/// Per-LLC-line directory entry.
+/// Per-LLC-line directory entry, packed to 8 bytes so the 2 MB LLC's
+/// directory is 256 KB. [`HierarchyConfig::validate`] caps `cores` at
+/// [`crate::MAX_CORES`], the width of `sharers`.
 #[derive(Debug, Clone, Copy, Default)]
 struct DirEntry {
     /// Bitmask of cores holding the line in a private L1 (I or D).
-    sharers: u64,
+    sharers: u32,
     /// Core whose L1D holds a modified copy, if any.
-    dirty_owner: Option<usize>,
+    dirty_owner: Option<u16>,
+}
+
+impl DirEntry {
+    /// The dirty owner, if it is a core other than `core`.
+    fn remote_owner(&self, core: usize) -> Option<usize> {
+        self.dirty_owner
+            .map(usize::from)
+            .filter(|&owner| owner != core)
+    }
+
+    /// Clears the dirty owner if it is `core`.
+    fn clear_owner(&mut self, core: usize) {
+        if self.dirty_owner == Some(core as u16) {
+            self.dirty_owner = None;
+        }
+    }
+}
+
+/// The set bits of a sharer mask, as core indices in ascending order.
+fn cores_in(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let core = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            core
+        })
+    })
 }
 
 /// A cache level as telemetry identifies it (label values and event names).
@@ -528,7 +557,11 @@ impl Hierarchy {
             if visible {
                 l1.stats_mut().hits += 1;
                 if kind.is_write() {
-                    self.write_hit(core, kind, line);
+                    let llc_slot = self
+                        .llc
+                        .lookup(line)
+                        .expect("inclusive LLC lost an L1-resident line");
+                    self.write_hit(core, line, hit, llc_slot);
                 }
                 return AccessOutcome {
                     latency: lat.l1_hit,
@@ -542,9 +575,9 @@ impl Hierarchy {
             // lower level that is visible to this context; data discarded.
             l1.stats_mut().first_access += 1;
             l1.record_first_access(hit, thread);
-            let (latency, served_by, fa_llc) = self.probe_below(core, thread, line);
+            let (latency, served_by, fa_llc, llc_slot) = self.probe_below(core, thread, line);
             if kind.is_write() {
-                self.write_hit(core, kind, line);
+                self.write_hit(core, line, hit, llc_slot);
             }
             return AccessOutcome {
                 latency,
@@ -561,22 +594,20 @@ impl Hierarchy {
         let llc_ctx = self.llc_ctx(core, thread);
 
         // Every arm resolves the LLC slot the line occupies, so the L1 fill
-        // below gets its directory index for free (no re-lookup).
-        let (latency, served_by, fa_llc, llc_flat) = if let Some(hit) = self.llc.lookup(line) {
+        // and the store below get its directory index for free (no
+        // re-lookup).
+        let (latency, served_by, fa_llc, llc_slot) = if let Some(hit) = self.llc.lookup(line) {
             let visible = self.llc.visibility(hit, llc_ctx) == Visibility::Visible;
             self.llc.touch(hit);
             if visible {
                 self.llc.stats_mut().hits += 1;
                 // Dirty in a remote L1? Forward at remote latency after a
                 // write-back (invalidate+transfer timing).
-                let remote_dirty = self.dir[hit.flat]
-                    .dirty_owner
-                    .filter(|&owner| owner != core);
-                if let Some(owner) = remote_dirty {
-                    self.writeback_owner_copy(owner, line);
-                    (lat.remote_l1, Level::RemoteL1, false, hit.flat)
+                if let Some(owner) = self.dir[hit.flat].remote_owner(core) {
+                    self.writeback_owner_copy(owner, line, hit);
+                    (lat.remote_l1, Level::RemoteL1, false, hit)
                 } else {
-                    (lat.llc_hit, Level::LLC, false, hit.flat)
+                    (lat.llc_hit, Level::LLC, false, hit)
                 }
             } else {
                 // First access at the LLC: the request continues to memory,
@@ -587,25 +618,22 @@ impl Hierarchy {
                 self.llc.record_first_access(hit, llc_ctx);
                 // A remotely-dirty copy must still be written back so the
                 // LLC holds current data for the upcoming L1 fill.
-                if let Some(owner) = self.dir[hit.flat]
-                    .dirty_owner
-                    .filter(|&owner| owner != core)
-                {
-                    self.writeback_owner_copy(owner, line);
+                if let Some(owner) = self.dir[hit.flat].remote_owner(core) {
+                    self.writeback_owner_copy(owner, line, hit);
                 }
-                (lat.dram, Level::Memory, true, hit.flat)
+                (lat.dram, Level::Memory, true, hit)
             }
         } else {
             // True LLC miss: fetch from memory and fill the LLC.
             self.llc.stats_mut().misses += 1;
-            let flat = self.fill_llc(line, llc_ctx, now);
-            (lat.dram, Level::Memory, false, flat)
+            let slot = self.fill_llc(line, llc_ctx, now);
+            (lat.dram, Level::Memory, false, slot)
         };
 
         // Fill the L1 from the (now current) LLC copy.
-        self.fill_l1(core, thread, kind, line, now, llc_flat);
+        let l1_slot = self.fill_l1(core, thread, kind, line, now, llc_slot);
         if kind.is_write() {
-            self.write_hit(core, kind, line);
+            self.write_hit(core, line, l1_slot, llc_slot);
         }
 
         AccessOutcome {
@@ -901,8 +929,14 @@ impl Hierarchy {
     /// Latency probe below an L1 first access: serviced at LLC latency if
     /// the LLC copy is visible to this context (unless the Section VII-B
     /// mitigation forces DRAM), else at DRAM latency with the LLC s-bit set
-    /// along the way. Never fills anything.
-    fn probe_below(&mut self, core: usize, thread: usize, line: LineAddr) -> (u64, Level, bool) {
+    /// along the way. Never fills anything. Also returns the LLC slot the
+    /// line occupies, for a store's directory update.
+    fn probe_below(
+        &mut self,
+        core: usize,
+        thread: usize,
+        line: LineAddr,
+    ) -> (u64, Level, bool, LookupResult) {
         let lat = self.cfg.latencies;
         let llc_ctx = self.llc_ctx(core, thread);
         self.llc.stats_mut().accesses += 1;
@@ -919,21 +953,21 @@ impl Hierarchy {
                 .map(|tc| tc.dram_wait_on_remote_hit())
                 .unwrap_or(false);
             if force_dram {
-                (lat.dram, Level::Memory, false)
+                (lat.dram, Level::Memory, false, hit)
             } else {
-                (lat.llc_hit, Level::LLC, false)
+                (lat.llc_hit, Level::LLC, false, hit)
             }
         } else {
             self.llc.stats_mut().first_access += 1;
             self.llc.record_first_access(hit, llc_ctx);
-            (lat.dram, Level::Memory, true)
+            (lat.dram, Level::Memory, true, hit)
         }
     }
 
     /// Fills the LLC with `line`, handling inclusive back-invalidation of
-    /// the victim and directory setup. Returns the flat slot index the line
-    /// landed in (the caller's directory key).
-    fn fill_llc(&mut self, line: LineAddr, llc_ctx: usize, now: u64) -> usize {
+    /// the victim and directory setup. Returns the slot the line landed in
+    /// (its flat index is the caller's directory key).
+    fn fill_llc(&mut self, line: LineAddr, llc_ctx: usize, now: u64) -> LookupResult {
         let (slot, victim) = self.llc.fill(line, llc_ctx, now);
         if let Some(victim) = victim {
             self.note_eviction(CacheKind::Llc, victim.line, victim.dirty);
@@ -941,19 +975,17 @@ impl Hierarchy {
             // The victim occupied the same flat slot the new line now uses;
             // its directory entry is at that index.
             let victim_entry = std::mem::take(&mut self.dir[slot.flat]);
-            for core in 0..self.cfg.cores {
-                if victim_entry.sharers >> core & 1 == 1 {
-                    if let Some(dirty) = self.l1i[core].invalidate(victim.line) {
-                        self.note_invalidation(CacheKind::L1I, victim.line, dirty);
-                    }
-                    if let Some(dirty) = self.l1d[core].invalidate(victim.line) {
-                        self.note_invalidation(CacheKind::L1D, victim.line, dirty);
-                        if dirty {
-                            // Dirty L1 copy of a dying LLC line: straight to
-                            // memory.
-                            self.l1d[core].stats_mut().writebacks += 1;
-                            self.note_writeback(CacheKind::L1D, victim.line);
-                        }
+            for core in cores_in(victim_entry.sharers) {
+                if let Some(dirty) = self.l1i[core].invalidate(victim.line) {
+                    self.note_invalidation(CacheKind::L1I, victim.line, dirty);
+                }
+                if let Some(dirty) = self.l1d[core].invalidate(victim.line) {
+                    self.note_invalidation(CacheKind::L1D, victim.line, dirty);
+                    if dirty {
+                        // Dirty L1 copy of a dying LLC line: straight to
+                        // memory.
+                        self.l1d[core].stats_mut().writebacks += 1;
+                        self.note_writeback(CacheKind::L1D, victim.line);
                     }
                 }
             }
@@ -966,12 +998,13 @@ impl Hierarchy {
             // (from an invalidated line): reset it.
             self.dir[slot.flat] = DirEntry::default();
         }
-        slot.flat
+        slot
     }
 
     /// Fills a private L1 with `line`, updating the directory and handling
-    /// the victim write-back. `llc_flat` is the LLC slot `line` occupies
-    /// (guaranteed by inclusivity; the caller just resolved it).
+    /// the victim write-back. `llc_slot` is the LLC slot `line` occupies
+    /// (guaranteed by inclusivity; the caller just resolved it). Returns the
+    /// L1 slot the line landed in.
     fn fill_l1(
         &mut self,
         core: usize,
@@ -979,65 +1012,79 @@ impl Hierarchy {
         kind: AccessKind,
         line: LineAddr,
         now: u64,
-        llc_flat: usize,
-    ) {
+        llc_slot: LookupResult,
+    ) -> LookupResult {
         debug_assert_eq!(
-            self.llc.lookup(line).map(|h| h.flat),
-            Some(llc_flat),
+            self.llc.lookup(line),
+            Some(llc_slot),
             "inclusive LLC lost an L1-resident line"
         );
-        let (_, victim) = self.l1_mut(core, kind).fill(line, thread, now);
+        let (slot, victim) = self.l1_mut(core, kind).fill(line, thread, now);
         if let Some(v) = victim {
             self.note_eviction(CacheKind::of(kind), v.line, v.dirty);
             if v.dirty {
-                // Write back to the LLC (present by inclusivity).
                 self.l1_mut(core, kind).stats_mut().writebacks += 1;
                 self.note_writeback(CacheKind::of(kind), v.line);
-                if let Some(hit) = self.llc.lookup(v.line) {
-                    self.llc.set_dirty(hit, true);
-                    if self.dir[hit.flat].dirty_owner == Some(core) {
-                        self.dir[hit.flat].dirty_owner = None;
-                    }
+            }
+            // The victim is LLC-resident by inclusivity; one lookup serves
+            // both the write-back and the sharer update.
+            if let Some(v_slot) = self.llc.lookup(v.line) {
+                if v.dirty {
+                    self.llc.set_dirty(v_slot, true);
+                    self.dir[v_slot.flat].clear_owner(core);
+                }
+                // The line just left this L1, so the core still holds it
+                // only if its other L1 does.
+                let other_l1 = match kind {
+                    AccessKind::IFetch => &self.l1d[core],
+                    AccessKind::Load | AccessKind::Store => &self.l1i[core],
+                };
+                if other_l1.lookup(v.line).is_none() {
+                    let entry = &mut self.dir[v_slot.flat];
+                    entry.sharers &= !(1 << core);
+                    entry.clear_owner(core);
                 }
             }
-            self.dir_remove_sharer_if_gone(core, v.line);
         }
-        self.dir[llc_flat].sharers |= 1 << core;
+        self.dir[llc_slot.flat].sharers |= 1 << core;
+        slot
     }
 
-    /// A store hit: mark the L1D copy dirty and invalidate remote copies.
-    fn write_hit(&mut self, core: usize, kind: AccessKind, line: LineAddr) {
-        debug_assert!(kind.is_write());
-        if let Some(hit) = self.l1d[core].lookup(line) {
-            self.l1d[core].set_dirty(hit, true);
-        }
-        if let Some(hit) = self.llc.lookup(line) {
-            let entry = self.dir[hit.flat];
-            for other in 0..self.cfg.cores {
-                if other != core && entry.sharers >> other & 1 == 1 {
-                    if let Some(dirty) = self.l1i[other].invalidate(line) {
-                        self.note_invalidation(CacheKind::L1I, line, dirty);
-                    }
-                    if let Some(dirty) = self.l1d[other].invalidate(line) {
-                        self.note_invalidation(CacheKind::L1D, line, dirty);
-                        if dirty {
-                            // Remote dirty copy written back before we
-                            // overwrite.
-                            self.l1d[other].stats_mut().writebacks += 1;
-                            self.note_writeback(CacheKind::L1D, line);
-                            self.llc.set_dirty(hit, true);
-                        }
-                    }
+    /// A store hit on `line`, resident at `l1d_slot` in this core's L1D and
+    /// at `llc_slot` in the LLC: mark the L1D copy dirty and invalidate
+    /// remote copies. The caller resolved both slots; no lookups here.
+    fn write_hit(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        l1d_slot: LookupResult,
+        llc_slot: LookupResult,
+    ) {
+        self.l1d[core].set_dirty(l1d_slot, true);
+        let remote = self.dir[llc_slot.flat].sharers & !(1 << core);
+        for other in cores_in(remote) {
+            if let Some(dirty) = self.l1i[other].invalidate(line) {
+                self.note_invalidation(CacheKind::L1I, line, dirty);
+            }
+            if let Some(dirty) = self.l1d[other].invalidate(line) {
+                self.note_invalidation(CacheKind::L1D, line, dirty);
+                if dirty {
+                    // Remote dirty copy written back before we overwrite.
+                    self.l1d[other].stats_mut().writebacks += 1;
+                    self.note_writeback(CacheKind::L1D, line);
+                    self.llc.set_dirty(llc_slot, true);
                 }
             }
-            self.dir[hit.flat].sharers = 1 << core;
-            self.dir[hit.flat].dirty_owner = Some(core);
         }
+        self.dir[llc_slot.flat] = DirEntry {
+            sharers: 1 << core,
+            dirty_owner: Some(core as u16),
+        };
     }
 
-    /// Writes a remote core's dirty copy back to the LLC (clean forwarding
-    /// state afterwards).
-    fn writeback_owner_copy(&mut self, owner: usize, line: LineAddr) {
+    /// Writes a remote core's dirty copy of `line` (at LLC slot `llc_slot`)
+    /// back to the LLC (clean forwarding state afterwards).
+    fn writeback_owner_copy(&mut self, owner: usize, line: LineAddr, llc_slot: LookupResult) {
         if let Some(hit) = self.l1d[owner].lookup(line) {
             if self.l1d[owner].is_dirty(hit) {
                 self.l1d[owner].set_dirty(hit, false);
@@ -1045,25 +1092,8 @@ impl Hierarchy {
                 self.note_writeback(CacheKind::L1D, line);
             }
         }
-        if let Some(hit) = self.llc.lookup(line) {
-            self.llc.set_dirty(hit, true);
-            self.dir[hit.flat].dirty_owner = None;
-        }
-    }
-
-    /// Drops `core` from a line's sharer mask if neither of its L1s still
-    /// holds the line.
-    fn dir_remove_sharer_if_gone(&mut self, core: usize, line: LineAddr) {
-        let still_held =
-            self.l1i[core].lookup(line).is_some() || self.l1d[core].lookup(line).is_some();
-        if !still_held {
-            if let Some(hit) = self.llc.lookup(line) {
-                self.dir[hit.flat].sharers &= !(1 << core);
-                if self.dir[hit.flat].dirty_owner == Some(core) {
-                    self.dir[hit.flat].dirty_owner = None;
-                }
-            }
-        }
+        self.llc.set_dirty(llc_slot, true);
+        self.dir[llc_slot.flat].dirty_owner = None;
     }
 }
 
@@ -1080,6 +1110,20 @@ mod tests {
 
     fn tc() -> SecurityMode {
         SecurityMode::TimeCache(TimeCacheConfig::default())
+    }
+
+    #[test]
+    fn dir_entry_is_packed() {
+        assert_eq!(std::mem::size_of::<DirEntry>(), 8);
+        assert!(crate::MAX_CORES <= u32::BITS as usize);
+        assert!(crate::MAX_CORES <= usize::from(u16::MAX));
+    }
+
+    #[test]
+    fn cores_in_lists_set_bits_in_order() {
+        assert_eq!(cores_in(0).count(), 0);
+        assert_eq!(cores_in(0b1010_0001).collect::<Vec<_>>(), [0, 5, 7]);
+        assert_eq!(cores_in(1 << 31).collect::<Vec<_>>(), [31]);
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod stats;
 
 pub use addr::{Addr, LineAddr};
 pub use cache::{Cache, LookupResult};
-pub use config::{CacheConfig, ConfigError, HierarchyConfig, SecurityMode};
+pub use config::{CacheConfig, ConfigError, HierarchyConfig, SecurityMode, MAX_CORES};
 pub use geometry::CacheGeometry;
 pub use hierarchy::{
     AccessKind, AccessOutcome, BatchClock, ContextSnapshot, Hierarchy, Level, SwitchCost,

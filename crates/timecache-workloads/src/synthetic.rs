@@ -135,8 +135,9 @@ pub struct SyntheticWorkload {
     /// Cursor within the shared benchmark text (walked in bursts too).
     bench_burst_left: u64,
     bench_cursor: u64,
-    /// Per-instruction probability of a fresh-line access.
-    fresh_prob: f64,
+    /// Probability, per data access, of a fresh-line access: the
+    /// per-instruction rate rescaled by `mem_ratio`, computed once.
+    fresh_per_access: f64,
 }
 
 /// Lines of a shared-library burst (a short libc routine).
@@ -158,6 +159,10 @@ impl SyntheticWorkload {
     pub fn new(params: SyntheticParams, bench_id: usize, instance: usize) -> Self {
         params.validate();
         let fresh_prob = (params.fresh_line_per_kinstr / 1000.0).min(1.0);
+        // Fresh-line accesses drive the baseline miss rate. The probability
+        // is per *instruction*, but it is drawn inside the mem_ratio branch
+        // of `next_data`, so rescale.
+        let fresh_per_access = fresh_prob / params.mem_ratio.max(1e-9);
         // Instances pair up 0<->1, 2<->3, ... for peer-fresh touches.
         let peer = instance ^ 1;
         SyntheticWorkload {
@@ -171,7 +176,7 @@ impl SyntheticWorkload {
             lib_cursor: 0,
             bench_burst_left: 0,
             bench_cursor: 0,
-            fresh_prob,
+            fresh_per_access,
             params,
         }
     }
@@ -185,12 +190,12 @@ impl SyntheticWorkload {
         // Finish any in-progress burst first.
         if self.lib_burst_left > 0 {
             self.lib_burst_left -= 1;
-            self.lib_cursor = (self.lib_cursor + 1) % self.params.shared_code_lines.max(1);
+            advance_wrapping(&mut self.lib_cursor, self.params.shared_code_lines);
             return layout::code_line(layout::SHARED_LIB_CODE, self.lib_cursor);
         }
         if self.bench_burst_left > 0 {
             self.bench_burst_left -= 1;
-            self.bench_cursor = (self.bench_cursor + 1) % self.params.bench_code_lines.max(1);
+            advance_wrapping(&mut self.bench_cursor, self.params.bench_code_lines);
             return layout::code_line(self.bench_code_base, self.bench_cursor);
         }
         let r: f64 = self.rng.next_f64();
@@ -206,7 +211,7 @@ impl SyntheticWorkload {
             return layout::code_line(self.bench_code_base, self.bench_cursor);
         }
         // Private hot loop.
-        self.code_cursor = (self.code_cursor + 1) % self.params.code_lines;
+        advance_wrapping(&mut self.code_cursor, self.params.code_lines);
         layout::code_line(self.private_base + 0x4000_0000, self.code_cursor)
     }
 
@@ -219,11 +224,7 @@ impl SyntheticWorkload {
         } else {
             DataKind::Load
         };
-        // Fresh-line accesses drive the baseline miss rate. The probability
-        // is per *instruction*; we are inside the mem_ratio branch, so
-        // rescale.
-        let fresh_here = self.fresh_prob / self.params.mem_ratio.max(1e-9);
-        if self.rng.next_f64() < fresh_here {
+        if self.rng.next_f64() < self.fresh_per_access {
             // Optionally consume the sibling's recent stream instead of
             // producing our own line (guarded so the common frac == 0 case
             // draws no random number and streams stay bit-identical).
@@ -252,6 +253,17 @@ impl SyntheticWorkload {
         let lines = (self.params.resident_bytes / layout::LINE).max(1);
         let line = self.rng.next_below(lines);
         Some((kind, self.private_base + line * layout::LINE))
+    }
+}
+
+/// Steps a cursor through `0..len`, wrapping to 0: `(c + 1) % len` for an
+/// in-range cursor, without a division by a runtime value. A zero `len`
+/// also yields 0.
+#[inline]
+fn advance_wrapping(cursor: &mut u64, len: u64) {
+    *cursor += 1;
+    if *cursor >= len {
+        *cursor = 0;
     }
 }
 
