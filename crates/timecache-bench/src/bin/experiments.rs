@@ -27,6 +27,7 @@
 //! and exits nonzero unless every channel's baseline arm leaks
 //! (|t| > 4.5) and its defended arm stays silent (|t| < 4.5).
 
+use std::io;
 use timecache_bench::runner::RunParams;
 use timecache_bench::{exp, sweep, telemetry};
 use timecache_workloads::mixes;
@@ -209,79 +210,87 @@ fn main() {
         telemetry::enable();
     }
 
+    match run(which, &params, max_failures, with_telemetry) {
+        Ok(0) => {}
+        Ok(code) => std::process::exit(code),
+        Err(e) => {
+            eprintln!("experiments: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Runs experiment `which` and returns its exit code; an I/O failure
+/// writing an artifact is returned as the error.
+fn run(
+    which: &str,
+    params: &RunParams,
+    max_failures: usize,
+    with_telemetry: bool,
+) -> io::Result<i32> {
     let mut exit_code = 0;
     match which {
-        "table1" => exp::table1::run(),
+        "table1" => exp::table1::run()?,
         "table2" | "fig7" | "fig8" => {
             announce_spec_sweep();
-            let sweep = exp::spec_sweep(&params);
+            let sweep = exp::spec_sweep(params);
             match which {
-                "fig7" => exp::fig7::run(&sweep),
-                "fig8" => exp::fig8::run(&sweep),
+                "fig7" => exp::fig7::run(&sweep)?,
+                "fig8" => exp::fig8::run(&sweep)?,
                 _ => {
                     announce_parsec_sweep();
-                    let parsec = exp::fig9::sweep(&params);
-                    exp::table2::run(&sweep, &parsec);
+                    let parsec = exp::fig9::sweep(params);
+                    exp::table2::run(&sweep, &parsec)?;
                 }
             }
         }
         "fig9" => {
             announce_parsec_sweep();
-            let parsec = exp::fig9::sweep(&params);
-            exp::fig9::run(&parsec);
+            let parsec = exp::fig9::sweep(params);
+            exp::fig9::run(&parsec)?;
         }
-        "fig10" => exp::fig10::run(&params),
-        "security" => exp::security::run(),
-        "rollover" => exp::rollover::run(&params),
-        "switchcost" => exp::switchcost::run(&params),
-        "other-attacks" => exp::other_attacks::run(),
-        "ftm" => exp::ftm::run(&params),
-        "area" => exp::area::run(),
-        "ablation" => exp::ablation::run(&params),
-        "telemetry-demo" => exp::telemetry_demo::run(&params),
-        "bench-sweep" => exp::bench_sweep::run(&params),
+        "fig10" => exp::fig10::run(params)?,
+        "security" => exp::security::run()?,
+        "rollover" => exp::rollover::run(params)?,
+        "switchcost" => exp::switchcost::run(params)?,
+        "other-attacks" => exp::other_attacks::run()?,
+        "ftm" => exp::ftm::run(params)?,
+        "area" => exp::area::run()?,
+        "ablation" => exp::ablation::run(params)?,
+        "telemetry-demo" => exp::telemetry_demo::run(params)?,
+        "bench-sweep" => exp::bench_sweep::run(params)?,
         "fault-sweep" => {
-            let summary = exp::fault_sweep::run(&params);
+            let summary = exp::fault_sweep::run(params)?;
             exit_code = fault_sweep_exit_code(&summary, max_failures);
         }
         "leakage-sweep" => {
-            let summary = exp::leakage_sweep::run(&params);
+            let summary = exp::leakage_sweep::run(params)?;
             exit_code = leakage_sweep_exit_code(&summary, max_failures);
         }
         "all" => {
-            exp::table1::run();
+            exp::table1::run()?;
             announce_spec_sweep();
-            let sweep = exp::spec_sweep(&params);
-            exp::fig7::run(&sweep);
-            exp::fig8::run(&sweep);
+            let sweep = exp::spec_sweep(params);
+            exp::fig7::run(&sweep)?;
+            exp::fig8::run(&sweep)?;
             announce_parsec_sweep();
-            let parsec = exp::fig9::sweep(&params);
-            exp::fig9::run(&parsec);
-            exp::table2::run(&sweep, &parsec);
-            exp::fig10::run(&params);
-            exp::security::run();
-            exp::rollover::run(&params);
-            exp::switchcost::run(&params);
-            exp::other_attacks::run();
-            exp::ftm::run(&params);
-            exp::area::run();
-            exp::ablation::run(&params);
+            let parsec = exp::fig9::sweep(params);
+            exp::fig9::run(&parsec)?;
+            exp::table2::run(&sweep, &parsec)?;
+            exp::fig10::run(params)?;
+            exp::security::run()?;
+            exp::rollover::run(params)?;
+            exp::switchcost::run(params)?;
+            exp::other_attacks::run()?;
+            exp::ftm::run(params)?;
+            exp::area::run()?;
+            exp::ablation::run(params)?;
         }
         _ => usage(),
     }
 
     if with_telemetry {
-        let id = which.replace('-', "_");
-        match telemetry::write_artifacts(&id) {
-            Ok(paths) => {
-                for path in &paths {
-                    println!("wrote {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("failed to write telemetry artifacts: {e}"),
-        }
+        telemetry::write_artifacts(&which.replace('-', "_"))?;
     }
-    if exit_code != 0 {
-        std::process::exit(exit_code);
-    }
+    Ok(exit_code)
 }

@@ -10,12 +10,13 @@
 use crate::exp::sweep_pairs;
 use crate::output::{geomean, print_table, write_csv};
 use crate::runner::{Comparison, RunParams};
+use std::io;
 use timecache_core::BitSerialComparator;
 use timecache_workloads::mixes;
 
 /// Runs the save/restore ablation over a few representative pairs and
 /// prints the comparator-cost table analytically.
-pub fn run(params: &RunParams) {
+pub fn run(params: &RunParams) -> io::Result<()> {
     // --- Ablation 1: discard snapshots. ---
     let labels = ["2Xperlbench", "2Xwrf", "2Xgobmk", "2Xh264ref"];
     let pairs: Vec<_> = mixes::all_pairs()
@@ -55,8 +56,7 @@ pub fn run(params: &RunParams) {
         &header,
         &rows,
     );
-    let path = write_csv("ablation_save_restore.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("ablation_save_restore.csv", &header, &rows)?;
 
     // --- Ablation 2: comparator organisation. ---
     let header = ["cache", "lines", "bit-serial cycles", "line-serial cycles"];
@@ -82,7 +82,7 @@ pub fn run(params: &RunParams) {
         &header,
         &rows,
     );
-    let path = write_csv("ablation_comparator.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("ablation_comparator.csv", &header, &rows)?;
     let _ = Comparison::overhead; // referenced for doc-link stability
+    Ok(())
 }

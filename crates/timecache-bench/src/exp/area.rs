@@ -4,10 +4,11 @@
 //! many-context server LLCs.
 
 use crate::output::{print_table, write_csv};
+use std::io;
 use timecache_core::{AreaModel, TimestampWidth};
 
 /// Prints the area table across context counts for the Table I LLC.
-pub fn run() {
+pub fn run() -> io::Result<()> {
     let header = [
         "contexts",
         "full map (% of data array)",
@@ -41,8 +42,8 @@ pub fn run() {
     );
     println!("the full map grows linearly with hardware contexts; limited pointers");
     println!("(Agarwal et al.) keep it O(k log n) — the paper's scaling suggestion.");
-    let path = write_csv("vi_c_area.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("vi_c_area.csv", &header, &rows)?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -50,7 +51,7 @@ mod tests {
     #[test]
     fn area_table_prints() {
         std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
-        super::run();
+        super::run().unwrap();
         std::env::remove_var("TIMECACHE_RESULTS");
     }
 }

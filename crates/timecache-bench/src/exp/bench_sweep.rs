@@ -18,9 +18,12 @@
 
 use crate::exp::spec_sweep;
 use crate::microbench::Bencher;
+use crate::output::write_artifact;
 use crate::runner::{Comparison, RunParams};
 use crate::sweep;
 use std::hint::black_box;
+use std::io;
+use std::path::Path;
 use std::time::Instant;
 use timecache_core::TimeCacheConfig;
 use timecache_sim::{AccessKind, BatchClock, Hierarchy, HierarchyConfig, SecurityMode};
@@ -130,7 +133,7 @@ fn overlap_ms(workers: usize) -> f64 {
 /// match byte-for-byte, probes engine overlap with wait-bound jobs,
 /// measures per-access cost (looped and batched), and writes
 /// `BENCH_sweep.json`.
-pub fn run(params: &RunParams) {
+pub fn run(params: &RunParams) -> io::Result<()> {
     let host_cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -216,6 +219,6 @@ pub fn run(params: &RunParams) {
          \"dram_miss_timecache_batched\":{tc_miss_batched:.2}}}}}"
     ));
 
-    std::fs::write("BENCH_sweep.json", &json).expect("write BENCH_sweep.json");
-    println!("wrote BENCH_sweep.json");
+    write_artifact(Path::new("BENCH_sweep.json"), &json)?;
+    Ok(())
 }

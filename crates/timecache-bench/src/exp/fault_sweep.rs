@@ -22,9 +22,10 @@
 //! that cell panic on every attempt — a test/CI hook for exercising the
 //! resilient engine's failure path end to end.
 
-use crate::output::{print_table, results_dir, write_csv};
+use crate::output::{print_table, results_dir, write_artifact, write_csv};
 use crate::runner::RunParams;
 use crate::sweep::{self, JobFailure, SweepPolicy};
+use std::io;
 use timecache_core::{FaultKind, FaultPlan, TimeCacheConfig, TriggerPoint};
 use timecache_os::{programs::StridedLoop, System, SystemConfig};
 use timecache_sim::{HierarchyConfig, SecurityMode};
@@ -210,13 +211,13 @@ fn run_cell(index: usize, params: &RunParams) -> Row {
 
 /// Runs the matrix, prints it, writes `fault_matrix.csv` /
 /// `fault_matrix.json`, and returns the summary for the exit policy.
-pub fn run(params: &RunParams) -> FaultSweepSummary {
+pub fn run(params: &RunParams) -> io::Result<FaultSweepSummary> {
     eprintln!(
         "running fault-injection matrix ({} scenarios x 2 modes, {} jobs)...",
         SCENARIOS.len(),
         sweep::jobs()
     );
-    let dir = results_dir().expect("results dir");
+    let dir = results_dir()?;
     let tag = format!("mi{}", cell_instructions(params));
     let outcome = sweep::run_checkpointed(
         &dir,
@@ -232,8 +233,7 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
             sweep::progress(&format!("  running {label} [{mode}] ..."));
             run_cell(i, params)
         },
-    )
-    .expect("fault-matrix checkpoint journal");
+    )?;
 
     let failed: std::collections::HashMap<usize, &JobFailure> =
         outcome.failures.iter().map(|f| (f.index, f)).collect();
@@ -298,8 +298,7 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
         &header,
         &table,
     );
-    let path = write_csv("fault_matrix.csv", &header, &table).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("fault_matrix.csv", &header, &table)?;
 
     let mut json = String::from("{\"jobs\":");
     let _ = std::fmt::Write::write_fmt(&mut json, format_args!("{JOBS}"));
@@ -326,8 +325,7 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
         ),
     );
     let json_path = dir.join("fault_matrix.json");
-    std::fs::write(&json_path, &json).expect("write fault_matrix.json");
-    println!("wrote {}", json_path.display());
+    write_artifact(&json_path, &json)?;
 
     if !summary.failures.is_empty() {
         eprintln!(
@@ -335,7 +333,7 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
             summary.failures.len()
         );
     }
-    summary
+    Ok(summary)
 }
 
 #[cfg(test)]

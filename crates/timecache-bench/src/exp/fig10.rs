@@ -6,6 +6,7 @@
 use crate::exp::spec_sweep;
 use crate::output::{geomean, print_table, write_csv};
 use crate::runner::{Comparison, RunParams};
+use std::io;
 
 /// Paper-reported geomean overheads per LLC size.
 pub const PAPER_OVERHEADS: [(u64, f64); 3] = [
@@ -15,7 +16,7 @@ pub const PAPER_OVERHEADS: [(u64, f64); 3] = [
 ];
 
 /// Runs the SPEC sweep at each LLC size and prints the trend.
-pub fn run(params: &RunParams) {
+pub fn run(params: &RunParams) -> io::Result<()> {
     let header = ["llc", "geomean-overhead", "paper"];
     let mut rows = Vec::new();
     let mut measured = Vec::new();
@@ -41,6 +42,6 @@ pub fn run(params: &RunParams) {
     } else {
         println!("trend: WARNING — overhead did not shrink monotonically");
     }
-    let path = write_csv("fig10_llc_sensitivity.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("fig10_llc_sensitivity.csv", &header, &rows)?;
+    Ok(())
 }

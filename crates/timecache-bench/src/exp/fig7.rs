@@ -3,11 +3,12 @@
 
 use crate::output::{geomean, print_table, write_csv};
 use crate::runner::Comparison;
+use std::io;
 use timecache_workloads::mixes;
 
 /// Renders Fig. 7's series (normalized execution time per workload pair)
 /// from a completed SPEC sweep.
-pub fn run(sweep: &[Comparison]) {
+pub fn run(sweep: &[Comparison]) -> io::Result<()> {
     let specs = mixes::all_pairs();
     let header = ["workload", "normalized-exec-time", "paper"];
     let rows: Vec<Vec<String>> = specs
@@ -32,6 +33,6 @@ pub fn run(sweep: &[Comparison]) {
         (geomean(&overheads) - 1.0) * 100.0,
         (mixes::PAPER_SPEC_GEOMEAN_OVERHEAD - 1.0) * 100.0
     );
-    let path = write_csv("fig7_normalized_time.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("fig7_normalized_time.csv", &header, &rows)?;
+    Ok(())
 }

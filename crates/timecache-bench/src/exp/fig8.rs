@@ -3,11 +3,12 @@
 
 use crate::output::{print_table, write_csv};
 use crate::runner::Comparison;
+use std::io;
 
 /// Renders Fig. 8's per-level first-access MPKI series from a completed
 /// SPEC sweep (TimeCache runs; the baseline has no first accesses by
 /// construction).
-pub fn run(sweep: &[Comparison]) {
+pub fn run(sweep: &[Comparison]) -> io::Result<()> {
     let header = ["workload", "l1i-fa-mpki", "l1d-fa-mpki", "llc-fa-mpki"];
     let rows: Vec<Vec<String>> = sweep
         .iter()
@@ -39,6 +40,6 @@ pub fn run(sweep: &[Comparison]) {
         "LLC first-access MPKI >= half of L1D's in {llc_dominates}/{} workloads",
         sweep.len()
     );
-    let path = write_csv("fig8_first_access_mpki.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("fig8_first_access_mpki.csv", &header, &rows)?;
+    Ok(())
 }

@@ -4,6 +4,7 @@
 use crate::output::{geomean, print_table, write_csv};
 use crate::runner::{run_parsec_mode, timecache_mode, Comparison, RunParams};
 use crate::sweep as engine;
+use std::io;
 use timecache_sim::SecurityMode;
 use timecache_workloads::mixes;
 use timecache_workloads::parsec::ParsecBenchmark;
@@ -39,7 +40,7 @@ pub fn sweep(params: &RunParams) -> Vec<Comparison> {
 
 /// Renders Fig. 9a (normalized time) and Fig. 9b (per-cache first-access
 /// MPKI) from a completed PARSEC sweep.
-pub fn run(sweep: &[Comparison]) {
+pub fn run(sweep: &[Comparison]) -> io::Result<()> {
     // Fig. 9a.
     let header_a = ["benchmark", "normalized-exec-time", "paper"];
     let rows_a: Vec<Vec<String>> = ParsecBenchmark::ALL
@@ -64,9 +65,7 @@ pub fn run(sweep: &[Comparison]) {
         (geomean(&overheads) - 1.0) * 100.0,
         (mixes::PAPER_PARSEC_MEAN_OVERHEAD - 1.0) * 100.0
     );
-    let path =
-        write_csv("fig9a_parsec_normalized_time.csv", &header_a, &rows_a).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("fig9a_parsec_normalized_time.csv", &header_a, &rows_a)?;
 
     // Fig. 9b: per-cache delayed-access MPKI; L1s must be zero because the
     // threads never share a core.
@@ -87,7 +86,6 @@ pub fn run(sweep: &[Comparison]) {
         &header_b,
         &rows_b,
     );
-    let path =
-        write_csv("fig9b_parsec_first_access_mpki.csv", &header_b, &rows_b).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("fig9b_parsec_first_access_mpki.csv", &header_b, &rows_b)?;
+    Ok(())
 }

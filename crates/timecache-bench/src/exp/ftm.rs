@@ -5,6 +5,7 @@
 
 use crate::output::{geomean, print_table, write_csv};
 use crate::runner::{run_spec_pair_mode, RunParams};
+use std::io;
 use timecache_attacks::harness::timecache_mode;
 use timecache_attacks::rsa_attack::run_rsa_attack;
 use timecache_attacks::spectre::run_spectre;
@@ -13,7 +14,7 @@ use timecache_workloads::mixes;
 use timecache_workloads::rsa::Mpi;
 
 /// Runs the security matrix and the overhead comparison.
-pub fn run(params: &RunParams) {
+pub fn run(params: &RunParams) -> io::Result<()> {
     // --- Security matrix: same-core RSA extraction + spectre. ---
     let key = Mpi::from_u64(0xB5C3_9A6D);
     let secret = b"ftm-test";
@@ -49,8 +50,7 @@ pub fn run(params: &RunParams) {
         &header,
         &rows,
     );
-    let path = write_csv("viii_b2_ftm_security.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("viii_b2_ftm_security.csv", &header, &rows)?;
 
     // --- Overhead comparison on a few representative pairs. ---
     let labels = ["2Xperlbench", "2Xlbm", "2Xgobmk", "2Xnamd"];
@@ -83,6 +83,6 @@ pub fn run(params: &RunParams) {
         &header,
         &rows,
     );
-    let path = write_csv("viii_b2_ftm_overhead.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("viii_b2_ftm_overhead.csv", &header, &rows)?;
+    Ok(())
 }

@@ -21,9 +21,10 @@
 //! `--jobs` value because every cell is a pure function of its index.
 //! Artifacts: `leakage_matrix.csv` and `leakage_matrix.json`.
 
-use crate::output::{print_table, results_dir, write_csv};
+use crate::output::{print_table, results_dir, write_artifact, write_csv};
 use crate::runner::RunParams;
 use crate::sweep::{self, JobFailure, SweepPolicy};
+use std::io;
 use timecache_oracle::{assess, Assessment, Channel, LEAKAGE_THRESHOLD};
 use timecache_telemetry::encode;
 
@@ -142,13 +143,13 @@ fn run_cell(index: usize, params: &RunParams) -> Row {
 
 /// Runs the matrix, prints it, writes `leakage_matrix.csv` /
 /// `leakage_matrix.json`, and returns the summary for the exit policy.
-pub fn run(params: &RunParams) -> LeakageSweepSummary {
+pub fn run(params: &RunParams) -> io::Result<LeakageSweepSummary> {
     eprintln!(
         "running leakage-assessment matrix ({} channels x 2 configs, {} jobs)...",
         Channel::ALL.len(),
         sweep::jobs()
     );
-    let dir = results_dir().expect("results dir");
+    let dir = results_dir()?;
     let tag = format!("r{}", cell_rounds(params));
     let outcome = sweep::run_checkpointed(
         &dir,
@@ -162,8 +163,7 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
             sweep::progress(&format!("  assessing {} ...", Channel::ALL[i].name()));
             run_cell(i, params)
         },
-    )
-    .expect("leakage-matrix checkpoint journal");
+    )?;
 
     let failed: std::collections::HashMap<usize, &JobFailure> =
         outcome.failures.iter().map(|f| (f.index, f)).collect();
@@ -226,8 +226,7 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
         &header,
         &table,
     );
-    let path = write_csv("leakage_matrix.csv", &header, &table).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("leakage_matrix.csv", &header, &table)?;
 
     let mut json = String::from("{\"jobs\":");
     let _ = std::fmt::Write::write_fmt(&mut json, format_args!("{JOBS}"));
@@ -279,8 +278,7 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
         ),
     );
     let json_path = dir.join("leakage_matrix.json");
-    std::fs::write(&json_path, &json).expect("write leakage_matrix.json");
-    println!("wrote {}", json_path.display());
+    write_artifact(&json_path, &json)?;
 
     if !summary.failures.is_empty() {
         eprintln!(
@@ -288,7 +286,7 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
             summary.failures.len()
         );
     }
-    summary
+    Ok(summary)
 }
 
 #[cfg(test)]

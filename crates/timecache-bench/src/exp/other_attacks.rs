@@ -5,12 +5,13 @@
 //! complementary mitigation.
 
 use crate::output::{print_table, write_csv};
+use std::io;
 use timecache_attacks::{
     coherence, covert, evict_reload, evict_time, flush_flush, lru, prime_probe, spectre,
 };
 
 /// Runs every Section VII demonstration and prints the status matrix.
-pub fn run() {
+pub fn run() -> io::Result<()> {
     let header = ["attack", "mode", "leaks", "detail"];
     let mut rows = Vec::new();
     let mut outcomes = Vec::new();
@@ -47,6 +48,6 @@ pub fn run() {
     println!("paper's position: reuse channels close under TimeCache; LRU and");
     println!("contention channels need a randomizing cache (keyed index rows);");
     println!("flush+flush needs constant-time clflush; evict+time remains noisy.");
-    let path = write_csv("vii_other_attacks.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("vii_other_attacks.csv", &header, &rows)?;
+    Ok(())
 }

@@ -6,6 +6,7 @@
 use crate::output::{print_table, write_csv};
 use crate::runner::{compare_spec_pair, RunParams};
 use crate::sweep;
+use std::io;
 use timecache_attacks::harness::run_microbenchmark;
 use timecache_core::TimeCacheConfig;
 use timecache_sim::SecurityMode;
@@ -17,7 +18,7 @@ pub const WIDTHS: [u8; 4] = [32, 26, 22, 20];
 
 /// Runs the width sweep on one representative pair and re-checks security
 /// at every width.
-pub fn run(params: &RunParams) {
+pub fn run(params: &RunParams) -> io::Result<()> {
     let spec = mixes::all_pairs()
         .into_iter()
         .find(|p| p.label() == "2Xperlbench")
@@ -49,6 +50,6 @@ pub fn run(params: &RunParams) {
         &header,
         &rows,
     );
-    let path = write_csv("vi_c_rollover.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("vi_c_rollover.csv", &header, &rows)?;
+    Ok(())
 }

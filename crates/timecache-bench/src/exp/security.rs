@@ -3,13 +3,14 @@
 
 use crate::output::{print_table, write_csv};
 use crate::telemetry;
+use std::io;
 use timecache_attacks::harness::{run_microbenchmark_with_telemetry, timecache_mode};
 use timecache_attacks::rsa_attack::run_rsa_attack;
 use timecache_sim::SecurityMode;
 use timecache_workloads::rsa::Mpi;
 
 /// Runs both security demonstrations and prints pass/fail rows.
-pub fn run() {
+pub fn run() -> io::Result<()> {
     let header = ["experiment", "mode", "signal", "verdict"];
     let mut rows = Vec::new();
 
@@ -58,6 +59,6 @@ pub fn run() {
 
     print_table("Security evaluation (Section VI-A)", &header, &rows);
     println!("expected: baseline rows LEAK (attack works), timecache rows are defended");
-    let path = write_csv("security_vi_a.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("security_vi_a.csv", &header, &rows)?;
+    Ok(())
 }

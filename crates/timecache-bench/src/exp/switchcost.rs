@@ -9,13 +9,14 @@
 use crate::output::{print_table, write_csv};
 use crate::runner::{run_spec_pair_mode, timecache_mode, Comparison, RunParams};
 use crate::sweep;
+use std::io;
 use timecache_core::{SBitArray, Snapshot, TimestampWidth};
 use timecache_sim::SecurityMode;
 use timecache_workloads::mixes;
 
 /// Prints the per-cache-size transfer table and the measured bookkeeping
 /// share for one workload pair.
-pub fn run(params: &RunParams) {
+pub fn run(params: &RunParams) -> io::Result<()> {
     // Analytical transfer table (Section VI-D). The per-line column shows
     // how a single-channel DMA would scale; the paper itself charges a
     // constant 1.08 us (2160 cycles) per switch, which is the default
@@ -52,8 +53,7 @@ pub fn run(params: &RunParams) {
         &header,
         &rows,
     );
-    let path = write_csv("vi_d_transfer_costs.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("vi_d_transfer_costs.csv", &header, &rows)?;
 
     // Measured bookkeeping share (paper: ~0.024 % of execution time).
     let spec = &mixes::all_pairs()[1]; // 2Xlbm: plenty of switches
@@ -83,7 +83,7 @@ pub fn run(params: &RunParams) {
         cmp.timecache.cycles,
         share * 100.0
     );
-    let path = write_csv(
+    write_csv(
         "vi_d_bookkeeping.csv",
         &[
             "workload",
@@ -99,7 +99,6 @@ pub fn run(params: &RunParams) {
             format!("{:.4}", share * 100.0),
             "0.024".into(),
         ]],
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
+    )?;
+    Ok(())
 }

@@ -2,11 +2,12 @@
 //! configuration so runs are self-describing.
 
 use crate::output::{print_table, write_csv};
+use std::io;
 use timecache_os::SystemConfig;
 
 /// Prints the simulated-system parameters (the gem5 half of Table I; the
 /// "real processor" half has no analogue here — everything is simulated).
-pub fn run() {
+pub fn run() -> io::Result<()> {
     let cfg = SystemConfig::default();
     let h = &cfg.hierarchy;
     let rows: Vec<Vec<String>> = vec![
@@ -37,8 +38,8 @@ pub fn run() {
         &["parameter", "value"],
         &rows,
     );
-    let path = write_csv("table1_setup.csv", &["parameter", "value"], &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("table1_setup.csv", &["parameter", "value"], &rows)?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -46,7 +47,7 @@ mod tests {
     #[test]
     fn table1_prints_without_panicking() {
         std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
-        super::run();
+        super::run().unwrap();
         std::env::remove_var("TIMECACHE_RESULTS");
     }
 }

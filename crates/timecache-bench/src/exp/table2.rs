@@ -3,11 +3,12 @@
 
 use crate::output::{geomean, print_table, write_csv};
 use crate::runner::Comparison;
+use std::io;
 use timecache_workloads::mixes;
 
 /// Renders Table II from a completed SPEC sweep (and optionally the PARSEC
 /// comparisons appended below, as the paper's table does).
-pub fn run(sweep: &[Comparison], parsec: &[Comparison]) {
+pub fn run(sweep: &[Comparison], parsec: &[Comparison]) -> io::Result<()> {
     let specs = mixes::all_pairs();
     assert_eq!(sweep.len(), specs.len(), "sweep must cover all pairs");
 
@@ -76,6 +77,6 @@ pub fn run(sweep: &[Comparison], parsec: &[Comparison]) {
         &header,
         &rows,
     );
-    let path = write_csv("table2_overhead_mpki.csv", &header, &rows).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("table2_overhead_mpki.csv", &header, &rows)?;
+    Ok(())
 }

@@ -9,12 +9,13 @@
 use crate::output::print_table;
 use crate::runner::{compare_spec_pair, RunParams};
 use crate::telemetry;
+use std::io;
 use timecache_attacks::harness::{run_microbenchmark_with_telemetry, timecache_mode};
 use timecache_telemetry::Phase;
 use timecache_workloads::mixes;
 
 /// Runs the demo and writes the `telemetry_demo_*` artifacts.
-pub fn run(params: &RunParams) {
+pub fn run(params: &RunParams) -> io::Result<()> {
     let tel = telemetry::enable();
 
     let spec = &mixes::same_benchmark_pairs()[0];
@@ -83,11 +84,9 @@ pub fn run(params: &RunParams) {
         micro.probes
     );
 
-    let written = telemetry::write_artifacts("telemetry_demo").expect("write artifacts");
-    for path in &written {
-        println!("wrote {}", path.display());
-    }
+    telemetry::write_artifacts("telemetry_demo")?;
     telemetry::disable();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -100,7 +99,7 @@ mod tests {
             "TIMECACHE_RESULTS",
             std::env::temp_dir().join("tc-results-demo"),
         );
-        run(&RunParams::quick());
+        run(&RunParams::quick()).unwrap();
         let dir = crate::output::results_dir().unwrap();
         for suffix in [
             "metrics.prom",

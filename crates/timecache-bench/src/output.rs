@@ -10,18 +10,34 @@ use timecache_telemetry::encode;
 ///
 /// # Errors
 ///
-/// Returns the underlying error if the directory cannot be created.
+/// Returns the underlying error, prefixed with the directory, if it cannot
+/// be created.
 pub fn results_dir() -> io::Result<PathBuf> {
     let dir = std::env::var_os("TIMECACHE_RESULTS")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"));
-    fs::create_dir_all(&dir)?;
+    fs::create_dir_all(&dir).map_err(|e| in_context("creating", &dir, e))?;
     Ok(dir)
 }
 
+/// Writes `contents` to `path` and prints `wrote <path>`.
+///
+/// # Errors
+///
+/// Returns the underlying error, prefixed with the path.
+pub fn write_artifact(path: &Path, contents: &str) -> io::Result<()> {
+    fs::write(path, contents).map_err(|e| in_context("writing", path, e))?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+fn in_context(action: &str, path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{action} {}: {e}", path.display()))
+}
+
 /// Writes rows as an RFC-4180 CSV file (cells containing commas, quotes,
-/// or newlines are quoted and escaped) under [`results_dir`]; returns the
-/// path.
+/// or newlines are quoted and escaped) under [`results_dir`] with
+/// [`write_artifact`]; returns the path.
 ///
 /// # Errors
 ///
@@ -29,7 +45,7 @@ pub fn results_dir() -> io::Result<PathBuf> {
 /// written.
 pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> io::Result<PathBuf> {
     let path = results_dir()?.join(name);
-    fs::write(&path, encode::csv_table(header, rows))?;
+    write_artifact(&path, &encode::csv_table(header, rows))?;
     Ok(path)
 }
 

@@ -79,12 +79,13 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Writes one full progress line to stderr under the lock, so lines from
-/// concurrent workers never interleave mid-line.
+/// Writes one full progress line to stderr. `eprintln!` holds the stderr
+/// lock for the whole line, so lines from concurrent workers never
+/// interleave mid-line; it also honours the test harness's output capture
+/// (which worker threads inherit), so progress from a sweep run inside a
+/// test never splits the harness's own `test ... ok` lines.
 pub fn progress(msg: &str) {
-    let stderr = std::io::stderr();
-    let mut out = stderr.lock();
-    let _ = writeln!(out, "{msg}");
+    eprintln!("{msg}");
 }
 
 /// Runs jobs `0..n` with the process-wide worker count ([`jobs`]) and

@@ -20,9 +20,8 @@
 //! * `<id>_manifest.json` — the run manifest tying the artifacts together
 //!   (experiment id, event counts, artifact list).
 
-use crate::output::results_dir;
+use crate::output::{results_dir, write_artifact};
 use std::cell::RefCell;
-use std::fs;
 use std::io;
 use std::path::PathBuf;
 use timecache_telemetry::{encode, Telemetry};
@@ -56,7 +55,7 @@ pub fn current() -> Telemetry {
 }
 
 /// Writes the current telemetry state as artifacts named after `id` under
-/// [`results_dir`], returning the written paths. A disabled handle writes
+/// [`results_dir`] with [`write_artifact`], returning the written paths. A disabled handle writes
 /// nothing and returns an empty list.
 ///
 /// # Errors
@@ -85,7 +84,7 @@ pub fn write_artifacts_from(id: &str, tel: &Telemetry) -> io::Result<Vec<PathBuf
         ("profile.json", prof.render_json()),
     ] {
         let path = dir.join(format!("{id}_{suffix}"));
-        fs::write(&path, body)?;
+        write_artifact(&path, &body)?;
         written.push(path);
     }
 
@@ -108,7 +107,7 @@ pub fn write_artifacts_from(id: &str, tel: &Telemetry) -> io::Result<Vec<PathBuf
     }
     manifest.push_str("]}");
     let path = dir.join(format!("{id}_manifest.json"));
-    fs::write(&path, manifest)?;
+    write_artifact(&path, &manifest)?;
     written.push(path);
     Ok(written)
 }
@@ -142,9 +141,9 @@ mod tests {
         );
         let written = write_artifacts_from("unit_demo", &tel).unwrap();
         assert_eq!(written.len(), 5);
-        let prom = fs::read_to_string(&written[0]).unwrap();
+        let prom = std::fs::read_to_string(&written[0]).unwrap();
         assert!(prom.contains("demo_total 3"));
-        let manifest = fs::read_to_string(written.last().unwrap()).unwrap();
+        let manifest = std::fs::read_to_string(written.last().unwrap()).unwrap();
         assert!(manifest.contains("\"experiment\":\"unit_demo\""));
         assert!(manifest.contains("\"events_recorded\":1"));
         assert!(manifest.contains("unit_demo_events.jsonl"));

@@ -25,7 +25,7 @@ fn fault_matrix_is_resilient_checkpointed_and_secure() {
     let params = RunParams::quick();
 
     // --- Clean run: full matrix, expected verdicts, journal cleaned up.
-    let summary = fault_sweep::run(&params);
+    let summary = fault_sweep::run(&params).expect("write fault matrix");
     assert!(summary.failures.is_empty(), "clean run must not fail cells");
     assert_eq!(
         summary.timecache_violations, 0,
@@ -59,7 +59,7 @@ fn fault_matrix_is_resilient_checkpointed_and_secure() {
     // journal survives for resumption.
     fs::remove_file(&csv).unwrap();
     std::env::set_var("TIMECACHE_FAULT_SWEEP_PANIC", "4");
-    let broken = fault_sweep::run(&params);
+    let broken = fault_sweep::run(&params).expect("write fault matrix");
     std::env::remove_var("TIMECACHE_FAULT_SWEEP_PANIC");
     assert_eq!(broken.failures.len(), 1);
     assert_eq!(broken.failures[0].index, 4);
@@ -85,7 +85,7 @@ fn fault_matrix_is_resilient_checkpointed_and_secure() {
     // --- Resume: only the failed cell reruns (the journal already holds
     // the other 17 rows) and the final CSV is byte-identical to the
     // uninterrupted run's.
-    let resumed = fault_sweep::run(&params);
+    let resumed = fault_sweep::run(&params).expect("write fault matrix");
     assert!(resumed.failures.is_empty());
     assert_eq!(resumed.timecache_violations, 0);
     assert!(resumed.baseline_violations > 0);

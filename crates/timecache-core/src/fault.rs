@@ -277,7 +277,7 @@ impl FaultInjector {
         self.inner.as_ref().map_or(0, |i| i.detected.get())
     }
 
-    /// Drains the retained fault records (at most [`MAX_RECORDS`] between
+    /// Drains the retained fault records (at most `MAX_RECORDS` between
     /// drains; the counters are never capped).
     pub fn take_records(&self) -> Vec<FaultRecord> {
         match &self.inner {

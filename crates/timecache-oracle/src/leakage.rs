@@ -10,7 +10,7 @@
 //! must stay below it (the defense genuinely closes it).
 //!
 //! Channels are modeled directly at the [`Hierarchy`] level with an
-//! explicit save/restore context-switch choreography (the [`Duet`]
+//! explicit save/restore context-switch choreography (the `Duet`
 //! helper), so the oracle is independent of the attack programs in
 //! `timecache-attacks` — it cross-checks them rather than re-using them.
 //!

@@ -8,8 +8,8 @@
 //! * a **differential oracle** ([`refmodel`], [`diff`]): a deliberately
 //!   slow, executable transcription of the paper's semantics, replayed in
 //!   lock-step with the real [`timecache_sim::Hierarchy`] over randomly
-//!   generated multi-process traces ([`generate`]), with greedy
-//!   delta-debugging shrinking ([`shrink`]) of any diverging trace; and
+//!   generated multi-process traces ([`generate`](mod@generate)), with greedy
+//!   delta-debugging shrinking ([`shrink`](mod@shrink)) of any diverging trace; and
 //! * a **statistical leakage oracle** ([`welch`], [`leakage`]): a
 //!   TVLA-style Welch's t-test over attacker-observed latency samples
 //!   (victim-accessed vs. not) applied uniformly to every attack channel,

@@ -2,8 +2,8 @@
 //!
 //! A trace is a tiny hierarchy configuration plus a flat list of events —
 //! multi-process memory accesses, `clflush`es, context switches, and forks
-//! over shared addresses. Traces are generated randomly ([`crate::generate`]),
-//! shrunk ([`crate::shrink`]), and serialized to a stable text format so
+//! over shared addresses. Traces are generated randomly ([`crate::generate`](fn@crate::generate)),
+//! shrunk ([`crate::shrink`](fn@crate::shrink)), and serialized to a stable text format so
 //! shrunken regressions can live in `tests/corpus/` and replay on every
 //! `cargo test`.
 //!

@@ -128,7 +128,7 @@ impl InvariantChecker {
         self.total_violations
     }
 
-    /// The first [`MAX_RETAINED`] violations, in observation order.
+    /// The first `MAX_RETAINED` violations, in observation order.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }

@@ -1,11 +1,17 @@
 //! A single set-associative cache level.
 //!
-//! [`Cache`] owns the tag array, replacement state, statistics, and — when
-//! the hierarchy runs in [`crate::SecurityMode::TimeCache`] — a
+//! [`Cache`] owns the tag array, exact-LRU replacement stamps, statistics,
+//! and — when the hierarchy runs in [`crate::SecurityMode::TimeCache`] — a
 //! [`TimeCacheState`] covering its lines. Access *semantics* (what counts as
 //! a hit, where requests go next) live in [`crate::Hierarchy`]; the cache
 //! provides the mechanical operations: lookup, fill, invalidate, and the
 //! TimeCache visibility hooks.
+//!
+//! Replacement is exact LRU, the gem5 classic-cache default the paper
+//! evaluates on and the policy its LRU-state channel (Section VII-A)
+//! reasons about: every touch and fill stamps the slot with a per-cache
+//! counter, and the victim is the first way with the smallest stamp, so
+//! never-touched ways go lowest way first.
 //!
 //! The tag array is structure-of-arrays: tags live in one contiguous
 //! `Vec<u64>` (so the way-scan in [`Cache::lookup`] is a branch-light
@@ -16,7 +22,6 @@
 use crate::addr::LineAddr;
 use crate::config::CacheConfig;
 use crate::geometry::CacheGeometry;
-use crate::replacement::ReplacementState;
 use crate::stats::CacheStats;
 use timecache_core::{Snapshot, TimeCacheConfig, TimeCacheState, Visibility};
 
@@ -58,7 +63,10 @@ pub struct Cache {
     tags: Vec<u64>,
     /// Dirty flags, packed 64 lines per word, indexed by flat line index.
     dirty: Vec<u64>,
-    replacement: ReplacementState,
+    /// LRU stamp per flat line index: the `lru_clock` value of the slot's
+    /// last touch or fill (0 = never touched).
+    stamps: Vec<u64>,
+    lru_clock: u64,
     timecache: Option<TimeCacheState>,
     stats: CacheStats,
     /// Hot-path copies of the derived geometry, resolved once at build time
@@ -89,7 +97,8 @@ impl Cache {
             index: config.index,
             tags: vec![INVALID_TAG; g.num_lines()],
             dirty: vec![0; g.num_lines().div_ceil(64)],
-            replacement: ReplacementState::build(config.replacement, g.num_sets(), g.ways()),
+            stamps: vec![0; g.num_lines()],
+            lru_clock: 0,
             timecache: timecache.map(|tc| TimeCacheState::new(g.num_lines(), num_contexts, tc)),
             stats: CacheStats::new(),
             num_sets: g.num_sets(),
@@ -158,9 +167,9 @@ impl Cache {
     /// Tag lookup without side effects.
     ///
     /// This is the innermost loop of the whole simulator, so the scan is a
-    /// branch-free [`Cache::match_mask`] over the set's contiguous tag
-    /// slab, with validity folded into the tag via [`INVALID_TAG`]. Tags are
-    /// unique within a set, so at most one bit of the mask is set.
+    /// branch-free `match_mask` over the set's contiguous tag slab, with
+    /// validity folded into the tag via `INVALID_TAG`. Tags are unique
+    /// within a set, so at most one bit of the mask is set.
     #[inline]
     pub fn lookup(&self, line: LineAddr) -> Option<LookupResult> {
         let set = self.index.set_of(line, self.num_sets);
@@ -177,8 +186,29 @@ impl Cache {
     }
 
     /// Records a demand hit for replacement purposes.
+    #[inline]
     pub fn touch(&mut self, hit: LookupResult) {
-        self.replacement.on_hit(hit.set, hit.way);
+        self.stamp(hit.flat);
+    }
+
+    /// Marks the slot at `flat` most recently used.
+    #[inline]
+    fn stamp(&mut self, flat: usize) {
+        self.lru_clock += 1;
+        self.stamps[flat] = self.lru_clock;
+    }
+
+    /// The LRU victim of the set starting at flat index `base`: the first
+    /// way with the smallest stamp.
+    #[inline]
+    fn lru_victim(&self, base: usize) -> u32 {
+        let row = &self.stamps[base..base + self.ways];
+        let (way, _) = row
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, s)| s)
+            .expect("ways is nonzero");
+        way as u32
     }
 
     /// Fills `line` for hardware context `ctx` at cycle `now`, evicting a
@@ -210,12 +240,12 @@ impl Cache {
         let set = self.index.set_of(line, self.num_sets);
         let base = set as usize * self.ways;
 
-        // Prefer the first invalid way; otherwise ask the replacement policy.
+        // Prefer the first invalid way; otherwise evict the LRU way.
         let invalid = self.match_mask(base, INVALID_TAG);
         let way = if invalid != 0 {
             invalid.trailing_zeros()
         } else {
-            self.replacement.victim(set)
+            self.lru_victim(base)
         };
         let flat = base + way as usize;
 
@@ -233,7 +263,7 @@ impl Cache {
 
         self.tags[flat] = line.raw();
         self.set_dirty_bit(flat, false);
-        self.replacement.on_fill(set, way);
+        self.stamp(flat);
         if let Some(tc) = &mut self.timecache {
             tc.on_fill(flat, ctx, now);
         }
@@ -287,20 +317,8 @@ impl Cache {
         self.timecache.as_ref().map(|tc| tc.save_context(ctx, now))
     }
 
-    /// Restores a caching context; see
-    /// [`TimeCacheState::restore_context`]. Returns `None` in baseline mode.
-    pub fn restore_context(
-        &mut self,
-        ctx: usize,
-        snapshot: Option<&Snapshot>,
-        now: u64,
-    ) -> Option<timecache_core::RestoreOutcome> {
-        self.timecache
-            .as_mut()
-            .map(|tc| tc.restore_context(ctx, snapshot, now))
-    }
-
-    /// [`Cache::restore_context`] under fault injection; see
+    /// Restores a caching context under fault injection (pass
+    /// [`timecache_core::FaultInjector::disabled`] for none); see
     /// [`TimeCacheState::restore_context_faulty`]. Returns `None` in
     /// baseline mode.
     pub fn restore_context_faulty(
@@ -340,6 +358,18 @@ mod tests {
         LineAddr::from_addr(addr, 64)
     }
 
+    /// `sets` sets of `ways` ways, and the line that is the `k`-th to map
+    /// to `set` under modulo indexing.
+    fn shaped(sets: u64, ways: u32) -> (Cache, impl Fn(u64, u64) -> LineAddr) {
+        let c = Cache::new(
+            "T",
+            CacheConfig::new(sets * ways as u64 * 64, ways, 64),
+            1,
+            None,
+        );
+        (c, move |set, k| LineAddr::from_raw(set + sets * k))
+    }
+
     #[test]
     fn fill_then_lookup() {
         let mut c = tiny();
@@ -354,15 +384,8 @@ mod tests {
     #[test]
     fn lookup_finds_every_way_position() {
         for ways in [1u32, 2, 8, 16, 64] {
-            // 4 sets of `ways` ways; lines `set + 4k` all map to `set`.
             let sets = 4u64;
-            let mut c = Cache::new(
-                "T",
-                CacheConfig::new(sets * ways as u64 * 64, ways, 64),
-                1,
-                None,
-            );
-            let line = |set: u64, k: u64| LineAddr::from_raw(set + sets * k);
+            let (mut c, line) = shaped(sets, ways);
             for set in 0..sets {
                 // Fill every way but the last, so INVALID_TAG ways remain.
                 for k in 0..ways as u64 - 1 {
@@ -412,6 +435,77 @@ mod tests {
         assert!(c.lookup(la(0x100)).is_none());
         assert!(c.lookup(la(0x000)).is_some());
         assert_eq!(c.stats().evictions, 1);
+    }
+
+    // The LRU tests run at the L1 (8-way) and LLC (16-way) associativity.
+
+    #[test]
+    fn lru_evicts_oldest_then_next_oldest() {
+        for ways in [8u32, 16] {
+            let (mut c, line) = shaped(4, ways);
+            let n = ways as u64;
+            for k in 0..n {
+                c.fill(line(1, k), 0, k);
+            }
+            // Touching way 0 makes way 1 the oldest.
+            c.touch(c.lookup(line(1, 0)).unwrap());
+            let (slot, ev) = c.fill(line(1, n), 0, n);
+            assert_eq!(ev.unwrap().line, line(1, 1), "{ways}-way");
+            assert_eq!(slot.way, 1);
+            // After touching the next-oldest (way 2), way 3 goes.
+            c.touch(c.lookup(line(1, 2)).unwrap());
+            let (slot, ev) = c.fill(line(1, n + 1), 0, n + 1);
+            assert_eq!(ev.unwrap().line, line(1, 3), "{ways}-way");
+            assert_eq!(slot.way, 3);
+            for k in [0, 2, n, n + 1] {
+                assert!(c.lookup(line(1, k)).is_some(), "{ways}-way line {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn never_touched_ways_go_lowest_first() {
+        for ways in [8u32, 16] {
+            let (mut c, line) = shaped(4, ways);
+            // A fresh set has every stamp at 0: the victim is way 0 even
+            // after a later way is stamped.
+            let base = 2 * ways as usize;
+            assert_eq!(c.lru_victim(base), 0);
+            c.stamp(base + 5);
+            assert_eq!(c.lru_victim(base), 0, "{ways}-way");
+            // Through `fill`: empty ways are taken lowest first, and a way
+            // emptied by invalidation is refilled before any LRU eviction,
+            // even though it was the most recently used.
+            for k in 0..ways as u64 {
+                let (slot, ev) = c.fill(line(2, k), 0, k);
+                assert_eq!((slot.way, ev), (k as u32, None), "{ways}-way");
+            }
+            c.touch(c.lookup(line(2, 6)).unwrap());
+            c.invalidate(line(2, 3));
+            c.invalidate(line(2, 6));
+            let (slot, ev) = c.fill(line(2, 100), 0, 100);
+            assert_eq!((slot.way, ev), (3, None), "{ways}-way");
+            let (slot, ev) = c.fill(line(2, 101), 0, 101);
+            assert_eq!((slot.way, ev), (6, None), "{ways}-way");
+        }
+    }
+
+    #[test]
+    fn lru_sets_age_independently() {
+        for ways in [8u32, 16] {
+            let (mut c, line) = shaped(4, ways);
+            let n = ways as u64;
+            // Interleave the fills of sets 0 and 3 so their stamps mix.
+            for k in 0..n {
+                c.fill(line(0, k), 0, k);
+                c.fill(line(3, k), 0, k);
+            }
+            // Set 3 touches its way 0; set 0's oldest is still its way 0.
+            c.touch(c.lookup(line(3, 0)).unwrap());
+            assert_eq!(c.fill(line(3, n), 0, n).1.unwrap().line, line(3, 1));
+            assert_eq!(c.fill(line(0, n), 0, n).1.unwrap().line, line(0, 0));
+            assert!(c.lookup(line(3, 0)).is_some(), "{ways}-way");
+        }
     }
 
     #[test]
@@ -491,7 +585,8 @@ mod tests {
         let at = c.lookup(la(0x80)).unwrap();
         assert_eq!(c.visibility(at, 0), Visibility::Visible);
         assert!(c.save_context(0, 0).is_none());
-        assert!(c.restore_context(0, None, 0).is_none());
+        let faults = timecache_core::FaultInjector::disabled();
+        assert!(c.restore_context_faulty(0, None, 0, &faults).is_none());
     }
 
     #[test]

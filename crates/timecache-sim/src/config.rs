@@ -3,7 +3,6 @@
 use crate::geometry::CacheGeometry;
 use crate::index::IndexFn;
 use crate::latency::LatencyConfig;
-use crate::replacement::ReplacementKind;
 use std::error::Error;
 use std::fmt;
 use timecache_core::TimeCacheConfig;
@@ -46,18 +45,16 @@ impl SecurityMode {
 pub struct CacheConfig {
     /// Physical shape.
     pub geometry: CacheGeometry,
-    /// Replacement policy.
-    pub replacement: ReplacementKind,
     /// Set-index function.
     pub index: IndexFn,
 }
 
 impl CacheConfig {
-    /// A cache with the given shape, LRU replacement, and modulo indexing.
+    /// A cache with the given shape and modulo indexing (replacement is
+    /// always exact LRU).
     pub fn new(size_bytes: u64, ways: u32, line_size: u64) -> Self {
         CacheConfig {
             geometry: CacheGeometry::new(size_bytes, ways, line_size),
-            replacement: ReplacementKind::Lru,
             index: IndexFn::Modulo,
         }
     }
