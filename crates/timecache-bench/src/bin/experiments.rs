@@ -5,23 +5,23 @@
 //! experiments [--quick] [--telemetry] [--jobs N] [--max-failures N]
 //!             <all|table1|table2|fig7|fig8|fig9|fig10|security|rollover|
 //!              switchcost|other-attacks|ftm|area|ablation|telemetry-demo|
-//!              bench-sweep|fault-sweep|leakage-sweep>
+//!              fault-sweep|leakage-sweep>
 //! ```
 //!
 //! `--quick` shrinks the instruction budgets (useful for smoke-testing the
 //! harness; reported numbers will be noisier). `--jobs N` sets the sweep
-//! engine's worker count (default: all cores; `--jobs 1` reproduces serial
-//! execution bit-for-bit). `--telemetry` records metrics, events, and
-//! phase profiles for every system the experiment builds, and writes
-//! `<id>_metrics.prom` / `<id>_metrics.json` / `<id>_events.jsonl` /
-//! `<id>_profile.json` / `<id>_manifest.json` under `results/` next to the
-//! experiment's CSV. `bench-sweep` times the SPEC sweep serially vs in
-//! parallel plus per-access simulator cost and writes `BENCH_sweep.json`.
-//! `fault-sweep` runs the fault-injection matrix (checkpointed to
+//! engine's worker count, passed to every sweep (default: all cores;
+//! artifacts are byte-identical for every `N`). `--telemetry` records
+//! metrics, events, and phase profiles for every system the experiment
+//! builds, and writes `<id>_metrics.prom` / `<id>_metrics.json` /
+//! `<id>_events.jsonl` / `<id>_profile.json` / `<id>_manifest.json` under
+//! `results/` next to the experiment's CSV. `fault-sweep` runs the
+//! fault-injection matrix (checkpointed to
 //! `fault_matrix.partial.jsonl`, so interrupted runs resume); it exits
 //! nonzero if any TimeCache cell violates the security invariant, if the
 //! baseline rows fail to exhibit the expected leak, or if more than
-//! `--max-failures` cells (default 0) keep panicking past the retry budget.
+//! `--max-failures` cells (default 0) panic. A panicking cell is not
+//! retried: cells are pure functions of their index.
 //! `leakage-sweep` runs the TVLA-style statistical leakage assessment over
 //! every attack primitive (checkpointed to `leakage_matrix.partial.jsonl`)
 //! and exits nonzero unless every channel's baseline arm leaks
@@ -29,7 +29,7 @@
 
 use std::io;
 use timecache_bench::runner::RunParams;
-use timecache_bench::{exp, sweep, telemetry};
+use timecache_bench::{exp, telemetry};
 use timecache_workloads::mixes;
 use timecache_workloads::parsec::ParsecBenchmark;
 
@@ -37,80 +37,39 @@ fn usage() -> ! {
     eprintln!(
         "usage: experiments [--quick] [--telemetry] [--jobs N] [--max-failures N] \
          <all|table1|table2|fig7|fig8|fig9|fig10|security|rollover|switchcost|\
-         other-attacks|ftm|area|ablation|telemetry-demo|bench-sweep|fault-sweep|\
-         leakage-sweep>"
+         other-attacks|ftm|area|ablation|telemetry-demo|fault-sweep|leakage-sweep>"
     );
     std::process::exit(2);
 }
 
-/// Extracts `--jobs N` / `--jobs=N` from `args`, removing the consumed
-/// elements. Exits with usage on a malformed value.
-fn parse_jobs(args: &mut Vec<String>) -> Option<usize> {
-    let mut jobs = None;
+/// Removes every `FLAG V` / `FLAG=V` from `args` and returns the values
+/// in order. Exits with usage when `FLAG` is the last argument.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> Vec<String> {
+    let prefix = format!("{flag}=");
+    let mut values = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        let consumed = if args[i] == "--jobs" {
-            let Some(value) = args.get(i + 1) else {
-                eprintln!("--jobs requires a value");
-                usage();
-            };
-            jobs = value.parse().ok().filter(|&n| n >= 1);
-            if jobs.is_none() {
-                eprintln!("--jobs expects a positive integer, got {value:?}");
+        if args[i] == flag {
+            if i + 1 == args.len() {
+                eprintln!("{flag} requires a value");
                 usage();
             }
-            2
-        } else if let Some(value) = args[i].strip_prefix("--jobs=") {
-            jobs = value.parse().ok().filter(|&n| n >= 1);
-            if jobs.is_none() {
-                eprintln!("--jobs expects a positive integer, got {value:?}");
-                usage();
-            }
-            1
+            values.push(args.remove(i + 1));
+            args.remove(i);
+        } else if let Some(value) = args[i].strip_prefix(&prefix) {
+            values.push(value.to_owned());
+            args.remove(i);
         } else {
             i += 1;
-            continue;
-        };
-        args.drain(i..i + consumed);
+        }
     }
-    jobs
+    values
 }
 
-/// Extracts `--max-failures N` / `--max-failures=N` from `args` (the
-/// `fault-sweep` failure tolerance; zero when absent).
-fn parse_max_failures(args: &mut Vec<String>) -> usize {
-    let mut max = 0;
-    let mut i = 0;
-    while i < args.len() {
-        let consumed = if args[i] == "--max-failures" {
-            let Some(value) = args.get(i + 1) else {
-                eprintln!("--max-failures requires a value");
-                usage();
-            };
-            match value.parse() {
-                Ok(n) => max = n,
-                Err(_) => {
-                    eprintln!("--max-failures expects a non-negative integer, got {value:?}");
-                    usage();
-                }
-            }
-            2
-        } else if let Some(value) = args[i].strip_prefix("--max-failures=") {
-            match value.parse() {
-                Ok(n) => max = n,
-                Err(_) => {
-                    eprintln!("--max-failures expects a non-negative integer, got {value:?}");
-                    usage();
-                }
-            }
-            1
-        } else {
-            i += 1;
-            continue;
-        };
-        args.drain(i..i + consumed);
-    }
-    max
+/// Reports a malformed flag value and exits with usage.
+fn bad_value(flag: &str, expects: &str, value: &str) -> ! {
+    eprintln!("{flag} expects {expects}, got {value:?}");
+    usage();
 }
 
 /// Exit-code policy for `fault-sweep`: the run "passes" only if the matrix
@@ -175,19 +134,17 @@ fn leakage_sweep_exit_code(
     code
 }
 
-fn announce_spec_sweep() {
+fn announce_spec_sweep(jobs: usize) {
     eprintln!(
-        "running SPEC sweep ({} pairs, 2 modes, {} jobs)...",
-        mixes::all_pairs().len(),
-        sweep::jobs()
+        "running SPEC sweep ({} pairs, 2 modes, {jobs} jobs)...",
+        mixes::all_pairs().len()
     );
 }
 
-fn announce_parsec_sweep() {
+fn announce_parsec_sweep(jobs: usize) {
     eprintln!(
-        "running PARSEC sweep ({} benchmarks, 2 modes, {} jobs)...",
-        ParsecBenchmark::ALL.len(),
-        sweep::jobs()
+        "running PARSEC sweep ({} benchmarks, 2 modes, {jobs} jobs)...",
+        ParsecBenchmark::ALL.len()
     );
 }
 
@@ -196,10 +153,20 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let with_telemetry = args.iter().any(|a| a == "--telemetry");
     args.retain(|a| a != "--quick" && a != "--telemetry");
-    if let Some(jobs) = parse_jobs(&mut args) {
-        sweep::set_jobs(jobs);
+    let mut jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    for value in take_flag(&mut args, "--jobs") {
+        jobs = value
+            .parse()
+            .ok()
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| bad_value("--jobs", "a positive integer", &value));
     }
-    let max_failures = parse_max_failures(&mut args);
+    let mut max_failures = 0;
+    for value in take_flag(&mut args, "--max-failures") {
+        max_failures = value
+            .parse()
+            .unwrap_or_else(|_| bad_value("--max-failures", "a non-negative integer", &value));
+    }
     let which = args.first().map(String::as_str).unwrap_or_else(|| usage());
     let params = if quick {
         RunParams::quick()
@@ -210,7 +177,7 @@ fn main() {
         telemetry::enable();
     }
 
-    match run(which, &params, max_failures, with_telemetry) {
+    match run(which, &params, jobs, max_failures, with_telemetry) {
         Ok(0) => {}
         Ok(code) => std::process::exit(code),
         Err(e) => {
@@ -225,6 +192,7 @@ fn main() {
 fn run(
     which: &str,
     params: &RunParams,
+    jobs: usize,
     max_failures: usize,
     with_telemetry: bool,
 ) -> io::Result<i32> {
@@ -232,59 +200,58 @@ fn run(
     match which {
         "table1" => exp::table1::run()?,
         "table2" | "fig7" | "fig8" => {
-            announce_spec_sweep();
-            let sweep = exp::spec_sweep(params);
+            announce_spec_sweep(jobs);
+            let sweep = exp::spec_sweep(params, jobs);
             match which {
                 "fig7" => exp::fig7::run(&sweep)?,
                 "fig8" => exp::fig8::run(&sweep)?,
                 _ => {
-                    announce_parsec_sweep();
-                    let parsec = exp::fig9::sweep(params);
+                    announce_parsec_sweep(jobs);
+                    let parsec = exp::fig9::sweep(params, jobs);
                     exp::table2::run(&sweep, &parsec)?;
                 }
             }
         }
         "fig9" => {
-            announce_parsec_sweep();
-            let parsec = exp::fig9::sweep(params);
+            announce_parsec_sweep(jobs);
+            let parsec = exp::fig9::sweep(params, jobs);
             exp::fig9::run(&parsec)?;
         }
-        "fig10" => exp::fig10::run(params)?,
+        "fig10" => exp::fig10::run(params, jobs)?,
         "security" => exp::security::run()?,
-        "rollover" => exp::rollover::run(params)?,
-        "switchcost" => exp::switchcost::run(params)?,
+        "rollover" => exp::rollover::run(params, jobs)?,
+        "switchcost" => exp::switchcost::run(params, jobs)?,
         "other-attacks" => exp::other_attacks::run()?,
         "ftm" => exp::ftm::run(params)?,
         "area" => exp::area::run()?,
-        "ablation" => exp::ablation::run(params)?,
+        "ablation" => exp::ablation::run(params, jobs)?,
         "telemetry-demo" => exp::telemetry_demo::run(params)?,
-        "bench-sweep" => exp::bench_sweep::run(params)?,
         "fault-sweep" => {
-            let summary = exp::fault_sweep::run(params)?;
+            let summary = exp::fault_sweep::run(params, jobs)?;
             exit_code = fault_sweep_exit_code(&summary, max_failures);
         }
         "leakage-sweep" => {
-            let summary = exp::leakage_sweep::run(params)?;
+            let summary = exp::leakage_sweep::run(params, jobs)?;
             exit_code = leakage_sweep_exit_code(&summary, max_failures);
         }
         "all" => {
             exp::table1::run()?;
-            announce_spec_sweep();
-            let sweep = exp::spec_sweep(params);
+            announce_spec_sweep(jobs);
+            let sweep = exp::spec_sweep(params, jobs);
             exp::fig7::run(&sweep)?;
             exp::fig8::run(&sweep)?;
-            announce_parsec_sweep();
-            let parsec = exp::fig9::sweep(params);
+            announce_parsec_sweep(jobs);
+            let parsec = exp::fig9::sweep(params, jobs);
             exp::fig9::run(&parsec)?;
             exp::table2::run(&sweep, &parsec)?;
-            exp::fig10::run(params)?;
+            exp::fig10::run(params, jobs)?;
             exp::security::run()?;
-            exp::rollover::run(params)?;
-            exp::switchcost::run(params)?;
+            exp::rollover::run(params, jobs)?;
+            exp::switchcost::run(params, jobs)?;
             exp::other_attacks::run()?;
             exp::ftm::run(params)?;
             exp::area::run()?;
-            exp::ablation::run(params)?;
+            exp::ablation::run(params, jobs)?;
         }
         _ => usage(),
     }

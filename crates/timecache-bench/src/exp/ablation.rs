@@ -14,9 +14,9 @@ use std::io;
 use timecache_core::BitSerialComparator;
 use timecache_workloads::mixes;
 
-/// Runs the save/restore ablation over a few representative pairs and
-/// prints the comparator-cost table analytically.
-pub fn run(params: &RunParams) -> io::Result<()> {
+/// Runs the save/restore ablation over a few representative pairs on
+/// `jobs` workers and prints the comparator-cost table analytically.
+pub fn run(params: &RunParams, jobs: usize) -> io::Result<()> {
     // --- Ablation 1: discard snapshots. ---
     let labels = ["2Xperlbench", "2Xwrf", "2Xgobmk", "2Xh264ref"];
     let pairs: Vec<_> = mixes::all_pairs()
@@ -25,13 +25,14 @@ pub fn run(params: &RunParams) -> io::Result<()> {
         .collect();
 
     // Two engine sweeps over the same pairs: snapshots kept vs discarded.
-    let kept = sweep_pairs(&pairs, params);
+    let kept = sweep_pairs(&pairs, params, jobs);
     let dropped = sweep_pairs(
         &pairs,
         &RunParams {
             discard_snapshots: true,
             ..*params
         },
+        jobs,
     );
 
     let header = ["workload", "timecache", "no-save/restore"];

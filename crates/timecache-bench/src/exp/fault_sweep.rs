@@ -19,17 +19,16 @@
 //! Artifacts: `fault_matrix.csv` and `fault_matrix.json`.
 //!
 //! Setting the env var `TIMECACHE_FAULT_SWEEP_PANIC=<job index>` makes
-//! that cell panic on every attempt — a test/CI hook for exercising the
-//! resilient engine's failure path end to end.
+//! that cell panic — a test/CI hook for exercising the checkpointed
+//! engine's failure path end to end.
 
 use crate::output::{print_table, results_dir, write_artifact, write_csv};
 use crate::runner::RunParams;
-use crate::sweep::{self, JobFailure, SweepPolicy};
+use crate::sweep::{self, JobFailure};
 use std::io;
 use timecache_core::{FaultKind, FaultPlan, TimeCacheConfig, TriggerPoint};
 use timecache_os::{programs::StridedLoop, System, SystemConfig};
 use timecache_sim::{HierarchyConfig, SecurityMode};
-use timecache_telemetry::encode;
 
 /// The fault scenarios: every kind at its interesting trigger point(s),
 /// plus a fault-free control row.
@@ -142,7 +141,7 @@ pub struct FaultSweepSummary {
     pub baseline_rows_completed: usize,
     /// Faults injected across all completed cells.
     pub total_injected: u64,
-    /// Cells that kept panicking past the retry budget.
+    /// Cells whose job panicked.
     pub failures: Vec<JobFailure>,
 }
 
@@ -209,13 +208,13 @@ fn run_cell(index: usize, params: &RunParams) -> Row {
     }
 }
 
-/// Runs the matrix, prints it, writes `fault_matrix.csv` /
-/// `fault_matrix.json`, and returns the summary for the exit policy.
-pub fn run(params: &RunParams) -> io::Result<FaultSweepSummary> {
+/// Runs the matrix on `jobs` workers, prints it, writes `fault_matrix.csv`
+/// / `fault_matrix.json`, and returns the summary for the exit policy.
+pub fn run(params: &RunParams, jobs: usize) -> io::Result<FaultSweepSummary> {
     eprintln!(
         "running fault-injection matrix ({} scenarios x 2 modes, {} jobs)...",
         SCENARIOS.len(),
-        sweep::jobs()
+        jobs
     );
     let dir = results_dir()?;
     let tag = format!("mi{}", cell_instructions(params));
@@ -224,7 +223,7 @@ pub fn run(params: &RunParams) -> io::Result<FaultSweepSummary> {
         "fault_matrix",
         &tag,
         JOBS,
-        SweepPolicy::default(),
+        jobs,
         Row::encode,
         Row::decode,
         |i| {
@@ -302,25 +301,12 @@ pub fn run(params: &RunParams) -> io::Result<FaultSweepSummary> {
 
     let mut json = String::from("{\"jobs\":");
     let _ = std::fmt::Write::write_fmt(&mut json, format_args!("{JOBS}"));
-    json.push_str(",\"failed\":[");
-    for (k, f) in summary.failures.iter().enumerate() {
-        if k > 0 {
-            json.push(',');
-        }
-        let _ = std::fmt::Write::write_fmt(
-            &mut json,
-            format_args!(
-                "{{\"job\":{},\"attempts\":{},\"message\":",
-                f.index, f.attempts
-            ),
-        );
-        encode::json_string(&mut json, &f.message);
-        json.push('}');
-    }
+    json.push_str(",\"failed\":");
+    JobFailure::write_json_list(&mut json, &summary.failures);
     let _ = std::fmt::Write::write_fmt(
         &mut json,
         format_args!(
-            "],\"total_injected\":{},\"timecache_violations\":{},\"baseline_violations\":{}}}",
+            ",\"total_injected\":{},\"timecache_violations\":{},\"baseline_violations\":{}}}",
             summary.total_injected, summary.timecache_violations, summary.baseline_violations
         ),
     );
@@ -329,7 +315,7 @@ pub fn run(params: &RunParams) -> io::Result<FaultSweepSummary> {
 
     if !summary.failures.is_empty() {
         eprintln!(
-            "{} of {JOBS} cells failed after retries (see fault_matrix.csv)",
+            "{} of {JOBS} cells panicked (see fault_matrix.csv)",
             summary.failures.len()
         );
     }

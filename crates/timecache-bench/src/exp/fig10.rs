@@ -15,8 +15,9 @@ pub const PAPER_OVERHEADS: [(u64, f64); 3] = [
     (8 * 1024 * 1024, 1.001),
 ];
 
-/// Runs the SPEC sweep at each LLC size and prints the trend.
-pub fn run(params: &RunParams) -> io::Result<()> {
+/// Runs the SPEC sweep on `jobs` workers at each LLC size and prints the
+/// trend.
+pub fn run(params: &RunParams, jobs: usize) -> io::Result<()> {
     let header = ["llc", "geomean-overhead", "paper"];
     let mut rows = Vec::new();
     let mut measured = Vec::new();
@@ -26,7 +27,7 @@ pub fn run(params: &RunParams) -> io::Result<()> {
             llc_bytes: bytes,
             ..*params
         };
-        let sweep = spec_sweep(&p);
+        let sweep = spec_sweep(&p, jobs);
         let overheads: Vec<f64> = sweep.iter().map(Comparison::overhead).collect();
         let g = geomean(&overheads);
         measured.push(g);

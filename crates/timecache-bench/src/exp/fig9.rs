@@ -10,10 +10,10 @@ use timecache_workloads::mixes;
 use timecache_workloads::parsec::ParsecBenchmark;
 
 /// Runs all PARSEC benchmarks under both modes, fanning each
-/// `(benchmark, mode)` run across cores as an independent job.
-pub fn sweep(params: &RunParams) -> Vec<Comparison> {
+/// `(benchmark, mode)` run across `jobs` workers as an independent job.
+pub fn sweep(params: &RunParams, jobs: usize) -> Vec<Comparison> {
     let benches = ParsecBenchmark::ALL;
-    let metrics = engine::run(benches.len() * 2, |i| {
+    let metrics = engine::run(jobs, benches.len() * 2, |i| {
         let bench = benches[i / 2];
         let (mode, name) = if i % 2 == 0 {
             (SecurityMode::Baseline, "baseline")

@@ -23,7 +23,7 @@
 
 use crate::output::{print_table, results_dir, write_artifact, write_csv};
 use crate::runner::RunParams;
-use crate::sweep::{self, JobFailure, SweepPolicy};
+use crate::sweep::{self, JobFailure};
 use std::io;
 use timecache_oracle::{assess, Assessment, Channel, LEAKAGE_THRESHOLD};
 use timecache_telemetry::encode;
@@ -112,7 +112,7 @@ pub struct LeakageSweepSummary {
     pub defended_leaks: usize,
     /// Rows that completed.
     pub rows_completed: usize,
-    /// Cells that kept panicking past the retry budget.
+    /// Cells whose job panicked.
     pub failures: Vec<JobFailure>,
 }
 
@@ -141,13 +141,14 @@ fn run_cell(index: usize, params: &RunParams) -> Row {
     Row::from_assessment(&a)
 }
 
-/// Runs the matrix, prints it, writes `leakage_matrix.csv` /
-/// `leakage_matrix.json`, and returns the summary for the exit policy.
-pub fn run(params: &RunParams) -> io::Result<LeakageSweepSummary> {
+/// Runs the matrix on `jobs` workers, prints it, writes
+/// `leakage_matrix.csv` / `leakage_matrix.json`, and returns the summary
+/// for the exit policy.
+pub fn run(params: &RunParams, jobs: usize) -> io::Result<LeakageSweepSummary> {
     eprintln!(
         "running leakage-assessment matrix ({} channels x 2 configs, {} jobs)...",
         Channel::ALL.len(),
-        sweep::jobs()
+        jobs
     );
     let dir = results_dir()?;
     let tag = format!("r{}", cell_rounds(params));
@@ -156,7 +157,7 @@ pub fn run(params: &RunParams) -> io::Result<LeakageSweepSummary> {
         "leakage_matrix",
         &tag,
         JOBS,
-        SweepPolicy::default(),
+        jobs,
         Row::encode,
         Row::decode,
         |i| {
@@ -255,25 +256,12 @@ pub fn run(params: &RunParams) -> io::Result<LeakageSweepSummary> {
         encode::json_string(&mut json, row.verdict());
         json.push('}');
     }
-    json.push_str("],\"failed\":[");
-    for (k, f) in summary.failures.iter().enumerate() {
-        if k > 0 {
-            json.push(',');
-        }
-        let _ = std::fmt::Write::write_fmt(
-            &mut json,
-            format_args!(
-                "{{\"job\":{},\"attempts\":{},\"message\":",
-                f.index, f.attempts
-            ),
-        );
-        encode::json_string(&mut json, &f.message);
-        json.push('}');
-    }
+    json.push_str("],\"failed\":");
+    JobFailure::write_json_list(&mut json, &summary.failures);
     let _ = std::fmt::Write::write_fmt(
         &mut json,
         format_args!(
-            "],\"baseline_silent\":{},\"defended_leaks\":{}}}",
+            ",\"baseline_silent\":{},\"defended_leaks\":{}}}",
             summary.baseline_silent, summary.defended_leaks
         ),
     );
@@ -282,7 +270,7 @@ pub fn run(params: &RunParams) -> io::Result<LeakageSweepSummary> {
 
     if !summary.failures.is_empty() {
         eprintln!(
-            "{} of {JOBS} cells failed after retries (see leakage_matrix.csv)",
+            "{} of {JOBS} cells panicked (see leakage_matrix.csv)",
             summary.failures.len()
         );
     }

@@ -3,7 +3,6 @@
 
 pub mod ablation;
 pub mod area;
-pub mod bench_sweep;
 pub mod fault_sweep;
 pub mod fig10;
 pub mod fig7;
@@ -29,17 +28,17 @@ use timecache_workloads::mixes::{self, PairSpec};
 /// writing; the count is whatever `all_pairs()` returns) under both
 /// security modes. The results feed Fig. 7, Fig. 8, and Table II.
 ///
-/// Each `(pair, mode)` run is an independent job fanned across cores by
-/// [`crate::sweep`]; results are returned in pair order regardless of the
-/// worker count.
-pub fn spec_sweep(params: &RunParams) -> Vec<Comparison> {
-    sweep_pairs(&mixes::all_pairs(), params)
+/// Each `(pair, mode)` run is an independent job fanned across `jobs`
+/// workers by [`crate::sweep`]; results are returned in pair order
+/// regardless of the worker count.
+pub fn spec_sweep(params: &RunParams, jobs: usize) -> Vec<Comparison> {
+    sweep_pairs(&mixes::all_pairs(), params, jobs)
 }
 
 /// [`spec_sweep`] over an explicit pair list (ablations and tests sweep
 /// subsets).
-pub fn sweep_pairs(pairs: &[PairSpec], params: &RunParams) -> Vec<Comparison> {
-    let metrics = sweep::run(pairs.len() * 2, |i| {
+pub fn sweep_pairs(pairs: &[PairSpec], params: &RunParams, jobs: usize) -> Vec<Comparison> {
+    let metrics = sweep::run(jobs, pairs.len() * 2, |i| {
         let spec = &pairs[i / 2];
         let (mode, name) = if i % 2 == 0 {
             (SecurityMode::Baseline, "baseline")

@@ -16,9 +16,9 @@ use timecache_workloads::mixes;
 /// within a run), down to widths that roll over every few quanta.
 pub const WIDTHS: [u8; 4] = [32, 26, 22, 20];
 
-/// Runs the width sweep on one representative pair and re-checks security
-/// at every width.
-pub fn run(params: &RunParams) -> io::Result<()> {
+/// Runs the width sweep on one representative pair on `jobs` workers and
+/// re-checks security at every width.
+pub fn run(params: &RunParams, jobs: usize) -> io::Result<()> {
     let spec = mixes::all_pairs()
         .into_iter()
         .find(|p| p.label() == "2Xperlbench")
@@ -27,7 +27,7 @@ pub fn run(params: &RunParams) -> io::Result<()> {
     let header = ["ts-width", "overhead", "llc-fa-mpki", "attack-hits"];
     // One engine job per counter width; the security re-check rides along
     // in the job so an assertion failure surfaces at join.
-    let rows = sweep::run(WIDTHS.len(), |i| {
+    let rows = sweep::run(jobs, WIDTHS.len(), |i| {
         let width = WIDTHS[i];
         sweep::progress(&format!("  width {width} bits ..."));
         let p = RunParams {

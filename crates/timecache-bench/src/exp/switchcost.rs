@@ -15,8 +15,9 @@ use timecache_sim::SecurityMode;
 use timecache_workloads::mixes;
 
 /// Prints the per-cache-size transfer table and the measured bookkeeping
-/// share for one workload pair.
-pub fn run(params: &RunParams) -> io::Result<()> {
+/// share for one workload pair, whose two modes run on up to `jobs`
+/// workers.
+pub fn run(params: &RunParams, jobs: usize) -> io::Result<()> {
     // Analytical transfer table (Section VI-D). The per-line column shows
     // how a single-channel DMA would scale; the paper itself charges a
     // constant 1.08 us (2160 cycles) per switch, which is the default
@@ -62,7 +63,7 @@ pub fn run(params: &RunParams) -> io::Result<()> {
         spec.label()
     ));
     // The two modes are independent: run them as engine jobs.
-    let mut metrics = sweep::run(2, |i| {
+    let mut metrics = sweep::run(jobs, 2, |i| {
         let mode = if i == 0 {
             SecurityMode::Baseline
         } else {

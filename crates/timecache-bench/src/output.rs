@@ -31,7 +31,8 @@ pub fn write_artifact(path: &Path, contents: &str) -> io::Result<()> {
     Ok(())
 }
 
-fn in_context(action: &str, path: &Path, e: io::Error) -> io::Error {
+/// Prefixes `e` with what was being done to which path.
+pub(crate) fn in_context(action: &str, path: &Path, e: io::Error) -> io::Error {
     io::Error::new(e.kind(), format!("{action} {}: {e}", path.display()))
 }
 

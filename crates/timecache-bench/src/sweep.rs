@@ -3,11 +3,11 @@
 //!
 //! Every paper artifact is a sweep over *independent* runs — each a pure
 //! function of `(workload pair, security mode, RunParams)` with no shared
-//! mutable state — so the experiment modules hand the engine a job count
-//! and an indexed job function and get results back **in job order**,
-//! regardless of which worker finished which job when. The pool is built
-//! from `std::thread::scope` plus an atomic job cursor (no third-party
-//! dependencies):
+//! mutable state — so the experiment modules hand the engine a worker
+//! count, a job count and an indexed job function and get results back
+//! **in job order**, regardless of which worker finished which job when.
+//! The pool is built from `std::thread::scope` plus an atomic job cursor
+//! (no third-party dependencies):
 //!
 //! * `jobs == 1` (or a single job) runs every job inline on the caller's
 //!   thread in index order — bit-for-bit the pre-engine serial behavior,
@@ -16,9 +16,9 @@
 //!   shared [`AtomicUsize`] cursor and deposit results into per-index
 //!   slots.
 //!
-//! The worker count defaults to [`std::thread::available_parallelism`] and
-//! is overridden process-wide by the `experiments` binary's `--jobs N`
-//! flag via [`set_jobs`].
+//! The worker count is always an argument. The `experiments` binary
+//! resolves its `--jobs N` flag once (default:
+//! [`std::thread::available_parallelism`]) and passes the count down.
 //!
 //! # Telemetry
 //!
@@ -37,47 +37,28 @@
 //! message as one atomic line under the stderr lock so concurrent workers
 //! never interleave partial lines.
 //!
-//! # Resilience
+//! # Checkpointed sweeps
 //!
 //! [`run`] propagates a job panic and loses the whole sweep — fine for the
 //! paper artifacts, wrong for long fault-injection campaigns. For those,
-//! [`run_resilient`] isolates each job behind `catch_unwind`, retries it a
-//! bounded number of times (with capped exponential spin backoff between
-//! attempts), and reports survivors and failures side by side in a
-//! [`SweepOutcome`]: one failed job costs one row, never the sweep.
-//! [`run_checkpointed`] additionally journals every finished job to
-//! `<name>.partial.jsonl` under the results directory, so a killed sweep
-//! resumes from completed work — and because results are assembled in job
-//! order, the resumed sweep's final artifact is byte-identical to an
-//! uninterrupted run's. The journal is deleted once the sweep completes
-//! with zero failures.
+//! [`run_checkpointed`] runs each job once behind `catch_unwind` and
+//! reports survivors and failures side by side in a [`SweepOutcome`]: one
+//! failed job costs one row, never the sweep. A failed job is not retried:
+//! jobs are pure functions of their index, so a retry would only panic
+//! again. Every finished job is journaled to `<name>.partial.jsonl` under
+//! the results directory, so a killed sweep resumes from completed work —
+//! and because results are assembled in job order, the resumed sweep's
+//! final artifact is byte-identical to an uninterrupted run's. The journal
+//! is deleted once the sweep completes with zero failures.
 
+use crate::output::in_context;
 use std::fmt::Write as _;
-use std::io::Write;
+use std::io::{self, Write};
 use std::panic::AssertUnwindSafe;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use timecache_telemetry::{encode, Telemetry, TelemetrySnapshot};
-
-/// Process-wide worker-count override; 0 means "use all cores".
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide worker count for subsequent sweeps. `0` restores
-/// the default (all cores); `1` forces serial execution.
-pub fn set_jobs(n: usize) {
-    JOBS.store(n, Ordering::Relaxed);
-}
-
-/// The effective worker count: the [`set_jobs`] override, or
-/// [`std::thread::available_parallelism`] (falling back to 1) when unset.
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        n => n,
-    }
-}
 
 /// Writes one full progress line to stderr. `eprintln!` holds the stderr
 /// lock for the whole line, so lines from concurrent workers never
@@ -88,34 +69,25 @@ pub fn progress(msg: &str) {
     eprintln!("{msg}");
 }
 
-/// Runs jobs `0..n` with the process-wide worker count ([`jobs`]) and
-/// returns their results indexed by job.
+/// Runs jobs `0..n` on up to `jobs` workers and returns their results
+/// indexed by job.
 ///
 /// # Panics
 ///
 /// Propagates any job panic to the caller (workers are joined by
 /// `std::thread::scope`).
-pub fn run<T, F>(n: usize, job: F) -> Vec<T>
+pub fn run<T, F>(jobs: usize, n: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_with_jobs(n, jobs(), job)
-}
-
-/// [`run`] with an explicit worker count.
-pub fn run_with_jobs<T, F>(n: usize, num_jobs: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if num_jobs <= 1 || n <= 1 {
+    if jobs <= 1 || n <= 1 {
         // Inline serial path: identical to the historical behavior,
         // including use of the caller's thread-local telemetry.
         return (0..n).map(job).collect();
     }
 
-    let workers = num_jobs.min(n);
+    let workers = jobs.min(n);
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     // The caller's handle is not Send; capture only whether it is enabled
@@ -174,50 +146,40 @@ where
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Resilient execution: panic isolation, bounded retry, checkpoint/resume.
-// ---------------------------------------------------------------------
-
-/// Retry policy for [`run_resilient`] / [`run_checkpointed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepPolicy {
-    /// How many times a panicking job is re-attempted before it is
-    /// recorded as failed (so each job runs at most `1 + max_retries`
-    /// times).
-    pub max_retries: u32,
-    /// Cap on the exponential spin backoff between attempts, in
-    /// `spin_loop` iterations. The backoff is deterministic busy-work —
-    /// no clocks — so sweeps stay reproducible.
-    pub backoff_cap: u64,
-}
-
-impl Default for SweepPolicy {
-    fn default() -> Self {
-        SweepPolicy {
-            max_retries: 1,
-            backoff_cap: 1 << 16,
-        }
-    }
-}
-
-/// One job that kept panicking past its retry budget.
+/// One job that panicked in a [`run_checkpointed`] sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobFailure {
     /// The job index that failed.
     pub index: usize,
-    /// Attempts made (always `1 + max_retries` here).
-    pub attempts: u32,
-    /// The final panic message.
+    /// The panic message.
     pub message: String,
 }
 
-/// Results of a resilient sweep: per-job slots (`None` where the job
+impl JobFailure {
+    /// Appends `failures` to `json` as a JSON array of
+    /// `{"job":<index>,"message":<text>}` records: the `"failed"` list of
+    /// the sweep artifacts.
+    pub fn write_json_list(json: &mut String, failures: &[JobFailure]) {
+        json.push('[');
+        for (k, f) in failures.iter().enumerate() {
+            if k > 0 {
+                json.push(',');
+            }
+            let _ = write!(json, "{{\"job\":{},\"message\":", f.index);
+            encode::json_string(json, &f.message);
+            json.push('}');
+        }
+        json.push(']');
+    }
+}
+
+/// Results of a checkpointed sweep: per-job slots (`None` where the job
 /// failed) plus the failure records.
 #[derive(Debug)]
 pub struct SweepOutcome<T> {
     /// Job results in index order; `None` marks a failed job.
     pub results: Vec<Option<T>>,
-    /// Jobs that exhausted their retry budget, in index order.
+    /// Jobs that panicked, in index order.
     pub failures: Vec<JobFailure>,
 }
 
@@ -238,68 +200,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "opaque panic payload".to_owned()
     }
-}
-
-/// Deterministic capped-exponential busy-wait before retry `attempt`
-/// (1-based): 128, 256, ... `spin_loop` iterations, capped at `cap`.
-fn retry_backoff(attempt: u32, cap: u64) {
-    let iters = (64u64 << attempt.min(16)).min(cap);
-    for _ in 0..iters {
-        std::hint::spin_loop();
-    }
-}
-
-/// Runs `job(index)` with panic isolation and bounded retry.
-fn attempt_job<T>(
-    index: usize,
-    policy: &SweepPolicy,
-    job: &(impl Fn(usize) -> T + Sync),
-) -> Result<T, JobFailure> {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match std::panic::catch_unwind(AssertUnwindSafe(|| job(index))) {
-            Ok(value) => return Ok(value),
-            Err(payload) => {
-                let message = panic_message(payload);
-                if attempts > policy.max_retries {
-                    return Err(JobFailure {
-                        index,
-                        attempts,
-                        message,
-                    });
-                }
-                progress(&format!(
-                    "  job {index} panicked (attempt {attempts}): {message}; retrying"
-                ));
-                retry_backoff(attempts, policy.backoff_cap);
-            }
-        }
-    }
-}
-
-/// [`run`], but one panicking job costs one result instead of the sweep:
-/// each job runs behind `catch_unwind` with up to `policy.max_retries`
-/// re-attempts, and jobs that keep panicking are reported as
-/// [`JobFailure`]s alongside everyone else's results.
-pub fn run_resilient<T, F>(n: usize, policy: SweepPolicy, job: F) -> SweepOutcome<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let attempted = run_with_jobs(n, jobs(), |i| attempt_job(i, &policy, &job));
-    let mut results = Vec::with_capacity(n);
-    let mut failures = Vec::new();
-    for outcome in attempted {
-        match outcome {
-            Ok(value) => results.push(Some(value)),
-            Err(failure) => {
-                results.push(None);
-                failures.push(failure);
-            }
-        }
-    }
-    SweepOutcome { results, failures }
 }
 
 /// Checkpoint header line: identifies the sweep, its parameterisation
@@ -358,10 +258,13 @@ fn parse_checkpoint_line(line: &str) -> Option<(usize, String)> {
     Some((index, row))
 }
 
-/// [`run_resilient`] with crash-resumable progress: every finished job is
+/// [`run`] with panic isolation and crash-resumable progress.
+///
+/// Each job runs once behind `catch_unwind`; a panicking job becomes a
+/// [`JobFailure`] alongside everyone else's results. Every finished job is
 /// appended (and flushed) to `<name>.partial.jsonl` under `dir`
-/// (experiments pass [`crate::output::results_dir`]), and a rerun with
-/// the same `name`, `tag`, and `n` skips jobs the journal already covers.
+/// (experiments pass [`crate::output::results_dir`]), and a rerun with the
+/// same `name`, `tag`, and `n` skips jobs the journal already covers.
 /// Rows cross the journal as strings via `encode_row`/`decode_row` (one
 /// line per job; `decode_row` returning `None` re-runs that job). The
 /// journal is removed when the sweep finishes with zero failures, so
@@ -369,24 +272,27 @@ fn parse_checkpoint_line(line: &str) -> Option<(usize, String)> {
 ///
 /// # Errors
 ///
-/// Returns an error if the journal cannot be written. Job panics never
+/// Returns an error, prefixed with the journal path, if the journal cannot
+/// be written. A failed append or flush after a finished job does not stop
+/// the sweep; the first such error is returned once the pool joins, since
+/// the journal no longer covers every finished job. Job panics never
 /// surface here — they are [`JobFailure`]s.
 #[allow(clippy::too_many_arguments)]
 pub fn run_checkpointed<T, F>(
-    dir: &std::path::Path,
+    dir: &Path,
     name: &str,
     tag: &str,
     n: usize,
-    policy: SweepPolicy,
+    jobs: usize,
     encode_row: impl Fn(&T) -> String + Sync,
     decode_row: impl Fn(&str) -> Option<T>,
     job: F,
-) -> std::io::Result<SweepOutcome<T>>
+) -> io::Result<SweepOutcome<T>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    std::fs::create_dir_all(dir)?;
+    std::fs::create_dir_all(dir).map_err(|e| in_context("creating", dir, e))?;
     let path = dir.join(format!("{name}.partial.jsonl"));
     let header = checkpoint_header(name, tag, n);
 
@@ -412,37 +318,45 @@ where
 
     // Rewrite the journal from the trusted rows, dropping a stale header
     // or torn tail before new records append.
-    let mut file = std::fs::File::create(&path)?;
-    writeln!(file, "{header}")?;
-    for (index, row) in done.iter().enumerate() {
-        if let Some(row) = row {
-            writeln!(file, "{}", checkpoint_record(index, &encode_row(row)))?;
+    let rewrite = || -> io::Result<std::fs::File> {
+        let mut file = std::fs::File::create(&path)?;
+        writeln!(file, "{header}")?;
+        for (index, row) in done.iter().enumerate() {
+            if let Some(row) = row {
+                writeln!(file, "{}", checkpoint_record(index, &encode_row(row)))?;
+            }
         }
-    }
-    file.flush()?;
-    let file = Mutex::new(file);
+        file.flush()?;
+        Ok(file)
+    };
+    let file = rewrite().map_err(|e| in_context("writing", &path, e))?;
+    // The journal plus the first append or flush error.
+    let journal = Mutex::new((file, None::<io::Error>));
 
     let todo: Vec<usize> = (0..n).filter(|&i| done[i].is_none()).collect();
-    let fresh = run_resilient(todo.len(), policy, |k| {
+    let fresh = run(jobs, todo.len(), |k| {
         let index = todo[k];
-        let row = job(index);
+        let row =
+            std::panic::catch_unwind(AssertUnwindSafe(|| job(index))).map_err(panic_message)?;
         let record = checkpoint_record(index, &encode_row(&row));
-        let mut f = file.lock().expect("checkpoint journal poisoned");
-        let _ = writeln!(f, "{record}");
-        let _ = f.flush();
-        (index, row)
+        let mut guard = journal.lock().expect("checkpoint journal poisoned");
+        let (file, error) = &mut *guard;
+        if let Err(e) = writeln!(file, "{record}").and_then(|()| file.flush()) {
+            error.get_or_insert(e);
+        }
+        Ok(row)
     });
+    let (file, journal_error) = journal.into_inner().expect("checkpoint journal poisoned");
+    if let Some(e) = journal_error {
+        return Err(in_context("writing", &path, e));
+    }
 
-    let failures: Vec<JobFailure> = fresh
-        .failures
-        .into_iter()
-        .map(|f| JobFailure {
-            index: todo[f.index],
-            ..f
-        })
-        .collect();
-    for (index, row) in fresh.results.into_iter().flatten() {
-        done[index] = Some(row);
+    let mut failures = Vec::new();
+    for (index, result) in todo.into_iter().zip(fresh) {
+        match result {
+            Ok(row) => done[index] = Some(row),
+            Err(message) => failures.push(JobFailure { index, message }),
+        }
     }
     if failures.is_empty() {
         drop(file);
@@ -466,8 +380,8 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(8 - i as u64));
             i * 10
         };
-        let serial = run_with_jobs(8, 1, job);
-        let parallel = run_with_jobs(8, 4, job);
+        let serial = run(1, 8, job);
+        let parallel = run(4, 8, job);
         assert_eq!(serial, (0..8).map(|i| i * 10).collect::<Vec<_>>());
         assert_eq!(serial, parallel);
     }
@@ -475,16 +389,8 @@ mod tests {
     #[test]
     fn worker_count_is_clamped_to_jobs() {
         // More workers than jobs must not deadlock or drop results.
-        assert_eq!(run_with_jobs(2, 16, |i| i), vec![0, 1]);
-        assert_eq!(run_with_jobs(0, 4, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn jobs_override_round_trips() {
-        set_jobs(3);
-        assert_eq!(jobs(), 3);
-        set_jobs(0);
-        assert!(jobs() >= 1);
+        assert_eq!(run(16, 2, |i| i), vec![0, 1]);
+        assert_eq!(run(4, 0, |i| i), Vec::<usize>::new());
     }
 
     #[test]
@@ -495,7 +401,7 @@ mod tests {
             .unwrap()
             .counter_value("sweep_test_total", &[])
             .unwrap_or(0);
-        run_with_jobs(6, 3, |_| {
+        run(3, 6, |_| {
             let worker_tel = crate::telemetry::current();
             worker_tel
                 .registry()
@@ -515,65 +421,64 @@ mod tests {
     #[test]
     fn disabled_telemetry_stays_disabled_in_workers() {
         crate::telemetry::disable();
-        let enabled = run_with_jobs(4, 2, |_| crate::telemetry::current().is_enabled());
+        let enabled = run(2, 4, |_| crate::telemetry::current().is_enabled());
         assert_eq!(enabled, vec![false; 4]);
-    }
-
-    /// The default panic hook prints a message per caught panic; silence
-    /// it for panicking-job tests so test output stays readable. Process
-    /// global, so tests using it serialize on this lock.
-    fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-        static QUIET: Mutex<()> = Mutex::new(());
-        let _guard = QUIET.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = f();
-        std::panic::set_hook(prev);
-        result
     }
 
     #[test]
     fn resilient_sweep_survives_a_panicking_job() {
-        with_quiet_panics(|| {
-            let policy = SweepPolicy {
-                max_retries: 1,
-                backoff_cap: 1 << 8,
-            };
-            let out = run_resilient(6, policy, |i| {
+        let dir = std::env::temp_dir().join("tc-sweep-panic-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let runs = AtomicUsize::new(0);
+        let out = run_checkpointed(
+            &dir,
+            "panic_test",
+            "v1",
+            6,
+            2,
+            |v: &usize| v.to_string(),
+            |s| s.parse().ok(),
+            |i| {
+                runs.fetch_add(1, Ordering::Relaxed);
                 assert!(i != 3, "job 3 always dies");
                 i * 2
-            });
-            assert!(!out.is_complete());
-            assert_eq!(out.results.len(), 6);
-            assert_eq!(out.results[2], Some(4));
-            assert_eq!(out.results[3], None);
-            assert_eq!(out.failures.len(), 1);
-            let f = &out.failures[0];
-            assert_eq!((f.index, f.attempts), (3, 2));
-            assert!(f.message.contains("job 3 always dies"), "{}", f.message);
-        });
+            },
+        )
+        .unwrap();
+        assert!(!out.is_complete());
+        assert_eq!(out.results.len(), 6);
+        assert_eq!(out.results[2], Some(4));
+        assert_eq!(out.results[3], None);
+        assert_eq!(out.failures.len(), 1);
+        let f = &out.failures[0];
+        assert_eq!(f.index, 3);
+        assert!(f.message.contains("job 3 always dies"), "{}", f.message);
+        // Each job ran exactly once: a panic is not retried.
+        assert_eq!(runs.load(Ordering::Relaxed), 6);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn resilient_retry_rescues_a_transient_panic() {
-        with_quiet_panics(|| {
-            // Panics on every first attempt, succeeds on the retry.
-            let tried: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-            let out = run_resilient(4, SweepPolicy::default(), |i| {
-                if tried[i].fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("transient");
-                }
-                i
-            });
-            assert!(out.is_complete());
-            assert_eq!(
-                out.results
-                    .into_iter()
-                    .map(Option::unwrap)
-                    .collect::<Vec<_>>(),
-                vec![0, 1, 2, 3]
-            );
-        });
+    fn failure_records_render_as_a_json_list() {
+        let mut json = String::new();
+        JobFailure::write_json_list(&mut json, &[]);
+        assert_eq!(json, "[]");
+        json.clear();
+        let failures = [
+            JobFailure {
+                index: 4,
+                message: "boom".into(),
+            },
+            JobFailure {
+                index: 7,
+                message: "say \"hi\"".into(),
+            },
+        ];
+        JobFailure::write_json_list(&mut json, &failures);
+        assert_eq!(
+            json,
+            r#"[{"job":4,"message":"boom"},{"job":7,"message":"say \"hi\""}]"#
+        );
     }
 
     #[test]
@@ -616,17 +521,7 @@ mod tests {
         )
         .unwrap();
 
-        let out = run_checkpointed(
-            &dir,
-            "ckpt_test",
-            "v1",
-            5,
-            SweepPolicy::default(),
-            encode,
-            decode,
-            job,
-        )
-        .unwrap();
+        let out = run_checkpointed(&dir, "ckpt_test", "v1", 5, 2, encode, decode, job).unwrap();
         assert!(out.is_complete());
         let values: Vec<usize> = out.results.into_iter().map(Option::unwrap).collect();
         assert_eq!(values, vec![100, 101, 102, 103, 104]);
@@ -646,17 +541,7 @@ mod tests {
         )
         .unwrap();
         runs.store(0, Ordering::Relaxed);
-        let out = run_checkpointed(
-            &dir,
-            "ckpt_test",
-            "v2",
-            5,
-            SweepPolicy::default(),
-            encode,
-            decode,
-            job,
-        )
-        .unwrap();
+        let out = run_checkpointed(&dir, "ckpt_test", "v2", 5, 2, encode, decode, job).unwrap();
         assert!(out.is_complete());
         assert_eq!(runs.load(Ordering::Relaxed), 5);
 
@@ -665,50 +550,44 @@ mod tests {
 
     #[test]
     fn checkpointed_sweep_keeps_journal_on_failure() {
-        with_quiet_panics(|| {
-            let dir = std::env::temp_dir().join("tc-sweep-ckpt-fail-test");
-            let _ = std::fs::remove_dir_all(&dir);
+        let dir = std::env::temp_dir().join("tc-sweep-ckpt-fail-test");
+        let _ = std::fs::remove_dir_all(&dir);
 
-            let policy = SweepPolicy {
-                max_retries: 0,
-                backoff_cap: 1 << 8,
-            };
-            let out = run_checkpointed(
-                &dir,
-                "ckpt_fail",
-                "v1",
-                4,
-                policy,
-                |v: &usize| v.to_string(),
-                |s| s.parse().ok(),
-                |i| {
-                    assert!(i != 1, "boom");
-                    i
-                },
-            )
-            .unwrap();
-            assert_eq!(out.failures.len(), 1);
-            assert_eq!(out.failures[0].index, 1);
-            assert_eq!(out.results[1], None);
-            // The journal survives for a later resume...
-            let path = dir.join("ckpt_fail.partial.jsonl");
-            assert!(path.exists());
-            // ...and a rerun picks up the three finished jobs.
-            let out = run_checkpointed(
-                &dir,
-                "ckpt_fail",
-                "v1",
-                4,
-                policy,
-                |v: &usize| v.to_string(),
-                |s| s.parse().ok(),
-                |i| i,
-            )
-            .unwrap();
-            assert!(out.is_complete());
-            assert!(!path.exists());
+        let out = run_checkpointed(
+            &dir,
+            "ckpt_fail",
+            "v1",
+            4,
+            2,
+            |v: &usize| v.to_string(),
+            |s| s.parse().ok(),
+            |i| {
+                assert!(i != 1, "boom");
+                i
+            },
+        )
+        .unwrap();
+        assert_eq!(out.failures.len(), 1);
+        assert_eq!(out.failures[0].index, 1);
+        assert_eq!(out.results[1], None);
+        // The journal survives for a later resume...
+        let path = dir.join("ckpt_fail.partial.jsonl");
+        assert!(path.exists());
+        // ...and a rerun picks up the three finished jobs.
+        let out = run_checkpointed(
+            &dir,
+            "ckpt_fail",
+            "v1",
+            4,
+            2,
+            |v: &usize| v.to_string(),
+            |s| s.parse().ok(),
+            |i| i,
+        )
+        .unwrap();
+        assert!(out.is_complete());
+        assert!(!path.exists());
 
-            let _ = std::fs::remove_dir_all(&dir);
-        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -163,7 +163,7 @@ fn batched_replay_matches_per_access_loop_serial_and_parallel() {
         // sweep engine; each worker records into its own telemetry handle,
         // merged into `tel` at join.
         let tel = telemetry::enable();
-        let runs = sweep::run_with_jobs(4, jobs, |_| replay_batched(&trace));
+        let runs = sweep::run(jobs, 4, |_| replay_batched(&trace));
         telemetry::disable();
 
         for (outs, end, stats) in &runs {

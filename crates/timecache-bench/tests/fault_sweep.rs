@@ -25,7 +25,7 @@ fn fault_matrix_is_resilient_checkpointed_and_secure() {
     let params = RunParams::quick();
 
     // --- Clean run: full matrix, expected verdicts, journal cleaned up.
-    let summary = fault_sweep::run(&params).expect("write fault matrix");
+    let summary = fault_sweep::run(&params, 2).expect("write fault matrix");
     assert!(summary.failures.is_empty(), "clean run must not fail cells");
     assert_eq!(
         summary.timecache_violations, 0,
@@ -54,12 +54,12 @@ fn fault_matrix_is_resilient_checkpointed_and_secure() {
     assert!(json_text.contains("\"timecache_violations\":0"));
     assert!(json_text.contains("\"failed\":[]"));
 
-    // --- Forced worker panic: the cell fails past its retries, but the
+    // --- Forced worker panic: the cell fails (it is not retried), but the
     // artifact is still complete (the failed row is listed) and the
     // journal survives for resumption.
     fs::remove_file(&csv).unwrap();
     std::env::set_var("TIMECACHE_FAULT_SWEEP_PANIC", "4");
-    let broken = fault_sweep::run(&params).expect("write fault matrix");
+    let broken = fault_sweep::run(&params, 2).expect("write fault matrix");
     std::env::remove_var("TIMECACHE_FAULT_SWEEP_PANIC");
     assert_eq!(broken.failures.len(), 1);
     assert_eq!(broken.failures[0].index, 4);
@@ -85,7 +85,7 @@ fn fault_matrix_is_resilient_checkpointed_and_secure() {
     // --- Resume: only the failed cell reruns (the journal already holds
     // the other 17 rows) and the final CSV is byte-identical to the
     // uninterrupted run's.
-    let resumed = fault_sweep::run(&params).expect("write fault matrix");
+    let resumed = fault_sweep::run(&params, 2).expect("write fault matrix");
     assert!(resumed.failures.is_empty());
     assert_eq!(resumed.timecache_violations, 0);
     assert!(resumed.baseline_violations > 0);

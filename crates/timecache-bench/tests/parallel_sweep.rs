@@ -2,14 +2,10 @@
 //! only, never results — and per-worker telemetry merges to the same
 //! counters a serial run records.
 
-use std::sync::Mutex;
 use timecache_bench::exp::sweep_pairs;
 use timecache_bench::runner::RunParams;
 use timecache_bench::{sweep, telemetry};
 use timecache_workloads::mixes;
-
-/// `sweep::set_jobs` is process-wide; serialize the tests that toggle it.
-static JOBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// A reduced profile so the sweep finishes in seconds.
 fn tiny_params() -> RunParams {
@@ -23,15 +19,11 @@ fn tiny_params() -> RunParams {
 
 #[test]
 fn jobs_1_and_jobs_4_produce_identical_comparisons() {
-    let _guard = JOBS_LOCK.lock().unwrap();
     let pairs = &mixes::all_pairs()[..4];
     let params = tiny_params();
 
-    sweep::set_jobs(1);
-    let serial = sweep_pairs(pairs, &params);
-    sweep::set_jobs(4);
-    let parallel = sweep_pairs(pairs, &params);
-    sweep::set_jobs(0);
+    let serial = sweep_pairs(pairs, &params, 1);
+    let parallel = sweep_pairs(pairs, &params, 4);
 
     assert_eq!(serial.len(), pairs.len());
     // Comparison derives PartialEq: every metric of every run must match
@@ -53,11 +45,11 @@ fn wait_bound_jobs_overlap_regardless_of_host_cpus() {
     };
 
     let t0 = std::time::Instant::now();
-    let serial = sweep::run_with_jobs(8, 1, job);
+    let serial = sweep::run(1, 8, job);
     let serial_s = t0.elapsed().as_secs_f64();
 
     let t0 = std::time::Instant::now();
-    let parallel = sweep::run_with_jobs(8, 4, job);
+    let parallel = sweep::run(4, 8, job);
     let parallel_s = t0.elapsed().as_secs_f64();
 
     assert_eq!(serial, (0..8).collect::<Vec<_>>());
@@ -72,23 +64,19 @@ fn wait_bound_jobs_overlap_regardless_of_host_cpus() {
 
 #[test]
 fn parallel_sweep_telemetry_matches_serial_counters() {
-    let _guard = JOBS_LOCK.lock().unwrap();
     let pairs = &mixes::all_pairs()[..2];
     let params = tiny_params();
 
     // Serial run with a fresh handle.
-    sweep::set_jobs(1);
     let serial_tel = telemetry::enable();
-    let serial = sweep_pairs(pairs, &params);
+    let serial = sweep_pairs(pairs, &params, 1);
     telemetry::disable();
 
     // Parallel run with another fresh handle; workers record into their
     // own registries, merged back at join.
-    sweep::set_jobs(4);
     let parallel_tel = telemetry::enable();
-    let parallel = sweep_pairs(pairs, &params);
+    let parallel = sweep_pairs(pairs, &params, 4);
     telemetry::disable();
-    sweep::set_jobs(0);
 
     assert_eq!(serial, parallel);
     let serial_reg = serial_tel.registry().unwrap();

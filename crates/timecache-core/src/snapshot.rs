@@ -14,7 +14,7 @@ use crate::timestamp::{TimestampWidth, WrappingTime};
 /// they were at preemption time, plus the preemption timestamp `Ts`.
 ///
 /// Snapshots are produced by [`crate::TimeCacheState::save_context`] and
-/// consumed by [`crate::TimeCacheState::restore_context`].
+/// consumed by [`crate::TimeCacheState::restore_context_faulty`].
 ///
 /// # Examples
 ///

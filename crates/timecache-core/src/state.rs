@@ -149,8 +149,9 @@ impl Sharers {
 /// Cross-context isolation with save/restore across a context switch:
 ///
 /// ```
-/// use timecache_core::{TimeCacheState, TimeCacheConfig, Visibility};
+/// use timecache_core::{FaultInjector, TimeCacheState, TimeCacheConfig, Visibility};
 ///
+/// let off = FaultInjector::disabled();
 /// let mut tc = TimeCacheState::new(256, 1, TimeCacheConfig::new(32));
 ///
 /// // Process A runs on context 0 and fills line 7 at cycle 1000.
@@ -159,14 +160,14 @@ impl Sharers {
 ///
 /// // Process B is scheduled (fresh context), fills line 9 at cycle 2500,
 /// // and must not see A's line 7 as visible.
-/// tc.restore_context(0, None, 2000);
+/// tc.restore_context_faulty(0, None, 2000, &off);
 /// assert_eq!(tc.visibility(7, 0), Visibility::FirstAccess);
 /// tc.on_fill(9, 0, 2500);
 /// let _snap_b = tc.save_context(0, 3000);
 ///
 /// // A resumes: its own line 7 is still visible (Tc=1000 <= Ts=2000), but
 /// // B's line 9 (Tc=2500 > Ts=2000) is reset by the comparator.
-/// let outcome = tc.restore_context(0, Some(&snap_a), 3000);
+/// let outcome = tc.restore_context_faulty(0, Some(&snap_a), 3000, &off);
 /// assert_eq!(outcome.sbits_reset, 0); // line 9 was never set in A's snapshot
 /// assert_eq!(tc.visibility(7, 0), Visibility::Visible);
 /// assert_eq!(tc.visibility(9, 0), Visibility::FirstAccess);
@@ -297,22 +298,8 @@ impl TimeCacheState {
     /// * Otherwise the snapshot is loaded and the bit-serial comparator
     ///   resets the s-bit of every line with `Tc > Ts`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` is out of range or the snapshot's geometry (line
-    /// count / timestamp width) does not match this cache.
-    pub fn restore_context(
-        &mut self,
-        ctx: usize,
-        snapshot: Option<&Snapshot>,
-        now: u64,
-    ) -> RestoreOutcome {
-        self.restore_context_faulty(ctx, snapshot, now, &FaultInjector::disabled())
-    }
-
-    /// [`TimeCacheState::restore_context`] under fault injection.
-    ///
-    /// The injector may strike anywhere in the restore choreography; every
+    /// Pass [`FaultInjector::disabled`] for a fault-free restore. An enabled
+    /// injector may strike anywhere in the restore choreography; every
     /// strike degrades to the conservative full s-bit reset (or, for
     /// [`FaultKind::ForceRollover`], is conservative by construction) and is
     /// **never** allowed to leave a stale s-bit visible:
@@ -326,12 +313,10 @@ impl TimeCacheState {
     ///   sweep twice and comparing the masks (dual modular redundancy),
     ///   at twice the comparator cycle cost.
     ///
-    /// With a disabled injector this is exactly
-    /// [`TimeCacheState::restore_context`].
-    ///
     /// # Panics
     ///
-    /// Same conditions as [`TimeCacheState::restore_context`].
+    /// Panics if `ctx` is out of range or the snapshot's geometry (line
+    /// count / timestamp width) does not match this cache.
     pub fn restore_context_faulty(
         &mut self,
         ctx: usize,
@@ -515,7 +500,7 @@ mod tests {
     fn fresh_process_restore_clears_everything() {
         let mut tc = state(64, 1, 32);
         tc.on_fill(1, 0, 10);
-        let out = tc.restore_context(0, None, 20);
+        let out = tc.restore_context_faulty(0, None, 20, &FaultInjector::disabled());
         assert_eq!(out.sbits_reset, 1);
         assert_eq!(tc.visibility(1, 0), Visibility::FirstAccess);
     }
@@ -528,12 +513,12 @@ mod tests {
 
         // Process B's tenure: refills line 1 (eviction + new fill) and
         // fills line 2.
-        tc.restore_context(0, None, 100);
+        tc.restore_context_faulty(0, None, 100, &FaultInjector::disabled());
         tc.on_evict(1);
         tc.on_fill(1, 0, 150);
         tc.on_fill(2, 0, 160);
 
-        let out = tc.restore_context(0, Some(&snap), 200);
+        let out = tc.restore_context_faulty(0, Some(&snap), 200, &FaultInjector::disabled());
         assert!(!out.rollover);
         // A's saved s-bit for line 1 is stale (Tc=150 > Ts=100): reset.
         assert_eq!(out.sbits_reset, 1);
@@ -548,8 +533,8 @@ mod tests {
         let mut tc = state(64, 1, 32);
         tc.on_fill(5, 0, 10);
         let snap = tc.save_context(0, 100);
-        tc.restore_context(0, None, 100); // B runs, touches nothing
-        let out = tc.restore_context(0, Some(&snap), 200);
+        tc.restore_context_faulty(0, None, 100, &FaultInjector::disabled()); // B runs, touches nothing
+        let out = tc.restore_context_faulty(0, Some(&snap), 200, &FaultInjector::disabled());
         assert_eq!(out.sbits_reset, 0);
         assert_eq!(tc.visibility(5, 0), Visibility::Visible);
     }
@@ -560,7 +545,7 @@ mod tests {
         tc.on_fill(5, 0, 10);
         let snap = tc.save_context(0, 250);
         // Resumes at raw cycle 260 -> truncated 4 < 250: rollover.
-        let out = tc.restore_context(0, Some(&snap), 260);
+        let out = tc.restore_context_faulty(0, Some(&snap), 260, &FaultInjector::disabled());
         assert!(out.rollover);
         assert_eq!(out.sbits_reset, 1);
         assert_eq!(out.comparator_cycles, 0);
@@ -574,12 +559,12 @@ mod tests {
         // Fill at cycle 200, preempt at 250.
         tc.on_fill(0, 0, 200);
         let snap = tc.save_context(0, 250);
-        tc.restore_context(0, None, 250);
+        tc.restore_context_faulty(0, None, 250, &FaultInjector::disabled());
         // Another process fills line 1 at raw 300 (truncated 44).
         tc.on_fill(1, 0, 300);
         // A resumes at raw 310 (truncated 54 < 250): rollover reset; line 1
         // must not be visible even though its truncated Tc (44) < Ts (250).
-        let out = tc.restore_context(0, Some(&snap), 310);
+        let out = tc.restore_context_faulty(0, Some(&snap), 310, &FaultInjector::disabled());
         assert!(out.rollover);
         assert_eq!(tc.visibility(1, 0), Visibility::FirstAccess);
     }
@@ -593,9 +578,9 @@ mod tests {
         tc.on_fill(0, 0, 230); // Tc = 230
                                // Process accessed it, preempted at raw 258 -> Ts truncates to 2.
         let snap = tc.save_context(0, 258);
-        tc.restore_context(0, None, 258);
+        tc.restore_context_faulty(0, None, 258, &FaultInjector::disabled());
         // Resumes at raw 261 -> truncated 5; no rollover detected (5 >= 2).
-        let out = tc.restore_context(0, Some(&snap), 261);
+        let out = tc.restore_context_faulty(0, Some(&snap), 261, &FaultInjector::disabled());
         assert!(!out.rollover);
         // Line 0 has Tc=230 > Ts=2: unnecessarily reset — extra miss, safe.
         assert_eq!(tc.visibility(0, 0), Visibility::FirstAccess);
@@ -625,7 +610,7 @@ mod tests {
         let mut a = state(8, 1, 32);
         let b = state(16, 1, 32);
         let snap = b.save_context(0, 0);
-        a.restore_context(0, Some(&snap), 0);
+        a.restore_context_faulty(0, Some(&snap), 0, &FaultInjector::disabled());
     }
 
     // --- rollover edge cases (satellite: ISSUE 3) ---
@@ -638,8 +623,8 @@ mod tests {
         let mut tc = state(8, 1, 32);
         tc.on_fill(0, 0, 100);
         let snap = tc.save_context(0, 100);
-        tc.restore_context(0, None, 100);
-        let out = tc.restore_context(0, Some(&snap), 100);
+        tc.restore_context_faulty(0, None, 100, &FaultInjector::disabled());
+        let out = tc.restore_context_faulty(0, Some(&snap), 100, &FaultInjector::disabled());
         assert!(!out.rollover);
         assert_eq!(out.sbits_reset, 0);
         assert_eq!(tc.visibility(0, 0), Visibility::Visible);
@@ -652,8 +637,8 @@ mod tests {
         let mut tc = state(8, 1, 64);
         tc.on_fill(0, 0, u64::MAX - 10);
         let snap = tc.save_context(0, u64::MAX - 5);
-        tc.restore_context(0, None, u64::MAX - 5);
-        let out = tc.restore_context(0, Some(&snap), u64::MAX);
+        tc.restore_context_faulty(0, None, u64::MAX - 5, &FaultInjector::disabled());
+        let out = tc.restore_context_faulty(0, Some(&snap), u64::MAX, &FaultInjector::disabled());
         assert!(!out.rollover);
         assert_eq!(tc.visibility(0, 0), Visibility::Visible);
     }
@@ -666,8 +651,9 @@ mod tests {
         let mut tc = state(8, 1, 8);
         tc.on_fill(0, 0, 5);
         let snap = tc.save_context(0, 10);
-        tc.restore_context(0, None, 10);
-        let out = tc.restore_context(0, Some(&snap), 10 + 2 * 256 + 5);
+        tc.restore_context_faulty(0, None, 10, &FaultInjector::disabled());
+        let out =
+            tc.restore_context_faulty(0, Some(&snap), 10 + 2 * 256 + 5, &FaultInjector::disabled());
         assert!(out.rollover);
         assert_eq!(tc.visibility(0, 0), Visibility::FirstAccess);
     }
@@ -687,7 +673,7 @@ mod tests {
         let mut tc = state(8, 1, ts_bits);
         tc.on_fill(0, 0, fill);
         let snap = tc.save_context(0, save);
-        tc.restore_context(0, None, save);
+        tc.restore_context_faulty(0, None, save, &FaultInjector::disabled());
         tc.on_evict(1);
         tc.on_fill(1, 0, other);
         (tc, snap)
@@ -760,7 +746,7 @@ mod tests {
         let (mut tc, snap) = faulted_scenario(32, 10, 100, 150);
         let clean = {
             let (mut tc2, snap2) = faulted_scenario(32, 10, 100, 150);
-            tc2.restore_context(0, Some(&snap2), 200)
+            tc2.restore_context_faulty(0, Some(&snap2), 200, &FaultInjector::disabled())
         };
         let inj = FaultInjector::new(FaultPlan::new(FaultKind::FlipComparator, Tp::Compare, 6));
         let out = tc.restore_context_faulty(0, Some(&snap), 200, &inj);
@@ -781,9 +767,9 @@ mod tests {
         tc.on_fill(0, 0, 200);
         // Save aborted: the OS keeps no snapshot (None). Another tenant
         // fills line 1 across the wrap.
-        tc.restore_context(0, None, 250);
+        tc.restore_context_faulty(0, None, 250, &FaultInjector::disabled());
         tc.on_fill(1, 0, 300);
-        let out = tc.restore_context(0, None, 320);
+        let out = tc.restore_context_faulty(0, None, 320, &FaultInjector::disabled());
         assert!(!out.rollover);
         assert_eq!(tc.visibility(0, 0), Visibility::FirstAccess);
         assert_eq!(tc.visibility(1, 0), Visibility::FirstAccess);
@@ -792,11 +778,23 @@ mod tests {
 
     #[test]
     fn faulty_restore_with_disabled_injector_matches_plain_restore() {
+        // A disabled injector restores exactly like an armed one that never
+        // fires (rate 0) for every restore-time fault kind.
         let (mut a, snap_a) = faulted_scenario(32, 10, 100, 150);
-        let (mut b, snap_b) = faulted_scenario(32, 10, 100, 150);
-        let plain = a.restore_context(0, Some(&snap_a), 200);
-        let faulty = b.restore_context_faulty(0, Some(&snap_b), 200, &FaultInjector::disabled());
-        assert_eq!(plain, faulty);
+        let plain = a.restore_context_faulty(0, Some(&snap_a), 200, &FaultInjector::disabled());
         assert!(!plain.degraded);
+        for (kind, tp) in [
+            (FaultKind::DropSnapshot, Tp::Restore),
+            (FaultKind::CorruptSnapshot, Tp::Restore),
+            (FaultKind::DeferRollover, Tp::Rollover),
+            (FaultKind::ForceRollover, Tp::Rollover),
+            (FaultKind::FlipComparator, Tp::Compare),
+        ] {
+            let (mut b, snap_b) = faulted_scenario(32, 10, 100, 150);
+            let inj = FaultInjector::new(FaultPlan::new(kind, tp, 1).with_rate(0.0));
+            let armed = b.restore_context_faulty(0, Some(&snap_b), 200, &inj);
+            assert_eq!(plain, armed, "{kind:?}");
+            assert_eq!((inj.injected(), inj.detected()), (0, 0));
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! in-file xorshift64* generator over a fixed set of seeds.
 
 use timecache_core::{
-    BitSerialComparator, SBitArray, TimeCacheConfig, TimeCacheState, TimestampWidth,
+    BitSerialComparator, FaultInjector, SBitArray, TimeCacheConfig, TimeCacheState, TimestampWidth,
     TransposeArray, Visibility, WrappingTime,
 };
 
@@ -236,13 +236,18 @@ fn state_machine_never_leaks_residency() {
                     }
                     oracle_snaps[slot] = Some((bits, now));
                     // A different process takes the context: fresh view.
-                    hw.restore_context(ctx, None, now);
+                    hw.restore_context_faulty(ctx, None, now, &FaultInjector::disabled());
                     for row in paid.iter_mut() {
                         row[ctx] = false;
                     }
                 }
                 Ev::SwitchIn { ctx, slot } => {
-                    let out = hw.restore_context(ctx, hw_snaps[slot].as_ref(), now);
+                    let out = hw.restore_context_faulty(
+                        ctx,
+                        hw_snaps[slot].as_ref(),
+                        now,
+                        &FaultInjector::disabled(),
+                    );
                     assert!(!out.rollover, "32-bit counter cannot roll over here");
                     match &oracle_snaps[slot] {
                         Some((bits, ts)) => {
@@ -318,11 +323,16 @@ fn narrow_counters_only_err_towards_misses() {
                     let mut bits = [false; LINES];
                     bits.copy_from_slice(&paid);
                     oracle_snaps[slot] = Some((bits, now));
-                    hw.restore_context(0, None, now);
+                    hw.restore_context_faulty(0, None, now, &FaultInjector::disabled());
                     paid.fill(false);
                 }
                 Ev::SwitchIn { slot, .. } => {
-                    hw.restore_context(0, hw_snaps[slot].as_ref(), now);
+                    hw.restore_context_faulty(
+                        0,
+                        hw_snaps[slot].as_ref(),
+                        now,
+                        &FaultInjector::disabled(),
+                    );
                     match &oracle_snaps[slot] {
                         Some((bits, ts)) => {
                             for line in 0..LINES {
