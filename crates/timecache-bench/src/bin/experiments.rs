@@ -8,6 +8,11 @@
 //!              fault-sweep|leakage-sweep>
 //! ```
 //!
+//! Each simulating experiment declares the runs it reads
+//! ([`exp::EXPERIMENTS`]). `all` takes the union of every experiment's
+//! runs, simulates each distinct run once, then renders the experiments in
+//! order from that one table; a single id simulates only its own runs.
+//!
 //! `--quick` shrinks the instruction budgets (useful for smoke-testing the
 //! harness; reported numbers will be noisier). `--jobs N` sets the sweep
 //! engine's worker count, passed to every sweep (default: all cores;
@@ -30,8 +35,6 @@
 use std::io;
 use timecache_bench::runner::RunParams;
 use timecache_bench::{exp, telemetry};
-use timecache_workloads::mixes;
-use timecache_workloads::parsec::ParsecBenchmark;
 
 fn usage() -> ! {
     eprintln!(
@@ -134,20 +137,6 @@ fn leakage_sweep_exit_code(
     code
 }
 
-fn announce_spec_sweep(jobs: usize) {
-    eprintln!(
-        "running SPEC sweep ({} pairs, 2 modes, {jobs} jobs)...",
-        mixes::all_pairs().len()
-    );
-}
-
-fn announce_parsec_sweep(jobs: usize) {
-    eprintln!(
-        "running PARSEC sweep ({} benchmarks, 2 modes, {jobs} jobs)...",
-        ParsecBenchmark::ALL.len()
-    );
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -198,33 +187,7 @@ fn run(
 ) -> io::Result<i32> {
     let mut exit_code = 0;
     match which {
-        "table1" => exp::table1::run()?,
-        "table2" | "fig7" | "fig8" => {
-            announce_spec_sweep(jobs);
-            let sweep = exp::spec_sweep(params, jobs);
-            match which {
-                "fig7" => exp::fig7::run(&sweep)?,
-                "fig8" => exp::fig8::run(&sweep)?,
-                _ => {
-                    announce_parsec_sweep(jobs);
-                    let parsec = exp::fig9::sweep(params, jobs);
-                    exp::table2::run(&sweep, &parsec)?;
-                }
-            }
-        }
-        "fig9" => {
-            announce_parsec_sweep(jobs);
-            let parsec = exp::fig9::sweep(params, jobs);
-            exp::fig9::run(&parsec)?;
-        }
-        "fig10" => exp::fig10::run(params, jobs)?,
-        "security" => exp::security::run()?,
-        "rollover" => exp::rollover::run(params, jobs)?,
-        "switchcost" => exp::switchcost::run(params, jobs)?,
-        "other-attacks" => exp::other_attacks::run()?,
-        "ftm" => exp::ftm::run(params)?,
-        "area" => exp::area::run()?,
-        "ablation" => exp::ablation::run(params, jobs)?,
+        "all" => exp::run(&exp::EXPERIMENTS, params, jobs)?,
         "telemetry-demo" => exp::telemetry_demo::run(params)?,
         "fault-sweep" => {
             let summary = exp::fault_sweep::run(params, jobs)?;
@@ -234,26 +197,10 @@ fn run(
             let summary = exp::leakage_sweep::run(params, jobs)?;
             exit_code = leakage_sweep_exit_code(&summary, max_failures);
         }
-        "all" => {
-            exp::table1::run()?;
-            announce_spec_sweep(jobs);
-            let sweep = exp::spec_sweep(params, jobs);
-            exp::fig7::run(&sweep)?;
-            exp::fig8::run(&sweep)?;
-            announce_parsec_sweep(jobs);
-            let parsec = exp::fig9::sweep(params, jobs);
-            exp::fig9::run(&parsec)?;
-            exp::table2::run(&sweep, &parsec)?;
-            exp::fig10::run(params, jobs)?;
-            exp::security::run()?;
-            exp::rollover::run(params, jobs)?;
-            exp::switchcost::run(params, jobs)?;
-            exp::other_attacks::run()?;
-            exp::ftm::run(params)?;
-            exp::area::run()?;
-            exp::ablation::run(params, jobs)?;
-        }
-        _ => usage(),
+        id => match exp::EXPERIMENTS.iter().position(|e| e.id == id) {
+            Some(i) => exp::run(&exp::EXPERIMENTS[i..=i], params, jobs)?,
+            None => usage(),
+        },
     }
 
     if with_telemetry {

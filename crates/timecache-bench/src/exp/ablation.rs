@@ -7,38 +7,44 @@
 //! 2. **Bit-serial vs line-serial comparison** (Section V-C): cycles per
 //!    context switch scale with timestamp width instead of line count.
 
-use crate::exp::sweep_pairs;
 use crate::output::{geomean, print_table, write_csv};
-use crate::runner::{Comparison, RunParams};
+use crate::runner::{RunKey, RunParams, RunTable, Workload};
 use std::io;
 use timecache_core::BitSerialComparator;
-use timecache_workloads::mixes;
+use timecache_workloads::SpecBenchmark::{self, Gobmk, H264ref, Perlbench, Wrf};
 
-/// Runs the save/restore ablation over a few representative pairs on
-/// `jobs` workers and prints the comparator-cost table analytically.
-pub fn run(params: &RunParams, jobs: usize) -> io::Result<()> {
+/// The "2X" pairs of the save/restore ablation, in Table II order.
+const PAIRS: [SpecBenchmark; 4] = [Gobmk, Wrf, Perlbench, H264ref];
+
+/// `params` with snapshots discarded at every context switch.
+fn dropped(params: &RunParams) -> RunParams {
+    RunParams {
+        discard_snapshots: true,
+        ..*params
+    }
+}
+
+/// Both modes of each pair with snapshots kept (SPEC sweep runs) and
+/// discarded.
+pub fn keys(params: &RunParams) -> Vec<RunKey> {
+    [*params, dropped(params)]
+        .iter()
+        .flat_map(|p| PAIRS.map(|b| RunKey::pair(Workload::Spec(b, b), p)))
+        .flatten()
+        .collect()
+}
+
+/// Renders the save/restore ablation and prints the comparator-cost table
+/// analytically.
+pub fn render(table: &RunTable, params: &RunParams) -> io::Result<()> {
     // --- Ablation 1: discard snapshots. ---
-    let labels = ["2Xperlbench", "2Xwrf", "2Xgobmk", "2Xh264ref"];
-    let pairs: Vec<_> = mixes::all_pairs()
-        .into_iter()
-        .filter(|p| labels.contains(&p.label().as_str()))
-        .collect();
-
-    // Two engine sweeps over the same pairs: snapshots kept vs discarded.
-    let kept = sweep_pairs(&pairs, params, jobs);
-    let dropped = sweep_pairs(
-        &pairs,
-        &RunParams {
-            discard_snapshots: true,
-            ..*params
-        },
-        jobs,
-    );
-
     let header = ["workload", "timecache", "no-save/restore"];
     let mut rows = Vec::new();
     let (mut with, mut without) = (Vec::new(), Vec::new());
-    for (keep, drop) in kept.iter().zip(&dropped) {
+    for b in PAIRS {
+        let pair = Workload::Spec(b, b);
+        let keep = table.compare(pair, params);
+        let drop = table.compare(pair, &dropped(params));
         with.push(keep.overhead());
         without.push(drop.overhead());
         rows.push(vec![
@@ -84,6 +90,5 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<()> {
         &rows,
     );
     write_csv("ablation_comparator.csv", &header, &rows)?;
-    let _ = Comparison::overhead; // referenced for doc-link stability
     Ok(())
 }

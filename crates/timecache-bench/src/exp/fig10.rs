@@ -3,9 +3,9 @@
 //! and 0.1 % at 8 MB — larger caches evict shared lines less often, so
 //! fewer first-access misses recur.
 
-use crate::exp::spec_sweep;
+use crate::exp::{spec_comparisons, spec_keys};
 use crate::output::{geomean, print_table, write_csv};
-use crate::runner::{Comparison, RunParams};
+use crate::runner::{Comparison, RunKey, RunParams, RunTable};
 use std::io;
 
 /// Paper-reported geomean overheads per LLC size.
@@ -15,19 +15,29 @@ pub const PAPER_OVERHEADS: [(u64, f64); 3] = [
     (8 * 1024 * 1024, 1.001),
 ];
 
-/// Runs the SPEC sweep on `jobs` workers at each LLC size and prints the
-/// trend.
-pub fn run(params: &RunParams, jobs: usize) -> io::Result<()> {
+fn with_llc(params: &RunParams, llc_bytes: u64) -> RunParams {
+    RunParams {
+        llc_bytes,
+        ..*params
+    }
+}
+
+/// The SPEC sweep at each LLC size; at the default 2 MB it is the sweep
+/// Fig. 7 reads.
+pub fn keys(params: &RunParams) -> Vec<RunKey> {
+    PAPER_OVERHEADS
+        .iter()
+        .flat_map(|&(bytes, _)| spec_keys(&with_llc(params, bytes)))
+        .collect()
+}
+
+/// Prints the overhead trend across LLC sizes.
+pub fn render(table: &RunTable, params: &RunParams) -> io::Result<()> {
     let header = ["llc", "geomean-overhead", "paper"];
     let mut rows = Vec::new();
     let mut measured = Vec::new();
     for (bytes, paper) in PAPER_OVERHEADS {
-        eprintln!("LLC = {} MB", bytes >> 20);
-        let p = RunParams {
-            llc_bytes: bytes,
-            ..*params
-        };
-        let sweep = spec_sweep(&p, jobs);
+        let sweep = spec_comparisons(table, &with_llc(params, bytes));
         let overheads: Vec<f64> = sweep.iter().map(Comparison::overhead).collect();
         let g = geomean(&overheads);
         measured.push(g);

@@ -1,19 +1,21 @@
 //! Fig. 7: single-core SPEC2006 normalized execution time under TimeCache
 //! (paper: geometric-mean overhead 1.13 %).
 
+use crate::exp::spec_comparisons;
 use crate::output::{geomean, print_table, write_csv};
-use crate::runner::Comparison;
+use crate::runner::{Comparison, RunParams, RunTable};
 use std::io;
 use timecache_workloads::mixes;
 
 /// Renders Fig. 7's series (normalized execution time per workload pair)
-/// from a completed SPEC sweep.
-pub fn run(sweep: &[Comparison]) -> io::Result<()> {
+/// from the SPEC sweep ([`crate::exp::spec_keys`]).
+pub fn render(table: &RunTable, params: &RunParams) -> io::Result<()> {
     let specs = mixes::all_pairs();
+    let sweep = spec_comparisons(table, params);
     let header = ["workload", "normalized-exec-time", "paper"];
     let rows: Vec<Vec<String>> = specs
         .iter()
-        .zip(sweep)
+        .zip(&sweep)
         .map(|(spec, cmp)| {
             vec![
                 spec.label(),

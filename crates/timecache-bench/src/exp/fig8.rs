@@ -1,14 +1,16 @@
 //! Fig. 8: delayed-access (first-access) MPKI at each cache level for the
 //! single-core SPEC runs.
 
+use crate::exp::spec_comparisons;
 use crate::output::{print_table, write_csv};
-use crate::runner::Comparison;
+use crate::runner::{RunParams, RunTable};
 use std::io;
 
-/// Renders Fig. 8's per-level first-access MPKI series from a completed
-/// SPEC sweep (TimeCache runs; the baseline has no first accesses by
-/// construction).
-pub fn run(sweep: &[Comparison]) -> io::Result<()> {
+/// Renders Fig. 8's per-level first-access MPKI series from the SPEC
+/// sweep ([`crate::exp::spec_keys`]; TimeCache runs, the baseline has no
+/// first accesses by construction).
+pub fn render(table: &RunTable, params: &RunParams) -> io::Result<()> {
+    let sweep = spec_comparisons(table, params);
     let header = ["workload", "l1i-fa-mpki", "l1d-fa-mpki", "llc-fa-mpki"];
     let rows: Vec<Vec<String>> = sweep
         .iter()

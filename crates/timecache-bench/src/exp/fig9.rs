@@ -1,51 +1,22 @@
 //! Fig. 9: 2-core, 2-thread PARSEC normalized execution time (paper:
 //! average overhead 0.8 %) and per-cache delayed-access MPKI.
 
+use crate::exp::parsec_comparisons;
 use crate::output::{geomean, print_table, write_csv};
-use crate::runner::{run_parsec_mode, timecache_mode, Comparison, RunParams};
-use crate::sweep as engine;
+use crate::runner::{Comparison, RunParams, RunTable};
 use std::io;
-use timecache_sim::SecurityMode;
 use timecache_workloads::mixes;
 use timecache_workloads::parsec::ParsecBenchmark;
 
-/// Runs all PARSEC benchmarks under both modes, fanning each
-/// `(benchmark, mode)` run across `jobs` workers as an independent job.
-pub fn sweep(params: &RunParams, jobs: usize) -> Vec<Comparison> {
-    let benches = ParsecBenchmark::ALL;
-    let metrics = engine::run(jobs, benches.len() * 2, |i| {
-        let bench = benches[i / 2];
-        let (mode, name) = if i % 2 == 0 {
-            (SecurityMode::Baseline, "baseline")
-        } else {
-            (timecache_mode(params), "timecache")
-        };
-        engine::progress(&format!("  running {bench} [{name}] ..."));
-        run_parsec_mode(bench, mode, params)
-    });
-    let mut metrics = metrics.into_iter();
-    benches
-        .into_iter()
-        .map(|bench| {
-            let baseline = metrics.next().expect("two runs per benchmark");
-            let timecache = metrics.next().expect("two runs per benchmark");
-            Comparison {
-                label: bench.name().to_owned(),
-                baseline,
-                timecache,
-            }
-        })
-        .collect()
-}
-
 /// Renders Fig. 9a (normalized time) and Fig. 9b (per-cache first-access
-/// MPKI) from a completed PARSEC sweep.
-pub fn run(sweep: &[Comparison]) -> io::Result<()> {
+/// MPKI) from the PARSEC sweep ([`crate::exp::parsec_keys`]).
+pub fn render(table: &RunTable, params: &RunParams) -> io::Result<()> {
+    let sweep = parsec_comparisons(table, params);
     // Fig. 9a.
     let header_a = ["benchmark", "normalized-exec-time", "paper"];
     let rows_a: Vec<Vec<String>> = ParsecBenchmark::ALL
         .into_iter()
-        .zip(sweep)
+        .zip(&sweep)
         .map(|(b, cmp)| {
             vec![
                 b.name().to_owned(),

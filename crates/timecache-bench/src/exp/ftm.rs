@@ -4,17 +4,33 @@
 //! defense stops) and a performance comparison on the Table II pairs.
 
 use crate::output::{geomean, print_table, write_csv};
-use crate::runner::{run_spec_pair_mode, RunParams};
+use crate::runner::{timecache_mode, RunKey, RunParams, RunTable, Workload};
 use std::io;
-use timecache_attacks::harness::timecache_mode;
+use timecache_attacks::harness;
 use timecache_attacks::rsa_attack::run_rsa_attack;
 use timecache_attacks::spectre::run_spectre;
 use timecache_sim::SecurityMode;
-use timecache_workloads::mixes;
 use timecache_workloads::rsa::Mpi;
+use timecache_workloads::SpecBenchmark::{self, Gobmk, Lbm, Namd, Perlbench};
 
-/// Runs the security matrix and the overhead comparison.
-pub fn run(params: &RunParams) -> io::Result<()> {
+/// The "2X" pairs of the overhead comparison, in Table II order.
+const PAIRS: [SpecBenchmark; 4] = [Lbm, Gobmk, Perlbench, Namd];
+
+/// The baseline, FTM and TimeCache runs of each pair.
+pub fn keys(params: &RunParams) -> Vec<RunKey> {
+    let modes = [
+        SecurityMode::Baseline,
+        SecurityMode::Ftm,
+        timecache_mode(params),
+    ];
+    PAIRS
+        .iter()
+        .flat_map(|&b| modes.map(|mode| RunKey::new(Workload::Spec(b, b), mode, params)))
+        .collect()
+}
+
+/// Runs the security matrix and renders the overhead comparison.
+pub fn render(table: &RunTable, params: &RunParams) -> io::Result<()> {
     // --- Security matrix: same-core RSA extraction + spectre. ---
     let key = Mpi::from_u64(0xB5C3_9A6D);
     let secret = b"ftm-test";
@@ -30,7 +46,7 @@ pub fn run(params: &RunParams) -> io::Result<()> {
         "rsa flush+reload".into(),
         rsa(SecurityMode::Baseline),
         rsa(SecurityMode::Ftm),
-        rsa(timecache_mode()),
+        rsa(harness::timecache_mode()),
     ]);
 
     eprintln!("  same-core spectre-v1 under three modes ...");
@@ -42,7 +58,7 @@ pub fn run(params: &RunParams) -> io::Result<()> {
         "spectre-v1".into(),
         sp(SecurityMode::Baseline),
         sp(SecurityMode::Ftm),
-        sp(timecache_mode()),
+        sp(harness::timecache_mode()),
     ]);
 
     print_table(
@@ -53,24 +69,18 @@ pub fn run(params: &RunParams) -> io::Result<()> {
     write_csv("viii_b2_ftm_security.csv", &header, &rows)?;
 
     // --- Overhead comparison on a few representative pairs. ---
-    let labels = ["2Xperlbench", "2Xlbm", "2Xgobmk", "2Xnamd"];
-    let pairs: Vec<_> = mixes::all_pairs()
-        .into_iter()
-        .filter(|p| labels.contains(&p.label().as_str()))
-        .collect();
     let header = ["workload", "ftm", "timecache"];
     let mut rows = Vec::new();
     let (mut f_ovh, mut t_ovh) = (Vec::new(), Vec::new());
-    for spec in &pairs {
-        eprintln!("  measuring {} ...", spec.label());
-        let base = run_spec_pair_mode(spec, SecurityMode::Baseline, params);
-        let ftm = run_spec_pair_mode(spec, SecurityMode::Ftm, params);
-        let tc = run_spec_pair_mode(spec, timecache_mode(), params);
-        let fo = ftm.cycles as f64 / base.cycles.max(1) as f64;
-        let to = tc.cycles as f64 / base.cycles.max(1) as f64;
+    for b in PAIRS {
+        let pair = Workload::Spec(b, b);
+        let cycles = |mode| table.get(&RunKey::new(pair, mode, params)).cycles as f64;
+        let base = cycles(SecurityMode::Baseline).max(1.0);
+        let fo = cycles(SecurityMode::Ftm) / base;
+        let to = cycles(timecache_mode(params)) / base;
         f_ovh.push(fo);
         t_ovh.push(to);
-        rows.push(vec![spec.label(), format!("{fo:.4}"), format!("{to:.4}")]);
+        rows.push(vec![pair.label(), format!("{fo:.4}"), format!("{to:.4}")]);
     }
     rows.push(vec![
         "geomean".into(),

@@ -7,17 +7,23 @@
 //! table analytically and the bookkeeping share by measurement.
 
 use crate::output::{print_table, write_csv};
-use crate::runner::{run_spec_pair_mode, timecache_mode, Comparison, RunParams};
-use crate::sweep;
+use crate::runner::{timecache_mode, RunKey, RunParams, RunTable, Workload};
 use std::io;
 use timecache_core::{SBitArray, Snapshot, TimestampWidth};
-use timecache_sim::SecurityMode;
-use timecache_workloads::mixes;
+use timecache_workloads::SpecBenchmark::Lbm;
+
+/// The pair whose bookkeeping share is measured: 2Xlbm, plenty of
+/// switches.
+const PAIR: Workload = Workload::Spec(Lbm, Lbm);
+
+/// 2Xlbm under TimeCache (the share needs no baseline).
+pub fn keys(params: &RunParams) -> Vec<RunKey> {
+    vec![RunKey::new(PAIR, timecache_mode(params), params)]
+}
 
 /// Prints the per-cache-size transfer table and the measured bookkeeping
-/// share for one workload pair, whose two modes run on up to `jobs`
-/// workers.
-pub fn run(params: &RunParams, jobs: usize) -> io::Result<()> {
+/// share.
+pub fn render(table: &RunTable, params: &RunParams) -> io::Result<()> {
     // Analytical transfer table (Section VI-D). The per-line column shows
     // how a single-channel DMA would scale; the paper itself charges a
     // constant 1.08 us (2160 cycles) per switch, which is the default
@@ -57,31 +63,12 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<()> {
     write_csv("vi_d_transfer_costs.csv", &header, &rows)?;
 
     // Measured bookkeeping share (paper: ~0.024 % of execution time).
-    let spec = &mixes::all_pairs()[1]; // 2Xlbm: plenty of switches
-    sweep::progress(&format!(
-        "  measuring bookkeeping share on {} ...",
-        spec.label()
-    ));
-    // The two modes are independent: run them as engine jobs.
-    let mut metrics = sweep::run(jobs, 2, |i| {
-        let mode = if i == 0 {
-            SecurityMode::Baseline
-        } else {
-            timecache_mode(params)
-        };
-        run_spec_pair_mode(spec, mode, params)
-    })
-    .into_iter();
-    let cmp = Comparison {
-        label: spec.label(),
-        baseline: metrics.next().expect("baseline run"),
-        timecache: metrics.next().expect("timecache run"),
-    };
-    let share = cmp.timecache.tc_switch_cycles as f64 / cmp.timecache.cycles.max(1) as f64;
+    let tc = table.get(&keys(params)[0]);
+    let share = tc.tc_switch_cycles as f64 / tc.cycles.max(1) as f64;
     println!(
         "context-switch bookkeeping: {} cycles over {} ({:.4}% of execution; paper 0.024%)",
-        cmp.timecache.tc_switch_cycles,
-        cmp.timecache.cycles,
+        tc.tc_switch_cycles,
+        tc.cycles,
         share * 100.0
     );
     write_csv(
@@ -94,9 +81,9 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<()> {
             "paper-%",
         ],
         &[vec![
-            spec.label(),
-            cmp.timecache.tc_switch_cycles.to_string(),
-            cmp.timecache.cycles.to_string(),
+            PAIR.label(),
+            tc.tc_switch_cycles.to_string(),
+            tc.cycles.to_string(),
             format!("{:.4}", share * 100.0),
             "0.024".into(),
         ]],

@@ -1,16 +1,24 @@
 //! Table II: per-workload normalized execution time and LLC MPKI
 //! (baseline vs TimeCache), paper-reported values alongside measured ones.
 
+use crate::exp::{parsec_comparisons, parsec_keys, spec_comparisons, spec_keys};
 use crate::output::{geomean, print_table, write_csv};
-use crate::runner::Comparison;
+use crate::runner::{Comparison, RunKey, RunParams, RunTable};
 use std::io;
 use timecache_workloads::mixes;
+use timecache_workloads::parsec::ParsecBenchmark;
 
-/// Renders Table II from a completed SPEC sweep (and optionally the PARSEC
-/// comparisons appended below, as the paper's table does).
-pub fn run(sweep: &[Comparison], parsec: &[Comparison]) -> io::Result<()> {
+/// The SPEC and PARSEC sweeps.
+pub fn keys(params: &RunParams) -> Vec<RunKey> {
+    [spec_keys(params), parsec_keys(params)].concat()
+}
+
+/// Renders Table II from the SPEC sweep, with the PARSEC comparisons
+/// appended below as the paper's table does.
+pub fn render(table: &RunTable, params: &RunParams) -> io::Result<()> {
     let specs = mixes::all_pairs();
-    assert_eq!(sweep.len(), specs.len(), "sweep must cover all pairs");
+    let sweep = spec_comparisons(table, params);
+    let parsec = parsec_comparisons(table, params);
 
     let header = [
         "workload",
@@ -22,7 +30,7 @@ pub fn run(sweep: &[Comparison], parsec: &[Comparison]) -> io::Result<()> {
         "paper-mpki-tc",
     ];
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for (spec, cmp) in specs.iter().zip(sweep) {
+    for (spec, cmp) in specs.iter().zip(&sweep) {
         rows.push(vec![
             spec.label(),
             format!("{:.4}", cmp.overhead()),
@@ -44,11 +52,7 @@ pub fn run(sweep: &[Comparison], parsec: &[Comparison]) -> io::Result<()> {
         String::new(),
     ]);
 
-    for cmp in parsec {
-        let bench = timecache_workloads::parsec::ParsecBenchmark::ALL
-            .into_iter()
-            .find(|b| b.name() == cmp.label)
-            .expect("parsec label");
+    for (bench, cmp) in ParsecBenchmark::ALL.into_iter().zip(&parsec) {
         rows.push(vec![
             cmp.label.clone(),
             format!("{:.4}", cmp.overhead()),
@@ -59,18 +63,16 @@ pub fn run(sweep: &[Comparison], parsec: &[Comparison]) -> io::Result<()> {
             String::new(),
         ]);
     }
-    if !parsec.is_empty() {
-        let po: Vec<f64> = parsec.iter().map(Comparison::overhead).collect();
-        rows.push(vec![
-            "geomean(parsec)".into(),
-            format!("{:.4}", geomean(&po)),
-            String::new(),
-            String::new(),
-            format!("{:.4}", mixes::PAPER_PARSEC_MEAN_OVERHEAD),
-            String::new(),
-            String::new(),
-        ]);
-    }
+    let po: Vec<f64> = parsec.iter().map(Comparison::overhead).collect();
+    rows.push(vec![
+        "geomean(parsec)".into(),
+        format!("{:.4}", geomean(&po)),
+        String::new(),
+        String::new(),
+        format!("{:.4}", mixes::PAPER_PARSEC_MEAN_OVERHEAD),
+        String::new(),
+        String::new(),
+    ]);
 
     print_table(
         "Table II: execution-time overhead and LLC MPKI (measured vs paper)",

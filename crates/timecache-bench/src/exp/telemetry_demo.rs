@@ -7,10 +7,11 @@
 //! manifest) under `results/`.
 
 use crate::output::print_table;
-use crate::runner::{compare_spec_pair, RunParams};
+use crate::runner::{run_spec_pair_mode, timecache_mode as tc_mode, Comparison, RunParams};
 use crate::telemetry;
 use std::io;
 use timecache_attacks::harness::{run_microbenchmark_with_telemetry, timecache_mode};
+use timecache_sim::SecurityMode;
 use timecache_telemetry::Phase;
 use timecache_workloads::mixes;
 
@@ -20,7 +21,11 @@ pub fn run(params: &RunParams) -> io::Result<()> {
 
     let spec = &mixes::same_benchmark_pairs()[0];
     eprintln!("  running {} with telemetry ...", spec.label());
-    let cmp = compare_spec_pair(spec, params);
+    let cmp = Comparison {
+        label: spec.label(),
+        baseline: run_spec_pair_mode(spec, SecurityMode::Baseline, params),
+        timecache: run_spec_pair_mode(spec, tc_mode(params), params),
+    };
     eprintln!("  running flush+reload microbenchmark with telemetry ...");
     let micro = run_microbenchmark_with_telemetry(timecache_mode(), 3, &tel);
 

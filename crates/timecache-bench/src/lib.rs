@@ -12,9 +12,10 @@
 //! ```
 //!
 //! Each experiment prints a paper-style table to stdout and writes a CSV
-//! under `results/`. Sweeps over independent runs are fanned across cores
-//! by the [`sweep`] engine; every function that sweeps takes the worker
-//! count as an argument, which `experiments` reads from `--jobs N`
+//! under `results/`. Experiments declare the runs they read, and a
+//! [`runner::RunTable`] simulates each distinct run once, fanned across
+//! cores by the [`sweep`] engine; every function that sweeps takes the
+//! worker count as an argument, which `experiments` reads from `--jobs N`
 //! (default: all cores; `--jobs 1` reproduces serial execution
 //! bit-for-bit). Passing
 //! `--telemetry` (or running the dedicated `telemetry-demo` experiment)

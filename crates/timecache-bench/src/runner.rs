@@ -1,12 +1,15 @@
 //! Shared machinery for the performance experiments: build a system, run a
-//! warm-up phase, then measure a fixed instruction budget under both
-//! security modes.
+//! warm-up phase, then measure a fixed instruction budget; and the
+//! [`RunTable`] that simulates each distinct [`RunKey`] the experiments
+//! declare exactly once.
 
+use crate::sweep;
 use timecache_core::TimeCacheConfig;
-use timecache_os::{System, SystemConfig, Trace};
-use timecache_sim::{AccessOutcome, Hierarchy, HierarchyConfig, HierarchyStats, SecurityMode};
-use timecache_workloads::mixes::PairSpec;
+use timecache_os::{System, SystemConfig};
+use timecache_sim::{HierarchyConfig, HierarchyStats, SecurityMode};
+use timecache_workloads::mixes::{self, PairSpec};
 use timecache_workloads::parsec::ParsecBenchmark;
+use timecache_workloads::SpecBenchmark;
 
 /// Parameters of one measured run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +63,7 @@ impl RunParams {
     }
 }
 
-/// Measured-phase metrics for one (workload pair, security mode) run.
+/// Measured-phase metrics for one (workload, security mode) run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModeMetrics {
     /// Cycles consumed by the measured phase.
@@ -69,9 +72,11 @@ pub struct ModeMetrics {
     pub instructions: u64,
     /// Cache statistics for the measured phase only.
     pub stats: HierarchyStats,
-    /// TimeCache context-switch bookkeeping cycles over the whole run.
+    /// TimeCache context-switch bookkeeping cycles in the measured phase
+    /// (the warm-up's are subtracted).
     pub tc_switch_cycles: u64,
-    /// Context switches over the whole run.
+    /// Context switches over the whole run, warm-up included
+    /// ([`System::reset_stats`] clears only the cache statistics).
     pub context_switches: u64,
 }
 
@@ -97,7 +102,7 @@ impl ModeMetrics {
     }
 }
 
-/// Baseline + TimeCache measurements for one workload pairing.
+/// Baseline + TimeCache measurements for one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// Row label ("2Xlbm", "fluidanimate", ...).
@@ -117,23 +122,77 @@ impl Comparison {
 }
 
 /// The TimeCache security mode a parameter set selects (the counterpart of
-/// [`SecurityMode::Baseline`] in every comparison). Public so sweep jobs
-/// can run the two modes of a comparison as independent units of work.
+/// [`SecurityMode::Baseline`] in every comparison).
 pub fn timecache_mode(params: &RunParams) -> SecurityMode {
     SecurityMode::TimeCache(TimeCacheConfig::new(params.timestamp_bits))
 }
 
-fn build_system(params: &RunParams, cores: usize, security: SecurityMode) -> System {
-    let mut hier = HierarchyConfig::with_cores(cores).with_llc_bytes(params.llc_bytes);
-    hier.security = security;
-    let cfg = SystemConfig {
-        hierarchy: hier,
-        quantum_cycles: params.quantum_cycles,
-        discard_snapshots: params.discard_snapshots,
-        telemetry: crate::telemetry::current(),
-        ..SystemConfig::default()
-    };
-    System::new(cfg).expect("experiment config is valid")
+/// What one run simulates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Workload {
+    /// A SPEC pair: two processes time-sliced on one core.
+    Spec(SpecBenchmark, SpecBenchmark),
+    /// A PARSEC benchmark: two threads on two cores.
+    Parsec(ParsecBenchmark),
+}
+
+impl Workload {
+    /// The workload of a Table II SPEC row.
+    pub fn spec(pair: &PairSpec) -> Workload {
+        Workload::Spec(pair.a, pair.b)
+    }
+
+    /// Row label ("2Xlbm", "leslie3d+gobmk", "fluidanimate").
+    pub fn label(self) -> String {
+        match self {
+            Workload::Spec(a, b) => mixes::pair_label(a, b),
+            Workload::Parsec(bench) => bench.name().to_owned(),
+        }
+    }
+
+    /// Warms up both programs, then measures
+    /// `params.measure_instructions` of each.
+    fn run(self, security: SecurityMode, params: &RunParams) -> ModeMetrics {
+        let (cores, [first, second]) = match self {
+            Workload::Spec(a, b) => (1, [a.workload(0), b.workload(1)]),
+            Workload::Parsec(bench) => (2, [bench.thread_workload(0), bench.thread_workload(1)]),
+        };
+        let mut hier = HierarchyConfig::with_cores(cores).with_llc_bytes(params.llc_bytes);
+        hier.security = security;
+        let cfg = SystemConfig {
+            hierarchy: hier,
+            quantum_cycles: params.quantum_cycles,
+            discard_snapshots: params.discard_snapshots,
+            telemetry: crate::telemetry::current(),
+            ..SystemConfig::default()
+        };
+        let mut sys = System::new(cfg).expect("experiment config is valid");
+        let warmup = Some(params.warmup_instructions);
+        // The second program shares core 0 on one core and owns core 1 on two.
+        let pids = [
+            sys.spawn(Box::new(first), 0, 0, warmup),
+            sys.spawn(Box::new(second), cores - 1, 0, warmup),
+        ];
+        let warm = sys.run(u64::MAX);
+        assert!(warm.all_completed(), "warmup did not complete");
+        let warm_cycles = sys.total_cycles();
+
+        sys.reset_stats();
+        for pid in pids {
+            sys.try_extend_target(pid, params.measure_instructions)
+                .expect("a warmed-up process accepts a measurement target");
+        }
+        let report = sys.run(u64::MAX);
+        assert!(report.all_completed(), "measurement did not complete");
+
+        ModeMetrics {
+            cycles: report.total_cycles - warm_cycles,
+            instructions: 2 * params.measure_instructions,
+            stats: report.stats,
+            tc_switch_cycles: report.timecache_switch_cycles - warm.timecache_switch_cycles,
+            context_switches: report.context_switches,
+        }
+    }
 }
 
 /// Runs one mode of a SPEC pair: two processes time-sliced on one core.
@@ -142,46 +201,7 @@ pub fn run_spec_pair_mode(
     security: SecurityMode,
     params: &RunParams,
 ) -> ModeMetrics {
-    let mut sys = build_system(params, 1, security);
-    let a = sys.spawn(
-        Box::new(spec.a.workload(0)),
-        0,
-        0,
-        Some(params.warmup_instructions),
-    );
-    let b = sys.spawn(
-        Box::new(spec.b.workload(1)),
-        0,
-        0,
-        Some(params.warmup_instructions),
-    );
-    let warm = sys.run(u64::MAX);
-    assert!(warm.all_completed(), "warmup did not complete");
-    let warm_cycles = sys.total_cycles();
-    let warm_tc = warm.timecache_switch_cycles;
-
-    sys.reset_stats();
-    sys.extend_target(a, params.measure_instructions);
-    sys.extend_target(b, params.measure_instructions);
-    let report = sys.run(u64::MAX);
-    assert!(report.all_completed(), "measurement did not complete");
-
-    ModeMetrics {
-        cycles: report.total_cycles - warm_cycles,
-        instructions: 2 * params.measure_instructions,
-        stats: report.stats,
-        tc_switch_cycles: report.timecache_switch_cycles - warm_tc,
-        context_switches: report.context_switches,
-    }
-}
-
-/// Runs a SPEC pair under both modes.
-pub fn compare_spec_pair(spec: &PairSpec, params: &RunParams) -> Comparison {
-    Comparison {
-        label: spec.label(),
-        baseline: run_spec_pair_mode(spec, SecurityMode::Baseline, params),
-        timecache: run_spec_pair_mode(spec, timecache_mode(params), params),
-    }
+    Workload::spec(spec).run(security, params)
 }
 
 /// Runs one mode of a PARSEC benchmark: two threads on two cores.
@@ -190,61 +210,108 @@ pub fn run_parsec_mode(
     security: SecurityMode,
     params: &RunParams,
 ) -> ModeMetrics {
-    let mut sys = build_system(params, 2, security);
-    let t0 = sys.spawn(
-        Box::new(bench.thread_workload(0)),
-        0,
-        0,
-        Some(params.warmup_instructions),
-    );
-    let t1 = sys.spawn(
-        Box::new(bench.thread_workload(1)),
-        1,
-        0,
-        Some(params.warmup_instructions),
-    );
-    let warm = sys.run(u64::MAX);
-    assert!(warm.all_completed(), "warmup did not complete");
-    let warm_cycles = sys.total_cycles();
-    let warm_tc = warm.timecache_switch_cycles;
+    Workload::Parsec(bench).run(security, params)
+}
 
-    sys.reset_stats();
-    sys.extend_target(t0, params.measure_instructions);
-    sys.extend_target(t1, params.measure_instructions);
-    let report = sys.run(u64::MAX);
-    assert!(report.all_completed(), "measurement did not complete");
+/// One run: a workload under a security mode with the parameters it reads.
+/// Equal keys produce equal [`ModeMetrics`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunKey {
+    pub(crate) workload: Workload,
+    pub(crate) security: SecurityMode,
+    /// Normalised by [`RunKey::new`].
+    pub(crate) params: RunParams,
+}
 
-    ModeMetrics {
-        cycles: report.total_cycles - warm_cycles,
-        instructions: 2 * params.measure_instructions,
-        stats: report.stats,
-        tc_switch_cycles: report.timecache_switch_cycles - warm_tc,
-        context_switches: report.context_switches,
+impl RunKey {
+    /// The key of `workload` under `security`. Only [`timecache_mode`]
+    /// reads [`RunParams::timestamp_bits`], so other modes get the default
+    /// width and share one key across a width sweep.
+    pub fn new(workload: Workload, security: SecurityMode, params: &RunParams) -> RunKey {
+        let mut params = *params;
+        if !security.is_timecache() {
+            params.timestamp_bits = RunParams::default().timestamp_bits;
+        }
+        RunKey {
+            workload,
+            security,
+            params,
+        }
+    }
+
+    /// The baseline and TimeCache keys of one [`Comparison`].
+    pub fn pair(workload: Workload, params: &RunParams) -> [RunKey; 2] {
+        [SecurityMode::Baseline, timecache_mode(params)]
+            .map(|mode| RunKey::new(workload, mode, params))
     }
 }
 
-/// Runs a PARSEC benchmark under both modes.
-pub fn compare_parsec(bench: ParsecBenchmark, params: &RunParams) -> Comparison {
-    Comparison {
-        label: bench.name().to_owned(),
-        baseline: run_parsec_mode(bench, SecurityMode::Baseline, params),
-        timecache: run_parsec_mode(bench, timecache_mode(params), params),
+/// `keys` without repeats, in first-occurrence order. `SecurityMode` has
+/// no `Hash`; a linear scan is cheap at a few hundred keys.
+pub(crate) fn distinct(keys: &[RunKey]) -> Vec<RunKey> {
+    let mut distinct: Vec<RunKey> = Vec::new();
+    for key in keys {
+        if !distinct.contains(key) {
+            distinct.push(*key);
+        }
     }
+    distinct
 }
 
-/// Replays a recorded instruction trace straight into a bare [`Hierarchy`]
-/// (no scheduler) as hardware context `(core, thread)`, starting the clock
-/// at `start`. The measurement-side entry point to the batched replay fast
-/// path ([`Trace::replay_hierarchy`] → `Hierarchy::access_batch`); returns
-/// the per-access outcomes and the final cycle.
-pub fn replay_trace(
-    hier: &mut Hierarchy,
-    trace: &Trace,
-    core: usize,
-    thread: usize,
-    start: u64,
-) -> (Vec<AccessOutcome>, u64) {
-    trace.replay_hierarchy(hier, core, thread, start)
+/// The metrics of distinct runs, each simulated once.
+#[derive(Debug, PartialEq)]
+pub struct RunTable {
+    runs: Vec<(RunKey, ModeMetrics)>,
+}
+
+impl RunTable {
+    /// Simulates each distinct key of `keys` once with [`sweep::run`] on
+    /// `jobs` workers, keeping first-occurrence order.
+    pub fn build(keys: &[RunKey], jobs: usize) -> RunTable {
+        let distinct = distinct(keys);
+        if !distinct.is_empty() {
+            sweep::progress(&format!(
+                "running {} distinct runs ({} requested) on {jobs} jobs ...",
+                distinct.len(),
+                keys.len()
+            ));
+        }
+        let metrics = sweep::run(jobs, distinct.len(), |i| {
+            let key = &distinct[i];
+            let mode = match key.security {
+                SecurityMode::Baseline => "baseline",
+                SecurityMode::TimeCache(_) => "timecache",
+                SecurityMode::Ftm => "ftm",
+            };
+            sweep::progress(&format!("  running {} [{mode}] ...", key.workload.label()));
+            key.workload.run(key.security, &key.params)
+        });
+        RunTable {
+            runs: distinct.into_iter().zip(metrics).collect(),
+        }
+    }
+
+    /// The metrics of `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table was built without `key`.
+    pub fn get(&self, key: &RunKey) -> &ModeMetrics {
+        let run = self.runs.iter().find(|(k, _)| k == key);
+        &run.unwrap_or_else(|| panic!("run table has no {key:?}")).1
+    }
+
+    /// The [`Comparison`] of `workload` at `params` (both keys of
+    /// [`RunKey::pair`] must be in the table).
+    pub fn compare(&self, workload: Workload, params: &RunParams) -> Comparison {
+        let [baseline, timecache] =
+            RunKey::pair(workload, params).map(|key| self.get(&key).clone());
+        Comparison {
+            label: workload.label(),
+            baseline,
+            timecache,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -254,8 +321,9 @@ mod tests {
 
     #[test]
     fn spec_pair_produces_sane_metrics() {
-        let spec = &mixes::same_benchmark_pairs()[0]; // 2Xspecrand: cheap
-        let cmp = compare_spec_pair(spec, &RunParams::quick());
+        let w = Workload::spec(&mixes::same_benchmark_pairs()[0]); // 2Xspecrand: cheap
+        let params = RunParams::quick();
+        let cmp = RunTable::build(&RunKey::pair(w, &params), 1).compare(w, &params);
         assert_eq!(cmp.label, "2Xspecrand");
         assert!(cmp.baseline.cycles > 0);
         assert!(
@@ -270,11 +338,46 @@ mod tests {
 
     #[test]
     fn parsec_two_cores_have_no_l1_first_access() {
-        let cmp = compare_parsec(ParsecBenchmark::Blackscholes, &RunParams::quick());
+        let params = RunParams::quick();
+        let bench = ParsecBenchmark::Blackscholes;
+        let tc = run_parsec_mode(bench, timecache_mode(&params), &params);
         // Threads never share a core: L1 first-access misses are zero
         // (Fig. 9b), LLC may have some.
-        assert_eq!(cmp.timecache.l1i_first_access_mpki(), 0.0);
-        assert_eq!(cmp.timecache.l1d_first_access_mpki(), 0.0);
-        assert_eq!(cmp.timecache.context_switches, 0);
+        assert_eq!(tc.l1i_first_access_mpki(), 0.0);
+        assert_eq!(tc.l1d_first_access_mpki(), 0.0);
+        assert_eq!(tc.context_switches, 0);
+    }
+
+    #[test]
+    fn build_keeps_each_distinct_key_once_with_direct_run_metrics() {
+        let params = RunParams {
+            warmup_instructions: 20_000,
+            measure_instructions: 80_000,
+            quantum_cycles: 50_000,
+            ..RunParams::default()
+        };
+        let pair = mixes::all_pairs()[0];
+        let [base, tc] = RunKey::pair(Workload::spec(&pair), &params);
+        let bench = ParsecBenchmark::Blackscholes;
+        let parsec = RunKey::new(Workload::Parsec(bench), timecache_mode(&params), &params);
+        // A baseline ignores the timestamp width: this is `base` again.
+        let narrow = RunParams {
+            timestamp_bits: 20,
+            ..params
+        };
+        let narrow_base = RunKey::new(Workload::spec(&pair), SecurityMode::Baseline, &narrow);
+
+        let table = RunTable::build(&[base, tc, parsec, base, narrow_base, parsec, tc], 2);
+
+        let keys: Vec<RunKey> = table.runs.iter().map(|(key, _)| *key).collect();
+        assert_eq!(keys, [base, tc, parsec]);
+        let direct = [
+            run_spec_pair_mode(&pair, SecurityMode::Baseline, &params),
+            run_spec_pair_mode(&pair, timecache_mode(&params), &params),
+            run_parsec_mode(bench, timecache_mode(&params), &params),
+        ];
+        for ((key, metrics), direct) in table.runs.iter().zip(&direct) {
+            assert_eq!(metrics, direct, "{key:?}");
+        }
     }
 }

@@ -1,11 +1,12 @@
 //! The parallel sweep engine: fans independent simulation runs across
 //! cores.
 //!
-//! Every paper artifact is a sweep over *independent* runs — each a pure
-//! function of `(workload pair, security mode, RunParams)` with no shared
-//! mutable state — so the experiment modules hand the engine a worker
-//! count, a job count and an indexed job function and get results back
-//! **in job order**, regardless of which worker finished which job when.
+//! Every paper artifact reads *independent* runs — each a pure function of
+//! its [`crate::runner::RunKey`] with no shared mutable state — so the
+//! [`crate::runner::RunTable`] and the fault and leakage matrices hand the
+//! engine a worker count, a job count and an indexed job function and get
+//! results back **in job order**, regardless of which worker finished which
+//! job when.
 //! The pool is built from `std::thread::scope` plus an atomic job cursor
 //! (no third-party dependencies):
 //!

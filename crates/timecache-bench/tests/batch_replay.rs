@@ -1,11 +1,10 @@
 //! The batched replay fast path's contract: pushing a recorded trace
-//! through `Hierarchy::access_batch` (via `runner::replay_trace`) yields
+//! through `Hierarchy::access_batch` (via `Trace::replay_hierarchy`) yields
 //! exactly the per-access loop's observables — the `AccessOutcome`
 //! sequence, the final clock, the hierarchy statistics, and the merged
 //! telemetry counters — whether the replay runs on the caller's thread
 //! (`--jobs 1`) or across sweep workers (`--jobs 4`).
 
-use timecache_bench::runner::replay_trace;
 use timecache_bench::{sweep, telemetry};
 use timecache_core::TimeCacheConfig;
 use timecache_os::{DataKind, Op, Trace};
@@ -106,7 +105,7 @@ fn replay_per_access(trace: &Trace) -> (Vec<AccessOutcome>, u64, HierarchyStats)
 fn replay_batched(trace: &Trace) -> (Vec<AccessOutcome>, u64, HierarchyStats) {
     let mut h = hierarchy();
     h.attach_telemetry(&telemetry::current());
-    let (outs, end) = replay_trace(&mut h, trace, 0, 0, 1);
+    let (outs, end) = trace.replay_hierarchy(&mut h, 0, 0, 1);
     let stats = h.stats();
     (outs, end, stats)
 }

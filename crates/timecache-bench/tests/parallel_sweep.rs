@@ -2,10 +2,9 @@
 //! only, never results — and per-worker telemetry merges to the same
 //! counters a serial run records.
 
-use timecache_bench::exp::sweep_pairs;
-use timecache_bench::runner::RunParams;
+use timecache_bench::exp::spec_keys;
+use timecache_bench::runner::{RunParams, RunTable};
 use timecache_bench::{sweep, telemetry};
-use timecache_workloads::mixes;
 
 /// A reduced profile so the sweep finishes in seconds.
 fn tiny_params() -> RunParams {
@@ -19,15 +18,15 @@ fn tiny_params() -> RunParams {
 
 #[test]
 fn jobs_1_and_jobs_4_produce_identical_comparisons() {
-    let pairs = &mixes::all_pairs()[..4];
-    let params = tiny_params();
+    // Both modes of the first four Table II pairs.
+    let keys = &spec_keys(&tiny_params())[..8];
 
-    let serial = sweep_pairs(pairs, &params, 1);
-    let parallel = sweep_pairs(pairs, &params, 4);
+    let serial = RunTable::build(keys, 1);
+    let parallel = RunTable::build(keys, 4);
 
-    assert_eq!(serial.len(), pairs.len());
-    // Comparison derives PartialEq: every metric of every run must match
-    // bit-for-bit, in pair order.
+    assert!(keys.iter().all(|key| serial.get(key).cycles > 0));
+    // RunTable derives PartialEq: every metric of every run must match
+    // bit-for-bit, in key order.
     assert_eq!(serial, parallel);
 }
 
@@ -64,18 +63,17 @@ fn wait_bound_jobs_overlap_regardless_of_host_cpus() {
 
 #[test]
 fn parallel_sweep_telemetry_matches_serial_counters() {
-    let pairs = &mixes::all_pairs()[..2];
-    let params = tiny_params();
+    let keys = &spec_keys(&tiny_params())[..4];
 
     // Serial run with a fresh handle.
     let serial_tel = telemetry::enable();
-    let serial = sweep_pairs(pairs, &params, 1);
+    let serial = RunTable::build(keys, 1);
     telemetry::disable();
 
     // Parallel run with another fresh handle; workers record into their
     // own registries, merged back at join.
     let parallel_tel = telemetry::enable();
-    let parallel = sweep_pairs(pairs, &params, 4);
+    let parallel = RunTable::build(keys, 4);
     telemetry::disable();
 
     assert_eq!(serial, parallel);

@@ -373,25 +373,11 @@ impl System {
     /// sys.run(u64::MAX);                  // warm-up phase
     /// let warm = sys.total_cycles();
     /// sys.reset_stats();
-    /// sys.extend_target(pid, 4_000);
+    /// sys.try_extend_target(pid, 4_000).expect("pid has a target");
     /// let report = sys.run(u64::MAX);     // measurement phase
     /// assert!(report.total_cycles > warm);
     /// assert_eq!(report.process(pid).unwrap().instructions, 5_000);
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` does not exist, the process has no instruction
-    /// target, or its program already returned `Done`. See
-    /// [`System::try_extend_target`] for the non-panicking form.
-    pub fn extend_target(&mut self, pid: Pid, extra: u64) {
-        self.try_extend_target(pid, extra)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`System::extend_target`] that reports failure instead of
-    /// panicking, so harnesses can surface a bad phased-run setup as a
-    /// failed job rather than a dead worker.
     ///
     /// # Errors
     ///
@@ -972,8 +958,8 @@ mod tests {
         let warm_cycles = s.total_cycles();
 
         s.reset_stats();
-        s.extend_target(a, 2_000);
-        s.extend_target(b, 2_000);
+        s.try_extend_target(a, 2_000).unwrap();
+        s.try_extend_target(b, 2_000).unwrap();
         let r = s.run(u64::MAX);
         assert!(r.all_completed());
         assert_eq!(r.process(a).unwrap().instructions, 3_000);

@@ -24,18 +24,19 @@ pub struct PairSpec {
 }
 
 impl PairSpec {
-    /// Whether both processes run the same benchmark (a "2X" row).
-    pub fn is_same(&self) -> bool {
-        self.a == self.b
-    }
-
     /// Table II's row label: "2Xlbm" or "leslie+gobmk".
     pub fn label(&self) -> String {
-        if self.is_same() {
-            format!("2X{}", self.a.name())
-        } else {
-            format!("{}+{}", self.a.name(), self.b.name())
-        }
+        pair_label(self.a, self.b)
+    }
+}
+
+/// Table II's row label for processes running `a` and `b`: "2Xlbm" or
+/// "leslie+gobmk".
+pub fn pair_label(a: SpecBenchmark, b: SpecBenchmark) -> String {
+    if a == b {
+        format!("2X{}", a.name())
+    } else {
+        format!("{}+{}", a.name(), b.name())
     }
 }
 

@@ -58,8 +58,10 @@ fn run(security: SecurityMode) -> (u64, u64, u64) {
     let warm_cycles = sys.total_cycles();
 
     sys.spawn(Box::new(spy), 0, 0, None);
-    sys.extend_target(a, 2_000_000);
-    sys.extend_target(b, 2_000_000);
+    sys.try_extend_target(a, 2_000_000)
+        .expect("tenant a is capped");
+    sys.try_extend_target(b, 2_000_000)
+        .expect("tenant b is capped");
     let report = sys.run(u64::MAX);
     let summary = summarize(&log);
     (
