@@ -149,21 +149,22 @@ impl TransposeArray {
     }
 
     /// Re-transposes one 64-line group of `words` into column `group` of
-    /// every plane.
+    /// every plane: the group's words, zero-padded to 64, are transposed
+    /// as a bit matrix by [`transpose_block`], and row `b` of the result is
+    /// plane `b`'s word. The padding keeps the phantom lanes of a partial
+    /// last group clear. Every bit outside the first `max(lines, width)`
+    /// rows and columns is zero, so only that block, rounded up to a power
+    /// of two, is transposed: a small cache pays for its few lines, not
+    /// for 64.
     fn rebuild_group(&mut self, group: usize) {
         let base = group * WORD_BITS;
         let end = (base + WORD_BITS).min(self.num_words);
-        let words = &self.words[base..end];
-        for (bit, plane) in self
-            .planes
-            .chunks_exact_mut(self.words_per_plane)
-            .enumerate()
-        {
-            let mut acc = 0u64;
-            for (lane, &w) in words.iter().enumerate() {
-                acc |= (w >> bit & 1) << lane;
-            }
-            plane[group] = acc;
+        let mut m = [0u64; WORD_BITS];
+        m[..end - base].copy_from_slice(&self.words[base..end]);
+        let size = (end - base).max(self.width.bits() as usize);
+        transpose_block(&mut m, size.next_power_of_two());
+        for (plane, &row) in self.planes.chunks_exact_mut(self.words_per_plane).zip(&m) {
+            plane[group] = row;
         }
     }
 
@@ -204,6 +205,39 @@ impl TransposeArray {
             "word index {index} out of bounds for {} words",
             self.num_words
         );
+    }
+}
+
+/// `MASKS[r]` selects the low `2^r` bits of every `2^(r+1)`-bit field.
+const MASKS: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF,
+    0x0000_FFFF_0000_FFFF,
+    0x0000_0000_FFFF_FFFF,
+];
+
+/// Transposes the `size`×`size` bit matrix in the low `size` bits of
+/// `m[..size]` in place: afterwards bit `j` of `m[i]` is what bit `i` of
+/// `m[j]` was. `size` must be a power of two, and every other bit of `m`
+/// zero; the result is then the full 64×64 transpose, which leaves those
+/// bits zero too. Masked block swaps, one round per halving of the block
+/// size (*Hacker's Delight*, 2nd ed., §7-3): the round with block size `j`
+/// swaps, within every `2j`-bit field, the high `j` bits of row `k` with
+/// the low `j` bits of row `k + j`, for every `k` whose bit `j` is clear.
+fn transpose_block(m: &mut [u64; WORD_BITS], size: usize) {
+    debug_assert!(size.is_power_of_two() && size <= WORD_BITS);
+    for round in (0..size.trailing_zeros()).rev() {
+        let j = 1 << round;
+        let mask = MASKS[round as usize];
+        let mut k = 0;
+        while k < size {
+            let t = (m[k] >> j ^ m[k + j]) & mask;
+            m[k] ^= t << j;
+            m[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
     }
 }
 
@@ -296,26 +330,42 @@ mod tests {
         }
     }
 
+    /// Bit `bit` of each of `words` (at most 64), packed lane by lane: the
+    /// per-bit loop the transpose kernel replaced, kept as its reference.
+    fn reference_plane_word(words: &[u64], bit: u8) -> u64 {
+        let mut acc = 0u64;
+        for (lane, &w) in words.iter().enumerate() {
+            acc |= (w >> bit & 1) << lane;
+        }
+        acc
+    }
+
     #[test]
     fn full_width_planes_match_words_with_partial_last_group() {
-        // 64-bit timestamps over 150 lines (two full groups plus 22 lines):
-        // every plane slice must be exactly the transposition of `words`,
-        // with the phantom lanes of the last plane word left clear.
-        let w = TimestampWidth::new(64);
-        let n = 150;
-        let mut t = TransposeArray::new(n, w);
-        for i in 0..n {
-            t.write_word(i, (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
-        t.sync_planes();
-        for bit in 0..64u8 {
-            let plane = t.bit_plane(bit);
-            assert_eq!(plane.len(), t.words_per_plane());
-            for (word, &got) in plane.iter().enumerate() {
-                let expect = (word * 64..((word + 1) * 64).min(n))
-                    .map(|i| (t.read_word(i) >> bit & 1) << (i % 64))
-                    .fold(0, |acc, b| acc | b);
-                assert_eq!(got, expect, "bit {bit} plane word {word}");
+        // Widths from 1 to 64 bits over arrays from 1 line to 150 (two full
+        // groups plus 22 lines): every plane slice must be exactly the
+        // per-bit transposition of `words`, with the phantom lanes of the
+        // last plane word clear.
+        for n in [1, 3, 10, 150] {
+            for bits in [1u8, 5, 14, 32, 64] {
+                let mut t = TransposeArray::new(n, TimestampWidth::new(bits));
+                for i in 0..n {
+                    t.write_word(i, (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                }
+                t.sync_planes();
+                let words: Vec<u64> = (0..n).map(|i| t.read_word(i)).collect();
+                for bit in 0..bits {
+                    let plane = t.bit_plane(bit);
+                    assert_eq!(plane.len(), t.words_per_plane());
+                    for (word, &got) in plane.iter().enumerate() {
+                        let group = &words[word * 64..((word + 1) * 64).min(n)];
+                        let expect = reference_plane_word(group, bit);
+                        assert_eq!(
+                            got, expect,
+                            "{n} lines, width {bits}, bit {bit}, word {word}"
+                        );
+                    }
+                }
             }
         }
     }

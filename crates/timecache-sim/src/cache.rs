@@ -185,10 +185,11 @@ impl Cache {
         })
     }
 
-    /// Records a demand hit for replacement purposes.
+    /// Records a demand hit on the slot at flat index `flat` for
+    /// replacement purposes.
     #[inline]
-    pub fn touch(&mut self, hit: LookupResult) {
-        self.stamp(hit.flat);
+    pub fn touch(&mut self, flat: usize) {
+        self.stamp(flat);
     }
 
     /// Marks the slot at `flat` most recently used.
@@ -284,31 +285,32 @@ impl Cache {
         Some(dirty)
     }
 
-    /// Marks a resident line dirty (write hit) or clean (write-back done).
-    pub fn set_dirty(&mut self, at: LookupResult, dirty: bool) {
-        debug_assert!(self.tags[at.flat] != INVALID_TAG);
-        self.set_dirty_bit(at.flat, dirty);
+    /// Marks the resident line at flat index `flat` dirty (write hit) or
+    /// clean (write-back done).
+    pub fn set_dirty(&mut self, flat: usize, dirty: bool) {
+        debug_assert!(self.tags[flat] != INVALID_TAG);
+        self.set_dirty_bit(flat, dirty);
     }
 
-    /// Whether a resident line is dirty.
-    pub fn is_dirty(&self, at: LookupResult) -> bool {
-        self.dirty_bit(at.flat)
+    /// Whether the resident line at flat index `flat` is dirty.
+    pub fn is_dirty(&self, flat: usize) -> bool {
+        self.dirty_bit(flat)
     }
 
-    /// TimeCache visibility of a resident line for `ctx`; `Visible` always
-    /// in baseline mode.
-    pub fn visibility(&self, at: LookupResult, ctx: usize) -> Visibility {
+    /// TimeCache visibility for `ctx` of the resident line at flat index
+    /// `flat`; `Visible` always in baseline mode.
+    pub fn visibility(&self, flat: usize, ctx: usize) -> Visibility {
         match &self.timecache {
-            Some(tc) => tc.visibility(at.flat, ctx),
+            Some(tc) => tc.visibility(flat, ctx),
             None => Visibility::Visible,
         }
     }
 
-    /// Records that `ctx` has now paid the first-access delay for a line.
-    /// No-op in baseline mode.
-    pub fn record_first_access(&mut self, at: LookupResult, ctx: usize) {
+    /// Records that `ctx` has now paid the first-access delay for the line
+    /// at flat index `flat`. No-op in baseline mode.
+    pub fn record_first_access(&mut self, flat: usize, ctx: usize) {
         if let Some(tc) = &mut self.timecache {
-            tc.record_first_access(at.flat, ctx);
+            tc.record_first_access(flat, ctx);
         }
     }
 
@@ -428,7 +430,7 @@ mod tests {
         // Set 0 holds lines 0x000, 0x100 (stride 256 = sets*linesize).
         c.fill(la(0x000), 0, 0);
         c.fill(la(0x100), 0, 1);
-        c.touch(c.lookup(la(0x000)).unwrap()); // 0x000 most recent
+        c.touch(c.lookup(la(0x000)).unwrap().flat); // 0x000 most recent
         let ev = c.fill(la(0x200), 0, 2).1.unwrap();
         assert_eq!(ev.line, la(0x100));
         assert!(!ev.dirty);
@@ -448,12 +450,12 @@ mod tests {
                 c.fill(line(1, k), 0, k);
             }
             // Touching way 0 makes way 1 the oldest.
-            c.touch(c.lookup(line(1, 0)).unwrap());
+            c.touch(c.lookup(line(1, 0)).unwrap().flat);
             let (slot, ev) = c.fill(line(1, n), 0, n);
             assert_eq!(ev.unwrap().line, line(1, 1), "{ways}-way");
             assert_eq!(slot.way, 1);
             // After touching the next-oldest (way 2), way 3 goes.
-            c.touch(c.lookup(line(1, 2)).unwrap());
+            c.touch(c.lookup(line(1, 2)).unwrap().flat);
             let (slot, ev) = c.fill(line(1, n + 1), 0, n + 1);
             assert_eq!(ev.unwrap().line, line(1, 3), "{ways}-way");
             assert_eq!(slot.way, 3);
@@ -480,7 +482,7 @@ mod tests {
                 let (slot, ev) = c.fill(line(2, k), 0, k);
                 assert_eq!((slot.way, ev), (k as u32, None), "{ways}-way");
             }
-            c.touch(c.lookup(line(2, 6)).unwrap());
+            c.touch(c.lookup(line(2, 6)).unwrap().flat);
             c.invalidate(line(2, 3));
             c.invalidate(line(2, 6));
             let (slot, ev) = c.fill(line(2, 100), 0, 100);
@@ -501,7 +503,7 @@ mod tests {
                 c.fill(line(3, k), 0, k);
             }
             // Set 3 touches its way 0; set 0's oldest is still its way 0.
-            c.touch(c.lookup(line(3, 0)).unwrap());
+            c.touch(c.lookup(line(3, 0)).unwrap().flat);
             assert_eq!(c.fill(line(3, n), 0, n).1.unwrap().line, line(3, 1));
             assert_eq!(c.fill(line(0, n), 0, n).1.unwrap().line, line(0, 0));
             assert!(c.lookup(line(3, 0)).is_some(), "{ways}-way");
@@ -512,7 +514,7 @@ mod tests {
     fn dirty_eviction_reported() {
         let mut c = tiny();
         c.fill(la(0x000), 0, 0);
-        let at = c.lookup(la(0x000)).unwrap();
+        let at = c.lookup(la(0x000)).unwrap().flat;
         c.set_dirty(at, true);
         c.fill(la(0x100), 0, 1);
         let ev = c.fill(la(0x200), 0, 2).1.unwrap();
@@ -535,7 +537,7 @@ mod tests {
     fn invalidate_reports_dirtiness() {
         let mut c = tiny();
         c.fill(la(0x40), 0, 0);
-        let at = c.lookup(la(0x40)).unwrap();
+        let at = c.lookup(la(0x40)).unwrap().flat;
         c.set_dirty(at, true);
         assert_eq!(c.invalidate(la(0x40)), Some(true));
         assert_eq!(c.invalidate(la(0x40)), None);
@@ -548,10 +550,10 @@ mod tests {
         // leak into the next occupant of the same way.
         let mut c = tiny();
         c.fill(la(0x40), 0, 0);
-        c.set_dirty(c.lookup(la(0x40)).unwrap(), true);
+        c.set_dirty(c.lookup(la(0x40)).unwrap().flat, true);
         c.invalidate(la(0x40));
         c.fill(la(0x40), 0, 1);
-        assert!(!c.is_dirty(c.lookup(la(0x40)).unwrap()));
+        assert!(!c.is_dirty(c.lookup(la(0x40)).unwrap().flat));
     }
 
     #[test]
@@ -563,7 +565,7 @@ mod tests {
             Some(TimeCacheConfig::default()),
         );
         c.fill(la(0x40), 0, 100);
-        let at = c.lookup(la(0x40)).unwrap();
+        let at = c.lookup(la(0x40)).unwrap().flat;
         assert_eq!(c.visibility(at, 0), Visibility::Visible);
         assert_eq!(c.visibility(at, 1), Visibility::FirstAccess);
         c.record_first_access(at, 1);
@@ -574,7 +576,7 @@ mod tests {
         c.fill(la(0x240), 0, 300); // evicts one of them
         if let Some(at) = c.lookup(la(0x40)) {
             // 0x40 survived; its s-bits are intact.
-            assert_eq!(c.visibility(at, 0), Visibility::Visible);
+            assert_eq!(c.visibility(at.flat, 0), Visibility::Visible);
         }
     }
 
@@ -582,7 +584,7 @@ mod tests {
     fn baseline_is_always_visible() {
         let mut c = tiny();
         c.fill(la(0x80), 0, 0);
-        let at = c.lookup(la(0x80)).unwrap();
+        let at = c.lookup(la(0x80)).unwrap().flat;
         assert_eq!(c.visibility(at, 0), Visibility::Visible);
         assert!(c.save_context(0, 0).is_none());
         let faults = timecache_core::FaultInjector::disabled();

@@ -25,7 +25,7 @@
 //! `dram_wait_on_remote_hit` mitigation removes.
 
 use crate::addr::{Addr, LineAddr};
-use crate::cache::{Cache, LookupResult};
+use crate::cache::Cache;
 use crate::config::{ConfigError, HierarchyConfig, SecurityMode};
 use crate::stats::HierarchyStats;
 use timecache_core::{
@@ -345,6 +345,13 @@ pub struct Hierarchy {
     l1i: Vec<Cache>,
     l1d: Vec<Cache>,
     llc: Cache,
+    /// L1→LLC slot links: `l1_links[core][l1][flat]`, with `l1` the L1's
+    /// [`CacheKind::index`], is the LLC flat index of the line in that L1
+    /// slot, written by `fill_l1`. A link is valid while its L1 copy lives:
+    /// LLC lines never move, and an LLC eviction or `clflush` invalidates
+    /// every L1 copy first. An invalid L1 slot's link is stale and never
+    /// read.
+    l1_links: Vec<[Vec<usize>; 2]>,
     /// Directory, indexed by LLC flat line index.
     dir: Vec<DirEntry>,
     tc_cfg: Option<TimeCacheConfig>,
@@ -384,6 +391,13 @@ impl Hierarchy {
             .map(|_| Cache::new("L1D", cfg.l1d, l1_ctxs, l1_tc))
             .collect();
         let llc = Cache::new("LLC", cfg.llc, llc_ctxs, llc_tc);
+        let l1_links = vec![
+            [
+                vec![0; cfg.l1i.geometry.num_lines()],
+                vec![0; cfg.l1d.geometry.num_lines()],
+            ];
+            cfg.cores
+        ];
         let dir = vec![DirEntry::default(); cfg.llc.geometry.num_lines()];
         let tc_cfg = match cfg.security {
             SecurityMode::TimeCache(tc) => Some(tc),
@@ -395,6 +409,7 @@ impl Hierarchy {
             l1i,
             l1d,
             llc,
+            l1_links,
             dir,
             tc_cfg,
             line_shift,
@@ -552,15 +567,13 @@ impl Hierarchy {
         l1.stats_mut().accesses += 1;
 
         if let Some(hit) = l1.lookup(line) {
+            let hit = hit.flat;
             let visible = l1.visibility(hit, thread) == Visibility::Visible;
             l1.touch(hit);
             if visible {
                 l1.stats_mut().hits += 1;
                 if kind.is_write() {
-                    let llc_slot = self
-                        .llc
-                        .lookup(line)
-                        .expect("inclusive LLC lost an L1-resident line");
+                    let llc_slot = self.linked_llc_slot(core, kind, hit, line);
                     self.write_hit(core, line, hit, llc_slot);
                 }
                 return AccessOutcome {
@@ -575,7 +588,8 @@ impl Hierarchy {
             // lower level that is visible to this context; data discarded.
             l1.stats_mut().first_access += 1;
             l1.record_first_access(hit, thread);
-            let (latency, served_by, fa_llc, llc_slot) = self.probe_below(core, thread, line);
+            let llc_slot = self.linked_llc_slot(core, kind, hit, line);
+            let (latency, served_by, fa_llc) = self.probe_below(core, thread, llc_slot);
             if kind.is_write() {
                 self.write_hit(core, line, hit, llc_slot);
             }
@@ -597,13 +611,14 @@ impl Hierarchy {
         // and the store below get its directory index for free (no
         // re-lookup).
         let (latency, served_by, fa_llc, llc_slot) = if let Some(hit) = self.llc.lookup(line) {
+            let hit = hit.flat;
             let visible = self.llc.visibility(hit, llc_ctx) == Visibility::Visible;
             self.llc.touch(hit);
             if visible {
                 self.llc.stats_mut().hits += 1;
                 // Dirty in a remote L1? Forward at remote latency after a
                 // write-back (invalidate+transfer timing).
-                if let Some(owner) = self.dir[hit.flat].remote_owner(core) {
+                if let Some(owner) = self.dir[hit].remote_owner(core) {
                     self.writeback_owner_copy(owner, line, hit);
                     (lat.remote_l1, Level::RemoteL1, false, hit)
                 } else {
@@ -618,7 +633,7 @@ impl Hierarchy {
                 self.llc.record_first_access(hit, llc_ctx);
                 // A remotely-dirty copy must still be written back so the
                 // LLC holds current data for the upcoming L1 fill.
-                if let Some(owner) = self.dir[hit.flat].remote_owner(core) {
+                if let Some(owner) = self.dir[hit].remote_owner(core) {
                     self.writeback_owner_copy(owner, line, hit);
                 }
                 (lat.dram, Level::Memory, true, hit)
@@ -926,55 +941,64 @@ impl Hierarchy {
         }
     }
 
-    /// Latency probe below an L1 first access: serviced at LLC latency if
-    /// the LLC copy is visible to this context (unless the Section VII-B
-    /// mitigation forces DRAM), else at DRAM latency with the LLC s-bit set
-    /// along the way. Never fills anything. Also returns the LLC slot the
-    /// line occupies, for a store's directory update.
-    fn probe_below(
-        &mut self,
+    /// The LLC slot of `line`, resident at `l1_flat` in `core`'s L1 of
+    /// `kind`, read from its link instead of searching the LLC set.
+    fn linked_llc_slot(
+        &self,
         core: usize,
-        thread: usize,
+        kind: AccessKind,
+        l1_flat: usize,
         line: LineAddr,
-    ) -> (u64, Level, bool, LookupResult) {
+    ) -> usize {
+        let slot = self.l1_links[core][CacheKind::of(kind).index()][l1_flat];
+        debug_assert_eq!(
+            self.llc.lookup(line).map(|hit| hit.flat),
+            Some(slot),
+            "stale L1->LLC link for {line}"
+        );
+        slot
+    }
+
+    /// Latency probe below an L1 first access to the line at LLC slot
+    /// `llc_slot` (inclusivity: an L1-resident line is LLC-resident):
+    /// serviced at LLC latency if the LLC copy is visible to this context
+    /// (unless the Section VII-B mitigation forces DRAM), else at DRAM
+    /// latency with the LLC s-bit set along the way. Never fills anything.
+    fn probe_below(&mut self, core: usize, thread: usize, llc_slot: usize) -> (u64, Level, bool) {
         let lat = self.cfg.latencies;
         let llc_ctx = self.llc_ctx(core, thread);
         self.llc.stats_mut().accesses += 1;
-        // Inclusivity: an L1-resident line must be LLC-resident.
-        let hit = self
-            .llc
-            .lookup(line)
-            .expect("inclusive LLC lost an L1-resident line");
-        self.llc.touch(hit);
-        if self.llc.visibility(hit, llc_ctx) == Visibility::Visible {
+        self.llc.touch(llc_slot);
+        if self.llc.visibility(llc_slot, llc_ctx) == Visibility::Visible {
             self.llc.stats_mut().hits += 1;
             let force_dram = self
                 .tc_cfg
                 .map(|tc| tc.dram_wait_on_remote_hit())
                 .unwrap_or(false);
             if force_dram {
-                (lat.dram, Level::Memory, false, hit)
+                (lat.dram, Level::Memory, false)
             } else {
-                (lat.llc_hit, Level::LLC, false, hit)
+                (lat.llc_hit, Level::LLC, false)
             }
         } else {
             self.llc.stats_mut().first_access += 1;
-            self.llc.record_first_access(hit, llc_ctx);
-            (lat.dram, Level::Memory, true, hit)
+            self.llc.record_first_access(llc_slot, llc_ctx);
+            (lat.dram, Level::Memory, true)
         }
     }
 
     /// Fills the LLC with `line`, handling inclusive back-invalidation of
-    /// the victim and directory setup. Returns the slot the line landed in
-    /// (its flat index is the caller's directory key).
-    fn fill_llc(&mut self, line: LineAddr, llc_ctx: usize, now: u64) -> LookupResult {
+    /// the victim and directory setup. Returns the flat index of the slot
+    /// the line landed in (the caller's directory key).
+    fn fill_llc(&mut self, line: LineAddr, llc_ctx: usize, now: u64) -> usize {
         let (slot, victim) = self.llc.fill(line, llc_ctx, now);
+        let slot = slot.flat;
         if let Some(victim) = victim {
             self.note_eviction(CacheKind::Llc, victim.line, victim.dirty);
             // Inclusive LLC: evicting a line removes it from all L1s.
             // The victim occupied the same flat slot the new line now uses;
             // its directory entry is at that index.
-            let victim_entry = std::mem::take(&mut self.dir[slot.flat]);
+            let victim_entry = std::mem::take(&mut self.dir[slot]);
             for core in cores_in(victim_entry.sharers) {
                 if let Some(dirty) = self.l1i[core].invalidate(victim.line) {
                     self.note_invalidation(CacheKind::L1I, victim.line, dirty);
@@ -996,15 +1020,16 @@ impl Hierarchy {
         } else {
             // Even without a victim the slot's directory entry may be stale
             // (from an invalidated line): reset it.
-            self.dir[slot.flat] = DirEntry::default();
+            self.dir[slot] = DirEntry::default();
         }
         slot
     }
 
-    /// Fills a private L1 with `line`, updating the directory and handling
-    /// the victim write-back. `llc_slot` is the LLC slot `line` occupies
-    /// (guaranteed by inclusivity; the caller just resolved it). Returns the
-    /// L1 slot the line landed in.
+    /// Fills a private L1 with `line`, linking the landing slot to
+    /// `llc_slot` (the LLC slot `line` occupies, which the caller just
+    /// resolved), updating the directory and handling the victim
+    /// write-back. Returns the flat index of the L1 slot the line landed
+    /// in.
     fn fill_l1(
         &mut self,
         core: usize,
@@ -1012,56 +1037,51 @@ impl Hierarchy {
         kind: AccessKind,
         line: LineAddr,
         now: u64,
-        llc_slot: LookupResult,
-    ) -> LookupResult {
+        llc_slot: usize,
+    ) -> usize {
         debug_assert_eq!(
-            self.llc.lookup(line),
+            self.llc.lookup(line).map(|hit| hit.flat),
             Some(llc_slot),
             "inclusive LLC lost an L1-resident line"
         );
         let (slot, victim) = self.l1_mut(core, kind).fill(line, thread, now);
+        let slot = slot.flat;
         if let Some(v) = victim {
             self.note_eviction(CacheKind::of(kind), v.line, v.dirty);
             if v.dirty {
                 self.l1_mut(core, kind).stats_mut().writebacks += 1;
                 self.note_writeback(CacheKind::of(kind), v.line);
             }
-            // The victim is LLC-resident by inclusivity; one lookup serves
-            // both the write-back and the sharer update.
-            if let Some(v_slot) = self.llc.lookup(v.line) {
-                if v.dirty {
-                    self.llc.set_dirty(v_slot, true);
-                    self.dir[v_slot.flat].clear_owner(core);
-                }
-                // The line just left this L1, so the core still holds it
-                // only if its other L1 does.
-                let other_l1 = match kind {
-                    AccessKind::IFetch => &self.l1d[core],
-                    AccessKind::Load | AccessKind::Store => &self.l1i[core],
-                };
-                if other_l1.lookup(v.line).is_none() {
-                    let entry = &mut self.dir[v_slot.flat];
-                    entry.sharers &= !(1 << core);
-                    entry.clear_owner(core);
-                }
+            // The landing slot still links to the victim's LLC slot.
+            let v_slot = self.linked_llc_slot(core, kind, slot, v.line);
+            if v.dirty {
+                self.llc.set_dirty(v_slot, true);
+                self.dir[v_slot].clear_owner(core);
+            }
+            // The line just left this L1, so the core still holds it only
+            // if its other L1 does.
+            let other_l1 = match kind {
+                AccessKind::IFetch => &self.l1d[core],
+                AccessKind::Load | AccessKind::Store => &self.l1i[core],
+            };
+            if other_l1.lookup(v.line).is_none() {
+                let entry = &mut self.dir[v_slot];
+                entry.sharers &= !(1 << core);
+                entry.clear_owner(core);
             }
         }
-        self.dir[llc_slot.flat].sharers |= 1 << core;
+        self.l1_links[core][CacheKind::of(kind).index()][slot] = llc_slot;
+        self.dir[llc_slot].sharers |= 1 << core;
         slot
     }
 
-    /// A store hit on `line`, resident at `l1d_slot` in this core's L1D and
-    /// at `llc_slot` in the LLC: mark the L1D copy dirty and invalidate
-    /// remote copies. The caller resolved both slots; no lookups here.
-    fn write_hit(
-        &mut self,
-        core: usize,
-        line: LineAddr,
-        l1d_slot: LookupResult,
-        llc_slot: LookupResult,
-    ) {
+    /// A store hit on `line`, resident at flat index `l1d_slot` in this
+    /// core's L1D and at `llc_slot` in the LLC: mark the L1D copy dirty and
+    /// invalidate remote copies. The caller resolved both slots; no lookups
+    /// here.
+    fn write_hit(&mut self, core: usize, line: LineAddr, l1d_slot: usize, llc_slot: usize) {
         self.l1d[core].set_dirty(l1d_slot, true);
-        let remote = self.dir[llc_slot.flat].sharers & !(1 << core);
+        let remote = self.dir[llc_slot].sharers & !(1 << core);
         for other in cores_in(remote) {
             if let Some(dirty) = self.l1i[other].invalidate(line) {
                 self.note_invalidation(CacheKind::L1I, line, dirty);
@@ -1076,7 +1096,7 @@ impl Hierarchy {
                 }
             }
         }
-        self.dir[llc_slot.flat] = DirEntry {
+        self.dir[llc_slot] = DirEntry {
             sharers: 1 << core,
             dirty_owner: Some(core as u16),
         };
@@ -1084,16 +1104,16 @@ impl Hierarchy {
 
     /// Writes a remote core's dirty copy of `line` (at LLC slot `llc_slot`)
     /// back to the LLC (clean forwarding state afterwards).
-    fn writeback_owner_copy(&mut self, owner: usize, line: LineAddr, llc_slot: LookupResult) {
+    fn writeback_owner_copy(&mut self, owner: usize, line: LineAddr, llc_slot: usize) {
         if let Some(hit) = self.l1d[owner].lookup(line) {
-            if self.l1d[owner].is_dirty(hit) {
-                self.l1d[owner].set_dirty(hit, false);
+            if self.l1d[owner].is_dirty(hit.flat) {
+                self.l1d[owner].set_dirty(hit.flat, false);
                 self.l1d[owner].stats_mut().writebacks += 1;
                 self.note_writeback(CacheKind::L1D, line);
             }
         }
         self.llc.set_dirty(llc_slot, true);
-        self.dir[llc_slot.flat].dirty_owner = None;
+        self.dir[llc_slot].dirty_owner = None;
     }
 }
 
@@ -1355,6 +1375,82 @@ mod tests {
             h.l1d(0).lookup(LineAddr::from_addr(0x0, 64)).is_none(),
             "L1 copy must be back-invalidated with the LLC line"
         );
+    }
+
+    #[test]
+    fn l1_links_track_the_llc_slot_of_every_resident_line() {
+        // 2 cores of 4-line L1s over an 8-line LLC: the L1s together hold
+        // more lines than the LLC, so fills keep back-invalidating L1
+        // copies. 24 shared lines, every access kind, clflushes, and fresh
+        // restores (L1 first accesses, which read the link) in TimeCache.
+        for security in [SecurityMode::Baseline, tc()] {
+            let cfg = HierarchyConfig {
+                cores: 2,
+                l1i: crate::config::CacheConfig::new(256, 2, 64),
+                l1d: crate::config::CacheConfig::new(256, 2, 64),
+                llc: crate::config::CacheConfig::new(512, 2, 64),
+                security,
+                ..HierarchyConfig::default()
+            };
+            let mut h = Hierarchy::new(cfg).unwrap();
+            let lines: Vec<LineAddr> = (0..24).map(LineAddr::from_raw).collect();
+            let mut rng = 0x2545_F491_4F6C_DD1D_u64;
+            let mut next = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let kinds = [AccessKind::IFetch, AccessKind::Load, AccessKind::Store];
+            let l1_invalidations = |h: &Hierarchy| -> u64 {
+                let s = h.stats();
+                s.l1i.iter().chain(&s.l1d).map(|c| c.invalidations).sum()
+            };
+            let (mut back_invalidations, mut l1_first_accesses) = (0, 0);
+            for now in 0..4000 {
+                let core = next(2) as usize;
+                let addr = lines[next(24) as usize].raw() * 64;
+                match next(20) {
+                    0 => {
+                        h.clflush(addr);
+                    }
+                    1 => {
+                        h.restore_context(core, 0, None, now);
+                    }
+                    _ => {
+                        let kind = kinds[next(3) as usize];
+                        let before = l1_invalidations(&h);
+                        let out = h.access(core, 0, kind, addr, now);
+                        // A load or fetch invalidates L1 copies only by
+                        // evicting their LLC line.
+                        if !kind.is_write() {
+                            back_invalidations += l1_invalidations(&h) - before;
+                        }
+                        l1_first_accesses += u64::from(out.first_access_l1);
+                    }
+                }
+                for core in 0..2 {
+                    for (l1, links) in [&h.l1i[core], &h.l1d[core]]
+                        .into_iter()
+                        .zip(&h.l1_links[core])
+                    {
+                        for &line in &lines {
+                            if let Some(hit) = l1.lookup(line) {
+                                let llc = h.llc().lookup(line).expect("inclusive LLC");
+                                assert_eq!(
+                                    links[hit.flat],
+                                    llc.flat,
+                                    "{} {line} at {now}",
+                                    l1.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(back_invalidations > 100, "{back_invalidations}");
+            assert_eq!(security.is_timecache(), l1_first_accesses > 0);
+        }
     }
 
     #[test]
