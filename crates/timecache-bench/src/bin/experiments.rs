@@ -15,8 +15,9 @@
 //!
 //! `--quick` shrinks the instruction budgets (useful for smoke-testing the
 //! harness; reported numbers will be noisier). `--jobs N` sets the sweep
-//! engine's worker count, passed to every sweep (default: all cores;
-//! artifacts are byte-identical for every `N`). `--telemetry` records
+//! engine's worker count, passed to every sweep (default: all cores; every
+//! artifact but the retained event window is byte-identical for every
+//! `N`). `--telemetry` records
 //! metrics, events, and phase profiles for every system the experiment
 //! builds, and writes `<id>_metrics.prom` / `<id>_metrics.json` /
 //! `<id>_events.jsonl` / `<id>_profile.json` / `<id>_manifest.json` under

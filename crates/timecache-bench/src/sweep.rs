@@ -29,8 +29,9 @@
 //! worker installs its own enabled handle for the duration of the sweep
 //! and ships a [`TelemetrySnapshot`] back at join; the engine absorbs the
 //! snapshots into the caller's handle in worker order. Counters,
-//! histograms, and phase profiles merge additively, so the merged totals
-//! equal a serial run's (see `Telemetry::absorb`).
+//! histograms, phase profiles and event counts merge additively, so they
+//! equal a serial run's (see `Telemetry::absorb`); the retained event
+//! window depends on which jobs each worker ran.
 //!
 //! # Progress output
 //!
@@ -417,6 +418,36 @@ mod tests {
             Some(before + 6)
         );
         crate::telemetry::disable();
+    }
+
+    #[test]
+    fn worker_event_drops_merge_into_caller_tracer() {
+        // Each job emits more than half a ring, so workers overwrite events
+        // before the join as well as when merging.
+        let job = |i: usize| {
+            let tel = crate::telemetry::current();
+            for latency in 0..40_000 {
+                tel.emit_at(
+                    i as u64,
+                    timecache_telemetry::TraceEvent::Probe {
+                        attack: "sweep_test",
+                        latency,
+                        hit: false,
+                    },
+                );
+            }
+        };
+        let counts = |jobs: usize| {
+            let tel = crate::telemetry::enable();
+            run(jobs, 8, job);
+            crate::telemetry::disable();
+            let tracer = tel.tracer().unwrap();
+            (tracer.recorded(), tracer.dropped(), tracer.len())
+        };
+        let serial = counts(1);
+        assert_eq!(serial.0, 8 * 40_000);
+        assert!(serial.1 > 0, "the ring must overflow");
+        assert_eq!(counts(4), serial);
     }
 
     #[test]

@@ -106,6 +106,7 @@ fn replay_batched(trace: &Trace) -> (Vec<AccessOutcome>, u64, HierarchyStats) {
     let mut h = hierarchy();
     h.attach_telemetry(&telemetry::current());
     let (outs, end) = trace.replay_hierarchy(&mut h, 0, 0, 1);
+    h.publish_stats();
     let stats = h.stats();
     (outs, end, stats)
 }
@@ -154,6 +155,7 @@ fn batched_replay_matches_per_access_loop_serial_and_parallel() {
                 Op::Done => break,
             }
         }
+        h.publish_stats();
     }
     telemetry::disable();
 

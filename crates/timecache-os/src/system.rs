@@ -8,8 +8,8 @@ use crate::program::{DataKind, Observation, Op, Program};
 use crate::switch::SwitchCostModel;
 use std::collections::VecDeque;
 use timecache_core::{FaultInjector, FaultKind, FaultPlan, TriggerPoint};
-use timecache_sim::{AccessKind, AccessOutcome, ConfigError, Hierarchy, HierarchyConfig, Level};
-use timecache_telemetry::{Counter, Phase, Scope, ServedBy, Telemetry, TraceEvent};
+use timecache_sim::{AccessKind, AccessOutcome, ConfigError, Hierarchy, HierarchyConfig};
+use timecache_telemetry::{Counter, Phase, Scope, Telemetry, TraceEvent};
 
 /// System-level configuration: the hierarchy plus scheduling parameters.
 #[derive(Debug, Clone)]
@@ -44,12 +44,13 @@ pub struct SystemConfig {
     /// line's current fill generation) is recorded as a violation. Off by
     /// default; entirely outside the simulated timing path.
     pub check_invariants: bool,
-    /// How many times an injected mid-save abort ([`FaultKind::AbortSave`])
-    /// is retried before the save is abandoned. An abandoned save leaves
-    /// the process without a snapshot, so its next restore degrades to a
-    /// conservative full s-bit reset — safe, merely slower.
-    pub save_retry_limit: u32,
 }
+
+/// How many times an injected mid-save abort ([`FaultKind::AbortSave`]) is
+/// retried before the save is abandoned. An abandoned save leaves the
+/// process without a snapshot, so its next restore degrades to a
+/// conservative full s-bit reset — safe, merely slower.
+const SAVE_RETRY_LIMIT: u32 = 3;
 
 impl Default for SystemConfig {
     fn default() -> Self {
@@ -61,7 +62,6 @@ impl Default for SystemConfig {
             telemetry: Telemetry::disabled(),
             fault_plan: None,
             check_invariants: false,
-            save_retry_limit: 3,
         }
     }
 }
@@ -161,6 +161,18 @@ impl OsSensors {
     }
 }
 
+/// The plain counts already published to telemetry by `System::publish`.
+#[derive(Debug, Default)]
+struct Published {
+    /// `(instructions, cpu_cycles)` per process, parallel to `processes`.
+    processes: Vec<(u64, u64)>,
+    switches: u64,
+    switch_cycles: u64,
+    tc_cycles: u64,
+    violations: u64,
+    detected: u64,
+}
+
 /// Per-hardware-context scheduler state.
 #[derive(Debug)]
 struct ContextState {
@@ -209,8 +221,7 @@ pub struct System {
     invariants: Option<Box<InvariantChecker>>,
     /// `log2(line size)`, for mapping byte addresses to checker lines.
     line_shift: u32,
-    /// Detections already mirrored into `fault_detected_total`.
-    detected_reported: u64,
+    published: Published,
 }
 
 impl System {
@@ -257,7 +268,7 @@ impl System {
             faults,
             invariants,
             line_shift,
-            detected_reported: 0,
+            published: Published::default(),
         })
     }
 
@@ -320,7 +331,8 @@ impl System {
         &self.cfg.telemetry
     }
 
-    /// Clears cache statistics (e.g. after a warm-up run).
+    /// Clears cache statistics (e.g. after a warm-up run). Telemetry
+    /// counters keep the cleared counts.
     pub fn reset_stats(&mut self) {
         self.hier.reset_stats();
     }
@@ -428,6 +440,7 @@ impl System {
     /// that order: stepping one context never changes another's clock or
     /// runnability, so the burst bound computed at selection stays exact
     /// and the interleaving is the same as re-selecting after every step.
+    /// Telemetry counters that mirror plain counts are published on return.
     pub fn run(&mut self, max_cycles: u64) -> RunReport {
         while let Some((ctx, limit)) = self.next_runnable_context(max_cycles) {
             if self.contexts[ctx].current.is_none() {
@@ -442,6 +455,7 @@ impl System {
                 }
             }
         }
+        self.publish();
         self.report()
     }
 
@@ -511,10 +525,6 @@ impl System {
 
                 if let Some(s) = &self.sensors {
                     let pid = self.processes[next].pid().0;
-                    s.switches.inc();
-                    s.switch_cycles.add(cycles);
-                    s.tc_switch_cycles
-                        .add(self.cfg.switch_cost.timecache_overhead_cycles(&cost));
                     s.tel.emit_at(
                         now,
                         TraceEvent::SwitchRestore {
@@ -618,21 +628,6 @@ impl System {
         self.processes[pi].instructions += 1;
         self.processes[pi].cpu_cycles += cycles;
 
-        if let Some(s) = &self.sensors {
-            s.instructions.inc();
-            if let Some(p) = s.tel.profiler() {
-                // One base cycle of useful work; everything beyond it was
-                // spent waiting on the hierarchy (or a flush completing).
-                let pid = self.processes[pi].pid().0;
-                p.record(Scope::Process(pid), Phase::Compute, 1);
-                p.record(Scope::Context(ctx as u32), Phase::Compute, 1);
-                if cycles > 1 {
-                    p.record(Scope::Process(pid), Phase::MemoryStall, cycles - 1);
-                    p.record(Scope::Context(ctx as u32), Phase::MemoryStall, cycles - 1);
-                }
-            }
-        }
-
         let obs = Observation {
             instr_index: self.processes[pi].instructions - 1,
             data_latency,
@@ -650,20 +645,20 @@ impl System {
         }
 
         if yielded || self.contexts[ctx].quantum_left == 0 {
-            if let Some(s) = &self.sensors {
-                if yielded {
-                    s.yields.inc();
-                } else {
-                    s.quanta_expired.inc();
-                }
-            }
-            self.preempt(ctx, pi);
+            self.preempt(ctx, pi, yielded);
         }
     }
 
-    /// Takes the current process off the context, saving its caching
-    /// context, and re-queues it.
-    fn preempt(&mut self, ctx: usize, pi: usize) {
+    /// Takes the current process off the context after a yield or quantum
+    /// expiry, saving its caching context, and re-queues it.
+    fn preempt(&mut self, ctx: usize, pi: usize, yielded: bool) {
+        if let Some(s) = &self.sensors {
+            if yielded {
+                s.yields.inc();
+            } else {
+                s.quanta_expired.inc();
+            }
+        }
         let (core, thread) = (self.contexts[ctx].core, self.contexts[ctx].thread);
         let now = self.contexts[ctx].clock;
         if self.contexts[ctx].queue.is_empty() {
@@ -685,7 +680,7 @@ impl System {
                     if let Some(s) = &self.sensors {
                         s.save_retries.inc();
                     }
-                    if attempts > self.cfg.save_retry_limit {
+                    if attempts > SAVE_RETRY_LIMIT {
                         if let Some(s) = &self.sensors {
                             s.save_aborts.inc();
                         }
@@ -717,8 +712,8 @@ impl System {
     }
 
     /// Feeds one resolved access through the invariant checker (no-op
-    /// unless [`SystemConfig::check_invariants`] is set), mirroring any
-    /// violation into telemetry.
+    /// unless [`SystemConfig::check_invariants`] is set), tracing any
+    /// violation.
     fn check_invariant(&mut self, pi: usize, addr: u64, out: &AccessOutcome, cycle: u64) {
         let pid = self.processes[pi].pid().0;
         let line = addr >> self.line_shift;
@@ -727,19 +722,13 @@ impl System {
         };
         if let Some(v) = inv.observe(pid, line, out, cycle) {
             if let Some(s) = &self.sensors {
-                s.invariant_violations.inc();
                 s.tel.emit_at(
                     cycle,
                     TraceEvent::InvariantViolation {
                         pid: v.pid,
                         line: v.line,
                         latency: v.latency,
-                        served_by: match v.served_by {
-                            Level::L1 => ServedBy::L1,
-                            Level::LLC => ServedBy::Llc,
-                            Level::RemoteL1 => ServedBy::RemoteL1,
-                            Level::Memory => ServedBy::Memory,
-                        },
+                        served_by: v.served_by.into(),
                     },
                 );
             }
@@ -754,7 +743,6 @@ impl System {
             return;
         }
         let records = self.faults.take_records();
-        let detected = self.faults.detected();
         if let Some(s) = &self.sensors {
             for rec in &records {
                 s.faults[rec.kind.index()].inc();
@@ -767,9 +755,43 @@ impl System {
                     },
                 );
             }
-            s.faults_detected.add(detected - self.detected_reported);
         }
-        self.detected_reported = detected;
+    }
+
+    /// Publishes the plain counts gathered since the last call: the
+    /// hierarchy's stats, the scheduler's totals, and each process's
+    /// compute and memory-stall cycles (per process and per context).
+    fn publish(&mut self) {
+        self.hier.publish_stats();
+        let Some(s) = &self.sensors else {
+            return;
+        };
+        let (violations, detected) = (self.invariant_violations(), self.faults.detected());
+        let w = &mut self.published;
+        w.processes.resize(self.processes.len(), (0, 0));
+        let procs = self.processes.iter().zip(&self.affinity);
+        for ((p, &ctx), last) in procs.zip(&mut w.processes) {
+            let (instr, cycles) = (p.instructions - last.0, p.cpu_cycles - last.1);
+            *last = (p.instructions, p.cpu_cycles);
+            s.instructions.add(instr);
+            if let Some(prof) = s.tel.profiler() {
+                // One base cycle of useful work per instruction; everything
+                // beyond it was spent waiting on the hierarchy or a flush.
+                for scope in [Scope::Process(p.pid().0), Scope::Context(ctx as u32)] {
+                    prof.record(scope, Phase::Compute, instr);
+                    prof.record(scope, Phase::MemoryStall, cycles - instr);
+                }
+            }
+        }
+        let publish = |counter: &Counter, last: &mut u64, now: u64| {
+            counter.add(now - *last);
+            *last = now;
+        };
+        publish(&s.switches, &mut w.switches, self.switches);
+        publish(&s.switch_cycles, &mut w.switch_cycles, self.switch_cycles);
+        publish(&s.tc_switch_cycles, &mut w.tc_cycles, self.tc_switch_cycles);
+        publish(&s.invariant_violations, &mut w.violations, violations);
+        publish(&s.faults_detected, &mut w.detected, detected);
     }
 
     /// Marks a process finished and frees the context.
@@ -820,7 +842,7 @@ impl std::fmt::Debug for System {
 mod tests {
     use super::*;
     use crate::programs::{SharedWriter, Spin, StridedLoop};
-    use timecache_sim::SecurityMode;
+    use timecache_sim::{Level, SecurityMode};
 
     fn sys(security: SecurityMode, cores: usize) -> System {
         let mut cfg = SystemConfig::default();
@@ -1009,8 +1031,14 @@ mod tests {
         cfg.telemetry = Telemetry::enabled();
         let tel = cfg.telemetry.clone();
         let mut s = System::new(cfg).unwrap();
-        s.spawn(Box::new(Spin::new(u64::MAX)), 0, 0, Some(20_000));
-        s.spawn(Box::new(Spin::new(u64::MAX)), 0, 0, Some(20_000));
+        let pids = [0, 1].map(|_| s.spawn(Box::new(Spin::new(u64::MAX)), 0, 0, Some(10_000)));
+        // Warm-up, reset, measure: the counters keep both phases.
+        let warm = s.run(100_000_000);
+        assert!(warm.all_completed());
+        s.reset_stats();
+        for pid in pids {
+            s.try_extend_target(pid, 10_000).unwrap();
+        }
         let r = s.run(100_000_000);
         assert!(r.all_completed());
 
@@ -1032,11 +1060,11 @@ mod tests {
             Some(r.total_instructions)
         );
 
-        // The sim-layer counters agree exactly with the run's CacheStats.
+        // The sim-layer counters agree exactly with both phases' CacheStats.
         for (cache, cs) in [
-            ("l1i", r.stats.l1i_total()),
-            ("l1d", r.stats.l1d_total()),
-            ("llc", r.stats.llc),
+            ("l1i", warm.stats.l1i_total() + r.stats.l1i_total()),
+            ("l1d", warm.stats.l1d_total() + r.stats.l1d_total()),
+            ("llc", warm.stats.llc + r.stats.llc),
         ] {
             for (outcome, expected) in [
                 ("hit", cs.hits),
@@ -1072,13 +1100,19 @@ mod tests {
         );
         assert_eq!(restores, r.context_switches);
 
-        // The profiler accounts one compute cycle per retired instruction
-        // and every charged switch cycle.
+        // The profiler accounts one compute cycle per retired instruction,
+        // every other CPU cycle as memory stall, and every charged switch
+        // cycle.
         let prof = tel.profiler().unwrap();
-        let compute: u64 = (0..r.processes.len() as u32)
-            .map(|pid| prof.process_cycles(pid).get(Phase::Compute))
-            .sum();
-        assert_eq!(compute, r.total_instructions);
+        for p in &r.processes {
+            let cycles = prof.process_cycles(p.pid.0);
+            assert_eq!(cycles.get(Phase::Compute), p.instructions);
+            assert_eq!(
+                cycles.get(Phase::MemoryStall),
+                p.cpu_cycles - p.instructions
+            );
+            assert!(p.cpu_cycles > p.instructions, "no stall to attribute");
+        }
         assert_eq!(
             prof.context_cycles(0).get(Phase::SwitchCost),
             r.switch_cycles

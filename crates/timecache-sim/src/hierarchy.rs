@@ -27,7 +27,7 @@
 use crate::addr::{Addr, LineAddr};
 use crate::cache::Cache;
 use crate::config::{ConfigError, HierarchyConfig, SecurityMode};
-use crate::stats::HierarchyStats;
+use crate::stats::{CacheStats, HierarchyStats};
 use timecache_core::{
     FaultInjector, FaultKind, Snapshot, TimeCacheConfig, TriggerPoint, Visibility,
 };
@@ -223,11 +223,13 @@ struct SimSensors {
     /// `outcome[cache][o]` with `o` ∈ {hit, first_access, miss}; cache
     /// order per [`CacheKind::index`].
     outcome: [[Counter; 3]; 3],
-    /// Per-`served_by` access-latency histograms (l1, llc, remote_l1,
+    /// Access-latency histograms indexed by [`Level`] (l1, llc, remote_l1,
     /// memory).
     latency: [Histogram; 4],
     /// `events[cache][e]` with `e` ∈ {eviction, invalidation, writeback}.
     events: [[Counter; 3]; 3],
+    /// The per-level stats already added to `outcome` and `events`.
+    published: [CacheStats; 3],
     restores: Counter,
     comparator_cycles: Counter,
     transfer_lines: Counter,
@@ -309,6 +311,7 @@ impl SimSensors {
             outcome,
             latency,
             events,
+            published: [CacheStats::default(); 3],
             restores,
             comparator_cycles,
             transfer_lines,
@@ -327,12 +330,14 @@ fn op_of(kind: AccessKind) -> AccessOp {
     }
 }
 
-fn served_of(level: Level) -> ServedBy {
-    match level {
-        Level::L1 => ServedBy::L1,
-        Level::LLC => ServedBy::Llc,
-        Level::RemoteL1 => ServedBy::RemoteL1,
-        Level::Memory => ServedBy::Memory,
+impl From<Level> for ServedBy {
+    fn from(level: Level) -> ServedBy {
+        match level {
+            Level::L1 => ServedBy::L1,
+            Level::LLC => ServedBy::Llc,
+            Level::RemoteL1 => ServedBy::RemoteL1,
+            Level::Memory => ServedBy::Memory,
+        }
     }
 }
 
@@ -419,9 +424,10 @@ impl Hierarchy {
     }
 
     /// Attaches a [`Telemetry`] handle. When `tel` is enabled, the
-    /// hierarchy reports per-level access-outcome counters, per-component
-    /// latency histograms, line lifecycle events, and switch-cost totals
-    /// through it. Attaching a disabled handle detaches instrumentation.
+    /// hierarchy reports per-level access-outcome counters (on
+    /// [`Hierarchy::publish_stats`]), per-component latency histograms, line
+    /// lifecycle events, and switch-cost totals through it. Attaching a
+    /// disabled handle detaches instrumentation.
     ///
     /// All metric handles are resolved here, once — after this call the
     /// access hot path performs no allocation, registry lookups, or `Rc`
@@ -505,7 +511,7 @@ impl Hierarchy {
     /// and the clock value after the last access.
     ///
     /// Semantically identical to calling [`Hierarchy::access`] in a loop
-    /// with the same clock arithmetic — statistics and telemetry counters
+    /// with the same clock arithmetic — statistics, histograms and events
     /// stay exact — but the per-access overhead is hoisted: the context
     /// check runs once, and when [`Telemetry::trace_events`] is off the
     /// per-access `set_now` announcement (whose only consumer is event
@@ -549,10 +555,7 @@ impl Hierarchy {
         (outcomes, now)
     }
 
-    /// The uninstrumented access path; every hit/miss/first-access
-    /// classification a telemetry counter needs is reconstructible from the
-    /// returned [`AccessOutcome`], which keeps counter derivation at a
-    /// single choke point in [`Hierarchy::note_access`].
+    /// The uninstrumented access path.
     fn access_inner(
         &mut self,
         core: usize,
@@ -808,12 +811,44 @@ impl Hierarchy {
         }
     }
 
-    /// Clears statistics on every cache (e.g. after warm-up).
+    /// Clears statistics on every cache (e.g. after warm-up), publishing
+    /// them first so telemetry counters keep them.
     pub fn reset_stats(&mut self) {
+        self.publish_stats();
         for c in self.l1i.iter_mut().chain(self.l1d.iter_mut()) {
             c.reset_stats();
         }
         self.llc.reset_stats();
+        if let Some(s) = self.sensors.as_deref_mut() {
+            s.published = [CacheStats::default(); 3];
+        }
+    }
+
+    /// Adds the statistics counted since the last call to the
+    /// `sim_cache_accesses_total` and `sim_cache_line_events_total`
+    /// counters (L1I and L1D summed over cores, and the LLC), the only
+    /// place they move. No-op when telemetry is detached; never allocates.
+    pub fn publish_stats(&mut self) {
+        let Some(s) = self.sensors.as_deref_mut() else {
+            return;
+        };
+        let sum = |caches: &[Cache]| {
+            caches
+                .iter()
+                .fold(CacheStats::default(), |t, c| t + *c.stats())
+        };
+        let now = [sum(&self.l1i), sum(&self.l1d), *self.llc.stats()];
+        for (i, now) in now.into_iter().enumerate() {
+            let seen = std::mem::replace(&mut s.published[i], now);
+            let [hit, first_access, miss] = &s.outcome[i];
+            hit.add(now.hits - seen.hits);
+            first_access.add(now.first_access - seen.first_access);
+            miss.add(now.misses - seen.misses);
+            let [eviction, invalidation, writeback] = &s.events[i];
+            eviction.add(now.evictions - seen.evictions);
+            invalidation.add(now.invalidations - seen.invalidations);
+            writeback.add(now.writebacks - seen.writebacks);
+        }
     }
 
     /// Direct read-only access to a core's L1I (diagnostics/tests).
@@ -835,16 +870,7 @@ impl Hierarchy {
     // Internals
     // ------------------------------------------------------------------
 
-    /// The single choke point deriving telemetry counters from an access
-    /// outcome. The mapping mirrors exactly how [`Hierarchy::access_inner`]
-    /// attributes [`CacheStats`](crate::stats::CacheStats):
-    ///
-    /// * L1 (of the access kind): `first_access` iff `first_access_l1`,
-    ///   `hit` iff tag hit without a first access, `miss` otherwise.
-    /// * LLC: consulted unless the access was a pure L1 hit; then
-    ///   `first_access` iff `first_access_llc`, `miss` iff the L1 also
-    ///   missed and memory serviced it, `hit` otherwise (including
-    ///   remote-L1 forwarding and the forced-DRAM mitigation path).
+    /// Records an access outcome's latency observation and trace event.
     fn note_access(
         &self,
         core: usize,
@@ -854,42 +880,13 @@ impl Hierarchy {
         out: &AccessOutcome,
     ) {
         let s = self.sensors.as_ref().expect("checked by caller");
-        let l1 = CacheKind::of(kind).index();
-        let l1_outcome = if out.first_access_l1 {
-            1
-        } else if out.l1_tag_hit {
-            0
-        } else {
-            2
-        };
-        s.outcome[l1][l1_outcome].inc();
-
-        let pure_l1_hit = out.l1_tag_hit && !out.first_access_l1;
-        if !pure_l1_hit {
-            let llc_outcome = if out.first_access_llc {
-                1
-            } else if !out.l1_tag_hit && out.served_by == Level::Memory {
-                2
-            } else {
-                0
-            };
-            s.outcome[CacheKind::Llc.index()][llc_outcome].inc();
-        }
-
-        let served = served_of(out.served_by);
-        let served_idx = match served {
-            ServedBy::L1 => 0,
-            ServedBy::Llc => 1,
-            ServedBy::RemoteL1 => 2,
-            ServedBy::Memory => 3,
-        };
-        s.latency[served_idx].observe(out.latency);
+        s.latency[out.served_by as usize].observe(out.latency);
 
         s.tel.emit(TraceEvent::Access {
             core: core as u32,
             thread: thread as u32,
             op: op_of(kind),
-            served_by: served,
+            served_by: out.served_by.into(),
             latency: out.latency,
             l1_tag_hit: out.l1_tag_hit,
             first_access_l1: out.first_access_l1,
@@ -898,11 +895,10 @@ impl Hierarchy {
         });
     }
 
-    /// Records a replacement eviction (event + counter). No-op when
-    /// telemetry is detached.
+    /// Records a replacement eviction event. No-op when telemetry is
+    /// detached.
     fn note_eviction(&self, cache: CacheKind, line: LineAddr, dirty: bool) {
         if let Some(s) = &self.sensors {
-            s.events[cache.index()][0].inc();
             s.tel.emit(TraceEvent::Eviction {
                 cache: cache.event_name(),
                 line: line.raw(),
@@ -914,7 +910,6 @@ impl Hierarchy {
     /// Records an invalidation (coherence / back-invalidation / clflush).
     fn note_invalidation(&self, cache: CacheKind, line: LineAddr, dirty: bool) {
         if let Some(s) = &self.sensors {
-            s.events[cache.index()][1].inc();
             s.tel.emit(TraceEvent::Invalidation {
                 cache: cache.event_name(),
                 line: line.raw(),
@@ -926,7 +921,6 @@ impl Hierarchy {
     /// Records a dirty-line write-back.
     fn note_writeback(&self, cache: CacheKind, line: LineAddr) {
         if let Some(s) = &self.sensors {
-            s.events[cache.index()][2].inc();
             s.tel.emit(TraceEvent::Writeback {
                 cache: cache.event_name(),
                 line: line.raw(),

@@ -1,9 +1,9 @@
-//! Telemetry / `CacheStats` agreement: the counters derived at the
-//! `Hierarchy` instrumentation choke point must exactly equal the
-//! simulator's own statistics for a deterministic two-process run.
+//! Telemetry / `CacheStats` agreement: the counters `Hierarchy::publish_stats`
+//! publishes must exactly equal the simulator's own statistics for a
+//! deterministic two-process run, across a `reset_stats` too.
 
 use timecache_core::TimeCacheConfig;
-use timecache_sim::{AccessKind, Hierarchy, HierarchyConfig, SecurityMode};
+use timecache_sim::{AccessKind, CacheStats, Hierarchy, HierarchyConfig, SecurityMode};
 use timecache_telemetry::Telemetry;
 
 /// Two "processes" time-sliced on hardware context (0,0): each has its own
@@ -50,10 +50,6 @@ fn telemetry_counters_equal_cache_stats() {
     let tel = Telemetry::enabled();
     let mut h = Hierarchy::new(cfg).expect("valid config");
     h.attach_telemetry(&tel);
-
-    run_two_process_workload(&mut h);
-
-    let stats = h.stats();
     let reg = tel.registry().expect("telemetry is enabled");
     let get = |cache: &str, outcome: &str| {
         reg.counter_value(
@@ -62,13 +58,41 @@ fn telemetry_counters_equal_cache_stats() {
         )
         .unwrap_or(0)
     };
+    let event = |cache: &str, event: &str| {
+        reg.counter_value(
+            "sim_cache_line_events_total",
+            &[("cache", cache), ("event", event)],
+        )
+        .unwrap_or(0)
+    };
+    let levels = |h: &Hierarchy| {
+        let stats = h.stats();
+        [
+            ("l1i", stats.l1i_total()),
+            ("l1d", stats.l1d_total()),
+            ("llc", stats.llc),
+        ]
+    };
 
-    for (label, cs) in [
-        ("l1i", stats.l1i_total()),
-        ("l1d", stats.l1d_total()),
-        ("llc", stats.llc),
-    ] {
-        assert!(cs.accesses > 0, "{label} saw no traffic");
+    // Warm-up phase, then a reset: `reset_stats` publishes the warm-up
+    // counts before clearing them.
+    run_two_process_workload(&mut h);
+    let warm = levels(&h);
+    h.reset_stats();
+    run_two_process_workload(&mut h);
+    for (label, cs) in warm {
+        assert_eq!(get(label, "hit"), cs.hits, "{label} hits before publish");
+    }
+    let measured = levels(&h);
+    h.publish_stats();
+
+    let mut l1_accesses = 0;
+    for ((label, w), (_, m)) in warm.into_iter().zip(measured) {
+        let cs: CacheStats = w + m;
+        if label != "llc" {
+            l1_accesses += cs.accesses;
+        }
+        assert!(m.accesses > 0, "{label} saw no traffic");
         assert_eq!(get(label, "hit"), cs.hits, "{label} hits");
         assert_eq!(
             get(label, "first_access"),
@@ -81,15 +105,27 @@ fn telemetry_counters_equal_cache_stats() {
             cs.accesses,
             "{label} outcome counters must partition the accesses"
         );
+        assert_eq!(event(label, "eviction"), cs.evictions, "{label} evictions");
+        assert_eq!(
+            event(label, "invalidation"),
+            cs.invalidations,
+            "{label} invalidations"
+        );
+        assert_eq!(
+            event(label, "writeback"),
+            cs.writebacks,
+            "{label} write-backs"
+        );
     }
 
     // The switch happened, so the mechanism's miss class is exercised.
+    let stats = h.stats();
     assert!(
         stats.total_first_access() > 0,
         "workload must provoke first-access misses"
     );
 
-    // Exactly one latency observation per L1-level access.
+    // Exactly one latency observation per L1-level access, in both phases.
     let latency_observations: u64 = ["l1", "llc", "remote_l1", "memory"]
         .iter()
         .map(|sb| {
@@ -101,10 +137,7 @@ fn telemetry_counters_equal_cache_stats() {
             .count()
         })
         .sum();
-    assert_eq!(
-        latency_observations,
-        stats.l1i_total().accesses + stats.l1d_total().accesses
-    );
+    assert_eq!(latency_observations, l1_accesses);
 }
 
 #[test]
@@ -115,6 +148,7 @@ fn baseline_run_has_no_first_access_counters() {
     h.attach_telemetry(&tel);
 
     run_two_process_workload(&mut h);
+    h.publish_stats();
 
     let reg = tel.registry().expect("telemetry is enabled");
     for cache in ["l1i", "l1d", "llc"] {

@@ -50,7 +50,7 @@ pub mod profile;
 pub mod registry;
 pub mod trace;
 
-pub use profile::{Phase, PhaseCycles, ProfileSnapshot, Profiler, Scope, Span};
+pub use profile::{Phase, PhaseCycles, ProfileSnapshot, Profiler, Scope};
 pub use registry::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, HISTOGRAM_BUCKETS};
 pub use trace::{AccessOp, EventRecord, ServedBy, TraceEvent, Tracer};
 
@@ -206,21 +206,23 @@ impl Telemetry {
             Some(inner) => TelemetrySnapshot {
                 registry: Some(inner.registry.snapshot()),
                 events: inner.tracer.records(),
+                events_dropped: inner.tracer.dropped(),
                 profile: Some(inner.profiler.snapshot()),
             },
         }
     }
 
     /// Folds a snapshot into this handle: counters/histograms add, gauges
-    /// adopt the snapshot value, events are re-recorded at their original
+    /// adopt the snapshot value, dropped events count as recorded and
+    /// dropped here, retained events are re-recorded at their original
     /// cycles (fresh sequence numbers), and profile tables add element-wise
-    /// (see [`Registry::merge`] and [`Profiler::merge`]). No-op when this
-    /// handle is disabled.
+    /// (see [`Registry::merge`] and [`Profiler::merge`]). No-op when disabled.
     pub fn absorb(&self, snap: &TelemetrySnapshot) {
         let Some(inner) = &self.inner else { return };
         if let Some(reg) = &snap.registry {
             inner.registry.merge(reg);
         }
+        inner.tracer.skip(snap.events_dropped);
         for rec in &snap.events {
             inner.tracer.record(rec.cycle, rec.event);
         }
@@ -238,6 +240,8 @@ impl Telemetry {
 pub struct TelemetrySnapshot {
     registry: Option<RegistrySnapshot>,
     events: Vec<EventRecord>,
+    /// Events the source tracer overwrote before the snapshot.
+    events_dropped: u64,
     profile: Option<ProfileSnapshot>,
 }
 

@@ -5,8 +5,7 @@
 //! stall (everything above an L1 hit, including first-access delays), and
 //! context-switch cost (the base switch plus TimeCache's s-bit DMA and
 //! comparator sweep). The [`Profiler`] accumulates that split per process
-//! and per hardware context; [`Span`] measures a region of simulated time
-//! and attributes it on `end`.
+//! and per hardware context.
 
 use crate::encode;
 use std::cell::RefCell;
@@ -116,17 +115,6 @@ impl Profiler {
         table[idx].cycles[phase.index()] += cycles;
     }
 
-    /// Opens a span at `start_cycle`; call [`Span::end`] to attribute the
-    /// elapsed simulated time.
-    pub fn span(&self, scope: Scope, phase: Phase, start_cycle: u64) -> Span {
-        Span {
-            profiler: self.clone(),
-            scope,
-            phase,
-            start_cycle,
-        }
-    }
-
     /// Phase totals for a process (zeroes if never seen).
     pub fn process_cycles(&self, pid: u32) -> PhaseCycles {
         self.inner
@@ -228,25 +216,6 @@ pub struct ProfileSnapshot {
     contexts: Vec<PhaseCycles>,
 }
 
-/// An open profiling span over simulated time. Explicitly ended (no Drop
-/// magic: simulated clocks, unlike wall clocks, must be passed in).
-#[derive(Debug)]
-pub struct Span {
-    profiler: Profiler,
-    scope: Scope,
-    phase: Phase,
-    start_cycle: u64,
-}
-
-impl Span {
-    /// Closes the span at `end_cycle`, attributing the elapsed cycles.
-    /// Saturates to zero if clocks run backwards.
-    pub fn end(self, end_cycle: u64) {
-        let elapsed = end_cycle.saturating_sub(self.start_cycle);
-        self.profiler.record(self.scope, self.phase, elapsed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,17 +237,6 @@ mod tests {
         assert_eq!(p.context_cycles(1).get(Phase::Compute), 9);
         assert_eq!(p.num_processes(), 3);
         assert_eq!(p.num_contexts(), 2);
-    }
-
-    #[test]
-    fn spans_attribute_elapsed_simulated_time() {
-        let p = Profiler::new();
-        let span = p.span(Scope::Context(0), Phase::SwitchCost, 100);
-        span.end(160);
-        assert_eq!(p.context_cycles(0).get(Phase::SwitchCost), 60);
-        // Backwards clock saturates.
-        p.span(Scope::Context(0), Phase::SwitchCost, 50).end(10);
-        assert_eq!(p.context_cycles(0).get(Phase::SwitchCost), 60);
     }
 
     #[test]

@@ -300,6 +300,14 @@ impl Tracer {
         out
     }
 
+    /// Counts `n` events as recorded and dropped without retaining any (the
+    /// events a merged tracer overwrote).
+    pub(crate) fn skip(&self, n: u64) {
+        let mut ring = self.ring.borrow_mut();
+        ring.next_seq += n;
+        ring.dropped += n;
+    }
+
     /// Discards all retained events (sequence numbers keep counting).
     pub fn clear(&self) {
         let mut ring = self.ring.borrow_mut();
