@@ -2,25 +2,6 @@
 
 use crate::timestamp::TimestampWidth;
 
-/// How per-line visibility is represented in hardware (Section VI-C's
-/// scaling discussion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SharerTracking {
-    /// One s-bit per hardware context per line — the paper's evaluated
-    /// design; storage grows linearly with context count.
-    #[default]
-    FullMap,
-    /// Up to `k` sharer pointers per line (`k·log2(n)` bits), after the
-    /// limited-pointer coherence directories the paper points at for
-    /// many-context LLCs. Pointer overflow revokes a victim's visibility:
-    /// strictly more conservative than the full map (extra first-access
-    /// misses, never stale hits).
-    LimitedPointers {
-        /// Pointers per line.
-        k: usize,
-    },
-}
-
 /// Tunable parameters of the TimeCache hardware, per cache level.
 ///
 /// The defaults correspond to the paper's evaluated configuration
@@ -42,7 +23,6 @@ pub struct TimeCacheConfig {
     timestamp_width: TimestampWidth,
     constant_time_clflush: bool,
     dram_wait_on_remote_hit: bool,
-    sharer_tracking: SharerTracking,
 }
 
 impl TimeCacheConfig {
@@ -57,7 +37,6 @@ impl TimeCacheConfig {
             timestamp_width: TimestampWidth::new(timestamp_bits),
             constant_time_clflush: false,
             dram_wait_on_remote_hit: false,
-            sharer_tracking: SharerTracking::FullMap,
         }
     }
 
@@ -103,23 +82,6 @@ impl TimeCacheConfig {
         self.timestamp_width = TimestampWidth::new(bits);
         self
     }
-
-    /// The visibility representation (full s-bit map or limited pointers).
-    pub fn sharer_tracking(&self) -> SharerTracking {
-        self.sharer_tracking
-    }
-
-    /// Returns a copy using limited-pointer tracking with `k` pointers per
-    /// line (Section VI-C's area-scaling alternative).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn with_limited_pointers(mut self, k: usize) -> Self {
-        assert!(k > 0, "need at least one pointer per line");
-        self.sharer_tracking = SharerTracking::LimitedPointers { k };
-        self
-    }
 }
 
 impl Default for TimeCacheConfig {
@@ -151,24 +113,5 @@ mod tests {
         assert_eq!(c.timestamp_width().bits(), 16);
         assert!(c.constant_time_clflush());
         assert!(c.dram_wait_on_remote_hit());
-    }
-
-    #[test]
-    fn sharer_tracking_defaults_to_full_map() {
-        assert_eq!(
-            TimeCacheConfig::default().sharer_tracking(),
-            SharerTracking::FullMap
-        );
-        let c = TimeCacheConfig::default().with_limited_pointers(2);
-        assert_eq!(
-            c.sharer_tracking(),
-            SharerTracking::LimitedPointers { k: 2 }
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one pointer")]
-    fn zero_pointers_rejected() {
-        TimeCacheConfig::default().with_limited_pointers(0);
     }
 }

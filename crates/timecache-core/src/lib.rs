@@ -62,7 +62,6 @@ mod area;
 mod comparator;
 mod config;
 mod fault;
-mod limited;
 mod rng;
 mod sbit;
 mod snapshot;
@@ -72,9 +71,8 @@ mod transpose;
 
 pub use area::AreaModel;
 pub use comparator::{BitSerialComparator, CompareOutcome};
-pub use config::{SharerTracking, TimeCacheConfig};
+pub use config::TimeCacheConfig;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRecord, TriggerPoint};
-pub use limited::LimitedPointers;
 pub use rng::FastRng;
 pub use sbit::SBitArray;
 pub use snapshot::Snapshot;

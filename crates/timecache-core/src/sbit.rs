@@ -47,29 +47,6 @@ impl SBitArray {
         }
     }
 
-    /// Builds an array from packed words (same layout as
-    /// [`SBitArray::words`]). Bits beyond `len` in the final word are
-    /// cleared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is zero or `words` has the wrong word count.
-    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
-        assert!(len > 0, "s-bit array must cover at least one line");
-        assert_eq!(
-            words.len(),
-            len.div_ceil(WORD_BITS),
-            "word count mismatch for {len} lines"
-        );
-        let tail = len % WORD_BITS;
-        if tail != 0 {
-            if let Some(last) = words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-        SBitArray { words, len }
-    }
-
     /// Number of lines covered.
     pub fn len(&self) -> usize {
         self.len

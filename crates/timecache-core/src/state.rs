@@ -6,9 +6,8 @@
 //! switches (Fig. 4 of the paper).
 
 use crate::comparator::BitSerialComparator;
-use crate::config::{SharerTracking, TimeCacheConfig};
+use crate::config::TimeCacheConfig;
 use crate::fault::{FaultInjector, FaultKind, TriggerPoint};
-use crate::limited::LimitedPointers;
 use crate::sbit::SBitArray;
 use crate::snapshot::Snapshot;
 use crate::transpose::TransposeArray;
@@ -46,96 +45,6 @@ pub struct RestoreOutcome {
     /// suppressed-but-real rollover caught by the software cross-check).
     /// Always `false` on the fault-free path.
     pub degraded: bool,
-}
-
-/// The visibility representation behind a [`TimeCacheState`]: the paper's
-/// full per-context s-bit map, or the limited-pointer alternative.
-#[derive(Debug, Clone)]
-enum Sharers {
-    Full(Vec<SBitArray>),
-    Limited(LimitedPointers),
-}
-
-impl Sharers {
-    fn get(&self, line: usize, ctx: usize) -> bool {
-        match self {
-            Sharers::Full(maps) => maps[ctx].get(line),
-            Sharers::Limited(lp) => lp.has(line, ctx),
-        }
-    }
-
-    fn grant(&mut self, line: usize, ctx: usize) {
-        match self {
-            Sharers::Full(maps) => maps[ctx].set(line),
-            Sharers::Limited(lp) => lp.grant(line, ctx),
-        }
-    }
-
-    fn set_exclusive(&mut self, line: usize, ctx: usize) {
-        match self {
-            Sharers::Full(maps) => {
-                for (c, map) in maps.iter_mut().enumerate() {
-                    if c == ctx {
-                        map.set(line);
-                    } else {
-                        map.clear(line);
-                    }
-                }
-            }
-            Sharers::Limited(lp) => lp.set_exclusive(line, ctx),
-        }
-    }
-
-    fn clear_line(&mut self, line: usize) {
-        match self {
-            Sharers::Full(maps) => {
-                for map in maps {
-                    map.clear(line);
-                }
-            }
-            Sharers::Limited(lp) => lp.clear_line(line),
-        }
-    }
-
-    fn clear_ctx(&mut self, ctx: usize) -> usize {
-        match self {
-            Sharers::Full(maps) => {
-                let before = maps[ctx].count_set();
-                maps[ctx].clear_all();
-                before
-            }
-            Sharers::Limited(lp) => {
-                let before = lp
-                    .extract_bits(ctx)
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum();
-                lp.clear_ctx(ctx);
-                before
-            }
-        }
-    }
-
-    fn extract(&self, ctx: usize, num_lines: usize) -> SBitArray {
-        match self {
-            Sharers::Full(maps) => maps[ctx].clone(),
-            Sharers::Limited(lp) => SBitArray::from_words(lp.extract_bits(ctx), num_lines),
-        }
-    }
-
-    fn load(&mut self, ctx: usize, snapshot: &SBitArray) {
-        match self {
-            Sharers::Full(maps) => maps[ctx].copy_from(snapshot),
-            Sharers::Limited(lp) => lp.load_bits(ctx, snapshot.words()),
-        }
-    }
-
-    fn apply_reset_mask(&mut self, ctx: usize, mask: &[u64]) -> usize {
-        match self {
-            Sharers::Full(maps) => maps[ctx].apply_reset_mask(mask),
-            Sharers::Limited(lp) => lp.apply_reset_mask(ctx, mask),
-        }
-    }
 }
 
 /// TimeCache hardware state for a single cache level shared by
@@ -176,9 +85,8 @@ impl Sharers {
 pub struct TimeCacheState {
     config: TimeCacheConfig,
     num_lines: usize,
-    num_contexts: usize,
     tc: TransposeArray,
-    sharers: Sharers,
+    sbits: Vec<SBitArray>,
 }
 
 impl TimeCacheState {
@@ -191,20 +99,11 @@ impl TimeCacheState {
     pub fn new(num_lines: usize, num_contexts: usize, config: TimeCacheConfig) -> Self {
         assert!(num_lines > 0, "cache must have at least one line");
         assert!(num_contexts > 0, "cache must serve at least one context");
-        let sharers = match config.sharer_tracking() {
-            SharerTracking::FullMap => Sharers::Full(vec![SBitArray::new(num_lines); num_contexts]),
-            SharerTracking::LimitedPointers { k } => Sharers::Limited(LimitedPointers::new(
-                num_lines,
-                num_contexts,
-                k.min(num_contexts),
-            )),
-        };
         TimeCacheState {
             config,
             num_lines,
-            num_contexts,
             tc: TransposeArray::new(num_lines, config.timestamp_width()),
-            sharers,
+            sbits: vec![SBitArray::new(num_lines); num_contexts],
         }
     }
 
@@ -220,7 +119,7 @@ impl TimeCacheState {
 
     /// Number of hardware contexts sharing the cache.
     pub fn num_contexts(&self) -> usize {
-        self.num_contexts
+        self.sbits.len()
     }
 
     /// A line was filled by `ctx` at (unbounded) cycle `now`: record `Tc`,
@@ -233,7 +132,13 @@ impl TimeCacheState {
     pub fn on_fill(&mut self, line: usize, ctx: usize, now: u64) {
         self.check(line, ctx);
         self.tc.write_word(line, now);
-        self.sharers.set_exclusive(line, ctx);
+        for (c, map) in self.sbits.iter_mut().enumerate() {
+            if c == ctx {
+                map.set(line);
+            } else {
+                map.clear(line);
+            }
+        }
     }
 
     /// A line was evicted or invalidated: reset all contexts' s-bits.
@@ -243,7 +148,9 @@ impl TimeCacheState {
     /// Panics if `line` is out of range.
     pub fn on_evict(&mut self, line: usize) {
         assert!(line < self.num_lines, "line {line} out of range");
-        self.sharers.clear_line(line);
+        for map in &mut self.sbits {
+            map.clear(line);
+        }
     }
 
     /// Consults the s-bit on a tag hit: is the access an ordinary hit or a
@@ -254,7 +161,7 @@ impl TimeCacheState {
     /// Panics if `line` or `ctx` is out of range.
     pub fn visibility(&self, line: usize, ctx: usize) -> Visibility {
         self.check(line, ctx);
-        if self.sharers.get(line, ctx) {
+        if self.sbits[ctx].get(line) {
             Visibility::Visible
         } else {
             Visibility::FirstAccess
@@ -269,7 +176,7 @@ impl TimeCacheState {
     /// Panics if `line` or `ctx` is out of range.
     pub fn record_first_access(&mut self, line: usize, ctx: usize) {
         self.check(line, ctx);
-        self.sharers.grant(line, ctx);
+        self.sbits[ctx].set(line);
     }
 
     /// Saves the caching context of `ctx` at preemption time `now`
@@ -279,12 +186,8 @@ impl TimeCacheState {
     ///
     /// Panics if `ctx` is out of range.
     pub fn save_context(&self, ctx: usize, now: u64) -> Snapshot {
-        assert!(ctx < self.num_contexts, "context {ctx} out of range");
-        Snapshot::new(
-            self.sharers.extract(ctx, self.num_lines),
-            now,
-            self.config.timestamp_width(),
-        )
+        assert!(ctx < self.sbits.len(), "context {ctx} out of range");
+        Snapshot::new(self.sbits[ctx].clone(), now, self.config.timestamp_width())
     }
 
     /// Restores a process's caching context onto hardware context `ctx` at
@@ -324,11 +227,11 @@ impl TimeCacheState {
         now: u64,
         faults: &FaultInjector,
     ) -> RestoreOutcome {
-        assert!(ctx < self.num_contexts, "context {ctx} out of range");
+        assert!(ctx < self.sbits.len(), "context {ctx} out of range");
         let dropped =
             snapshot.is_some() && faults.fire(FaultKind::DropSnapshot, TriggerPoint::Restore);
         let Some(snap) = snapshot.filter(|_| !dropped) else {
-            let before = self.sharers.clear_ctx(ctx);
+            let before = self.clear_ctx(ctx);
             return RestoreOutcome {
                 rollover: false,
                 sbits_reset: before,
@@ -363,7 +266,7 @@ impl TimeCacheState {
         // a fresh process.
         if !snap.integrity_ok() {
             faults.note_detected();
-            let before = self.sharers.clear_ctx(ctx);
+            let before = self.clear_ctx(ctx);
             return RestoreOutcome {
                 rollover: false,
                 sbits_reset: before,
@@ -389,7 +292,7 @@ impl TimeCacheState {
             !rollover_signal && faults.fire(FaultKind::ForceRollover, TriggerPoint::Rollover);
         if rollover_signal || forced {
             let restored = snap.sbits().count_set();
-            self.sharers.clear_ctx(ctx);
+            self.clear_ctx(ctx);
             return RestoreOutcome {
                 rollover: true,
                 sbits_reset: restored,
@@ -399,7 +302,7 @@ impl TimeCacheState {
             };
         }
 
-        self.sharers.load(ctx, snap.sbits());
+        self.sbits[ctx].copy_from(snap.sbits());
         let outcome = BitSerialComparator::compare(&mut self.tc, snap.ts());
         if faults.fire(FaultKind::FlipComparator, TriggerPoint::Compare) {
             // Dual modular redundancy: the sweep runs twice and the masks
@@ -409,7 +312,7 @@ impl TimeCacheState {
             let mut flipped = outcome.reset_mask.clone();
             faults.corrupt_mask(&mut flipped);
             faults.note_detected();
-            let before = self.sharers.clear_ctx(ctx);
+            let before = self.clear_ctx(ctx);
             return RestoreOutcome {
                 rollover: false,
                 sbits_reset: before,
@@ -418,7 +321,7 @@ impl TimeCacheState {
                 degraded: true,
             };
         }
-        let reset = self.sharers.apply_reset_mask(ctx, &outcome.reset_mask);
+        let reset = self.sbits[ctx].apply_reset_mask(&outcome.reset_mask);
         RestoreOutcome {
             rollover: false,
             sbits_reset: reset,
@@ -438,20 +341,26 @@ impl TimeCacheState {
         self.tc.read_word(line)
     }
 
-    /// A copy of one context's visibility as an s-bit array (materialized
-    /// from the pointer slots under limited tracking).
+    /// A copy of one context's s-bit array.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` is out of range.
     pub fn sbits(&self, ctx: usize) -> SBitArray {
-        assert!(ctx < self.num_contexts, "context {ctx} out of range");
-        self.sharers.extract(ctx, self.num_lines)
+        assert!(ctx < self.sbits.len(), "context {ctx} out of range");
+        self.sbits[ctx].clone()
+    }
+
+    /// Resets every s-bit of `ctx`; returns how many were set.
+    fn clear_ctx(&mut self, ctx: usize) -> usize {
+        let before = self.sbits[ctx].count_set();
+        self.sbits[ctx].clear_all();
+        before
     }
 
     fn check(&self, line: usize, ctx: usize) {
         assert!(line < self.num_lines, "line {line} out of range");
-        assert!(ctx < self.num_contexts, "context {ctx} out of range");
+        assert!(ctx < self.sbits.len(), "context {ctx} out of range");
     }
 }
 

@@ -18,7 +18,7 @@ use crate::generate::generate;
 use crate::refmodel::{BugKind, RefContextSnapshot, RefHierarchy};
 use crate::shrink::shrink;
 use crate::trace::{Event, TraceDoc};
-use timecache_sim::{AccessKind, Addr, BatchClock, ContextSnapshot, Hierarchy};
+use timecache_sim::{ContextSnapshot, Hierarchy};
 use timecache_telemetry::Telemetry;
 
 /// A reference-vs-simulator disagreement.
@@ -97,11 +97,8 @@ pub fn replay(doc: &TraceDoc, bug: Option<BugKind>) -> Result<ReplaySummary, Div
     let mut snaps_real: BTreeMap<u32, ContextSnapshot> = BTreeMap::new();
     let mut snaps_ref: BTreeMap<u32, RefContextSnapshot> = BTreeMap::new();
     let mut now: u64 = 1;
-    let mut batch: Vec<(AccessKind, Addr)> = Vec::new();
 
-    let mut step = 0;
-    while step < doc.events.len() {
-        let ev = doc.events[step];
+    for (step, &ev) in doc.events.iter().enumerate() {
         match ev {
             Event::Access {
                 core,
@@ -110,42 +107,10 @@ pub fn replay(doc: &TraceDoc, bug: Option<BugKind>) -> Result<ReplaySummary, Div
                 addr,
             } => {
                 let (core, thread) = (core % cores, thread % smt);
-                // Gather the run of consecutive accesses by this hardware
-                // context and push it through the simulator's batched API —
-                // this doubles as a continuous differential test that
-                // `access_batch` matches the reference's one-at-a-time
-                // semantics. The reference model stays per-access (it is
-                // deliberately simple); its clock sequence is reconstructed
-                // from the real side's latencies, exactly as the serial
-                // driver advanced `now`.
-                batch.clear();
-                batch.push((kind, addr));
-                let mut end = step + 1;
-                while let Some(&Event::Access {
-                    core: c,
-                    thread: t,
-                    kind,
-                    addr,
-                }) = doc.events.get(end)
-                {
-                    if (c % cores, t % smt) != (core, thread) {
-                        break;
-                    }
-                    batch.push((kind, addr));
-                    end += 1;
-                }
-                let (outs, batch_end) =
-                    real.access_batch(core, thread, &batch, now, BatchClock::LatencyPlus(1));
-                for (j, (&(kind, addr), a)) in batch.iter().zip(&outs).enumerate() {
-                    let b = reference.access(core, thread, kind, addr, now);
-                    let ev = doc.events[step + j];
-                    check(step + j, ev, "access outcome", a, &b)?;
-                    now += a.latency + 1;
-                }
-                debug_assert_eq!(now, batch_end);
-                now = batch_end;
-                step = end;
-                continue;
+                let a = real.access(core, thread, kind, addr, now);
+                let b = reference.access(core, thread, kind, addr, now);
+                check(step, ev, "access outcome", &a, &b)?;
+                now += a.latency + 1;
             }
             Event::Flush { addr } => {
                 let a = real.clflush(addr);
@@ -157,7 +122,6 @@ pub fn replay(doc: &TraceDoc, bug: Option<BugKind>) -> Result<ReplaySummary, Div
                 let (core, thread) = (core % cores, thread % smt);
                 let ctx = core * smt + thread;
                 if current[ctx] == pid {
-                    step += 1;
                     continue;
                 }
                 let old = current[ctx];
@@ -182,7 +146,6 @@ pub fn replay(doc: &TraceDoc, bug: Option<BugKind>) -> Result<ReplaySummary, Div
                 now += 1;
             }
         }
-        step += 1;
     }
 
     let a = real.stats();

@@ -415,17 +415,7 @@ impl System {
             p.completed = false;
             p.completion_cycle = None;
             // Re-queue on the context that hosted it (processes are pinned).
-            let ctx = self
-                .contexts
-                .iter()
-                .position(|c| c.queue.contains(&pi) || c.current == Some(pi))
-                .unwrap_or_else(|| {
-                    // Not queued anywhere: find its original context by
-                    // searching for the context with matching affinity. The
-                    // spawn pinned it; completed processes leave no trace,
-                    // so remember affinity per process instead.
-                    self.affinity[pi]
-                });
+            let ctx = self.affinity[pi];
             self.contexts[ctx].queue.push_back(pi);
         }
         Ok(())

@@ -15,7 +15,7 @@ use crate::program::{DataKind, Observation, Op, Program};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
-use timecache_sim::{AccessKind, AccessOutcome, BatchClock, Hierarchy};
+use timecache_sim::{AccessKind, AccessOutcome, Hierarchy};
 
 /// A recorded instruction trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -169,10 +169,8 @@ impl Trace {
     /// replay. The clock starts at `start` and advances serially — each
     /// operation issues when the previous one completes.
     ///
-    /// Consecutive instruction runs are submitted through
-    /// [`Hierarchy::access_batch`], which is what makes this the fast path
-    /// for trace-driven measurement. Returns the access outcomes in
-    /// program order and the final clock value.
+    /// Returns the access outcomes in program order and the final clock
+    /// value.
     pub fn replay_hierarchy(
         &self,
         hier: &mut Hierarchy,
@@ -182,43 +180,31 @@ impl Trace {
     ) -> (Vec<AccessOutcome>, u64) {
         let mut outcomes = Vec::new();
         let mut now = start;
-        // Reused buffer of the current uninterrupted access run.
-        let mut batch: Vec<(AccessKind, u64)> = Vec::new();
-        let flush_batch =
-            |hier: &mut Hierarchy, batch: &mut Vec<(AccessKind, u64)>, now: &mut u64| {
-                if batch.is_empty() {
-                    return Vec::new();
-                }
-                let (outs, end) =
-                    hier.access_batch(core, thread, batch, *now, BatchClock::LatencyPlus(0));
-                *now = end;
-                batch.clear();
-                outs
-            };
+        let mut access = |hier: &mut Hierarchy, kind, addr, now: &mut u64| {
+            let out = hier.access(core, thread, kind, addr, *now);
+            *now += out.latency;
+            outcomes.push(out);
+        };
         for op in &self.ops {
             match *op {
                 Op::Instr { pc, data } => {
-                    batch.push((AccessKind::IFetch, pc));
+                    access(hier, AccessKind::IFetch, pc, &mut now);
                     if let Some((kind, addr)) = data {
                         let kind = match kind {
                             DataKind::Load => AccessKind::Load,
                             DataKind::Store => AccessKind::Store,
                         };
-                        batch.push((kind, addr));
+                        access(hier, kind, addr, &mut now);
                     }
                 }
                 Op::Flush { pc, target } => {
-                    batch.push((AccessKind::IFetch, pc));
-                    outcomes.extend(flush_batch(hier, &mut batch, &mut now));
+                    access(hier, AccessKind::IFetch, pc, &mut now);
                     now += hier.clflush(target);
                 }
-                Op::Yield { pc } => {
-                    batch.push((AccessKind::IFetch, pc));
-                }
+                Op::Yield { pc } => access(hier, AccessKind::IFetch, pc, &mut now),
                 Op::Done => break,
             }
         }
-        outcomes.extend(flush_batch(hier, &mut batch, &mut now));
         (outcomes, now)
     }
 }
@@ -422,8 +408,8 @@ mod tests {
         )
         .unwrap();
 
-        let mut batched = Hierarchy::new(HierarchyConfig::default()).unwrap();
-        let (outs, end) = trace.replay_hierarchy(&mut batched, 0, 0, 1);
+        let mut replayed = Hierarchy::new(HierarchyConfig::default()).unwrap();
+        let (outs, end) = trace.replay_hierarchy(&mut replayed, 0, 0, 1);
 
         // Reference: the same op stream through Hierarchy::access one at a
         // time with the same serial clock rule.
@@ -449,7 +435,7 @@ mod tests {
 
         assert_eq!(outs, expect);
         assert_eq!(end, now);
-        assert_eq!(batched.stats(), reference.stats());
+        assert_eq!(replayed.stats(), reference.stats());
     }
 
     #[test]

@@ -91,12 +91,8 @@ impl AccessOutcome {
 /// consecutive accesses of a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchClock {
-    /// Fixed stride: issue cycles are `start, start + s, start + 2s, ...`
-    /// regardless of observed latencies (back-to-back pipelined replay).
-    Stride(u64),
     /// Serialized replay: each access issues `latency + k` cycles after the
-    /// previous one — the dependent-chain model the oracle driver and trace
-    /// replay use.
+    /// previous one.
     LatencyPlus(u64),
 }
 
@@ -506,16 +502,10 @@ impl Hierarchy {
         out
     }
 
-    /// Performs a run of accesses by one hardware context, advancing the
-    /// cycle clock per `clock` between them. Returns the outcomes in order
-    /// and the clock value after the last access.
-    ///
-    /// Semantically identical to calling [`Hierarchy::access`] in a loop
-    /// with the same clock arithmetic — statistics, histograms and events
-    /// stay exact — but the per-access overhead is hoisted: the context
-    /// check runs once, and when [`Telemetry::trace_events`] is off the
-    /// per-access `set_now` announcement (whose only consumer is event
-    /// timestamps) is skipped along with event emission.
+    /// Performs a run of accesses by one hardware context: a loop over
+    /// [`Hierarchy::access`] that advances the cycle clock per `clock`
+    /// between them. Returns the outcomes in order and the clock value
+    /// after the last access.
     ///
     /// # Panics
     ///
@@ -529,29 +519,16 @@ impl Hierarchy {
         clock: BatchClock,
     ) -> (Vec<AccessOutcome>, u64) {
         self.check_context(core, thread);
-        let (instrumented, events_on) = match &self.sensors {
-            Some(s) => (true, s.tel.trace_events()),
-            None => (false, false),
-        };
-        let mut outcomes = Vec::with_capacity(accesses.len());
+        let BatchClock::LatencyPlus(k) = clock;
         let mut now = start;
-        for &(kind, addr) in accesses {
-            let line = LineAddr::from_raw(addr >> self.line_shift);
-            if events_on {
-                if let Some(s) = &self.sensors {
-                    s.tel.set_now(now);
-                }
-            }
-            let out = self.access_inner(core, thread, kind, line, now);
-            if instrumented {
-                self.note_access(core, thread, kind, line, &out);
-            }
-            now += match clock {
-                BatchClock::Stride(s) => s,
-                BatchClock::LatencyPlus(k) => out.latency + k,
-            };
-            outcomes.push(out);
-        }
+        let outcomes = accesses
+            .iter()
+            .map(|&(kind, addr)| {
+                let out = self.access(core, thread, kind, addr, now);
+                now += out.latency + k;
+                out
+            })
+            .collect();
         (outcomes, now)
     }
 
