@@ -17,10 +17,10 @@ use crate::analysis::{mutual_information_bits, Threshold};
 use crate::harness::{single_core_system, timecache_mode, AttackOutcome};
 use std::cell::RefCell;
 use std::rc::Rc;
+use timecache_core::FastRng;
 use timecache_os::{DataKind, Observation, Op, Program};
 use timecache_sim::{Addr, SecurityMode};
 use timecache_workloads::layout;
-use timecache_workloads::rng::FastRng;
 
 /// Received bits (one per window).
 pub type BitLog = Rc<RefCell<Vec<bool>>>;

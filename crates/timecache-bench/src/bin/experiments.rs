@@ -2,7 +2,7 @@
 //! evaluation.
 //!
 //! ```text
-//! experiments [--quick] [--telemetry] [--jobs N] [--max-failures N]
+//! experiments [--quick] [--telemetry] [--jobs N]
 //!             <all|table1|table2|fig7|fig8|fig9|fig10|security|rollover|
 //!              switchcost|other-attacks|ftm|area|ablation|telemetry-demo|
 //!              fault-sweep|leakage-sweep>
@@ -22,16 +22,13 @@
 //! builds, and writes `<id>_metrics.prom` / `<id>_metrics.json` /
 //! `<id>_events.jsonl` / `<id>_profile.json` / `<id>_manifest.json` under
 //! `results/` next to the experiment's CSV. `fault-sweep` runs the
-//! fault-injection matrix (checkpointed to
-//! `fault_matrix.partial.jsonl`, so interrupted runs resume); it exits
-//! nonzero if any TimeCache cell violates the security invariant, if the
-//! baseline rows fail to exhibit the expected leak, or if more than
-//! `--max-failures` cells (default 0) panic. A panicking cell is not
-//! retried: cells are pure functions of their index.
-//! `leakage-sweep` runs the TVLA-style statistical leakage assessment over
-//! every attack primitive (checkpointed to `leakage_matrix.partial.jsonl`)
-//! and exits nonzero unless every channel's baseline arm leaks
-//! (|t| > 4.5) and its defended arm stays silent (|t| < 4.5).
+//! fault-injection matrix and exits nonzero if any TimeCache cell violates
+//! the security invariant or if the baseline rows fail to exhibit the
+//! expected leak. `leakage-sweep` runs the TVLA-style statistical leakage
+//! assessment over every attack primitive and exits nonzero unless every
+//! channel's baseline arm leaks (|t| > 4.5) and its defended arm stays
+//! silent (|t| < 4.5). A panicking cell aborts either sweep with a nonzero
+//! exit.
 
 use std::io;
 use timecache_bench::runner::RunParams;
@@ -39,7 +36,7 @@ use timecache_bench::{exp, telemetry};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--quick] [--telemetry] [--jobs N] [--max-failures N] \
+        "usage: experiments [--quick] [--telemetry] [--jobs N] \
          <all|table1|table2|fig7|fig8|fig9|fig10|security|rollover|switchcost|\
          other-attacks|ftm|area|ablation|telemetry-demo|fault-sweep|leakage-sweep>"
     );
@@ -77,20 +74,10 @@ fn bad_value(flag: &str, expects: &str, value: &str) -> ! {
 }
 
 /// Exit-code policy for `fault-sweep`: the run "passes" only if the matrix
-/// demonstrated what it claims — TimeCache invariant-clean, baseline
-/// demonstrably leaky, and no more worker failures than tolerated.
-fn fault_sweep_exit_code(
-    summary: &exp::fault_sweep::FaultSweepSummary,
-    max_failures: usize,
-) -> i32 {
+/// demonstrated what it claims — TimeCache invariant-clean and baseline
+/// demonstrably leaky.
+fn fault_sweep_exit_code(summary: &exp::fault_sweep::FaultSweepSummary) -> i32 {
     let mut code = 0;
-    if summary.failures.len() > max_failures {
-        eprintln!(
-            "FAIL: {} worker failures exceed --max-failures {max_failures}",
-            summary.failures.len()
-        );
-        code = 1;
-    }
     if summary.timecache_violations > 0 {
         eprintln!(
             "FAIL: {} invariant violations under TimeCache",
@@ -98,28 +85,17 @@ fn fault_sweep_exit_code(
         );
         code = 1;
     }
-    if summary.baseline_rows_completed > 0 && summary.baseline_violations == 0 {
+    if summary.baseline_violations == 0 {
         eprintln!("FAIL: baseline rows completed without the expected leak");
         code = 1;
     }
     code
 }
 
-/// Exit-code policy for `leakage-sweep`: every completed row must show the
-/// expected asymmetry (baseline leaks, defense silences), and no more
-/// cells than tolerated may fail outright.
-fn leakage_sweep_exit_code(
-    summary: &exp::leakage_sweep::LeakageSweepSummary,
-    max_failures: usize,
-) -> i32 {
+/// Exit-code policy for `leakage-sweep`: every row must show the expected
+/// asymmetry (baseline leaks, defense silences).
+fn leakage_sweep_exit_code(summary: &exp::leakage_sweep::LeakageSweepSummary) -> i32 {
     let mut code = 0;
-    if summary.failures.len() > max_failures {
-        eprintln!(
-            "FAIL: {} worker failures exceed --max-failures {max_failures}",
-            summary.failures.len()
-        );
-        code = 1;
-    }
     if summary.defended_leaks > 0 {
         eprintln!(
             "FAIL: {} channels still leak under their defense (|t| >= 4.5)",
@@ -151,12 +127,6 @@ fn main() {
             .filter(|&n| n >= 1)
             .unwrap_or_else(|| bad_value("--jobs", "a positive integer", &value));
     }
-    let mut max_failures = 0;
-    for value in take_flag(&mut args, "--max-failures") {
-        max_failures = value
-            .parse()
-            .unwrap_or_else(|_| bad_value("--max-failures", "a non-negative integer", &value));
-    }
     let which = args.first().map(String::as_str).unwrap_or_else(|| usage());
     let params = if quick {
         RunParams::quick()
@@ -167,7 +137,7 @@ fn main() {
         telemetry::enable();
     }
 
-    match run(which, &params, jobs, max_failures, with_telemetry) {
+    match run(which, &params, jobs, with_telemetry) {
         Ok(0) => {}
         Ok(code) => std::process::exit(code),
         Err(e) => {
@@ -179,24 +149,18 @@ fn main() {
 
 /// Runs experiment `which` and returns its exit code; an I/O failure
 /// writing an artifact is returned as the error.
-fn run(
-    which: &str,
-    params: &RunParams,
-    jobs: usize,
-    max_failures: usize,
-    with_telemetry: bool,
-) -> io::Result<i32> {
+fn run(which: &str, params: &RunParams, jobs: usize, with_telemetry: bool) -> io::Result<i32> {
     let mut exit_code = 0;
     match which {
         "all" => exp::run(&exp::EXPERIMENTS, params, jobs)?,
         "telemetry-demo" => exp::telemetry_demo::run(params)?,
         "fault-sweep" => {
             let summary = exp::fault_sweep::run(params, jobs)?;
-            exit_code = fault_sweep_exit_code(&summary, max_failures);
+            exit_code = fault_sweep_exit_code(&summary);
         }
         "leakage-sweep" => {
             let summary = exp::leakage_sweep::run(params, jobs)?;
-            exit_code = leakage_sweep_exit_code(&summary, max_failures);
+            exit_code = leakage_sweep_exit_code(&summary);
         }
         id => match exp::EXPERIMENTS.iter().position(|e| e.id == id) {
             Some(i) => exp::run(&exp::EXPERIMENTS[i..=i], params, jobs)?,

@@ -50,8 +50,7 @@ pub fn run() -> io::Result<()> {
 mod tests {
     #[test]
     fn area_table_prints() {
-        std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
+        crate::output::test_results_dir();
         super::run().unwrap();
-        std::env::remove_var("TIMECACHE_RESULTS");
     }
 }

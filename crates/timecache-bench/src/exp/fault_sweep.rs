@@ -13,18 +13,13 @@
 //! * **Baseline**: violations in every cell — with no defense the second
 //!   process freeloads on the first one's fills regardless of faults.
 //!
-//! The sweep runs through [`sweep::run_checkpointed`], so a killed run
-//! resumes from `fault_matrix.partial.jsonl` and a panicking cell (see
-//! `TIMECACHE_FAULT_SWEEP_PANIC` below) costs one row, not the matrix.
-//! Artifacts: `fault_matrix.csv` and `fault_matrix.json`.
-//!
-//! Setting the env var `TIMECACHE_FAULT_SWEEP_PANIC=<job index>` makes
-//! that cell panic — a test/CI hook for exercising the checkpointed
-//! engine's failure path end to end.
+//! The cells run through [`sweep::run`], so the CSV is byte-identical for
+//! any `--jobs` value. Artifacts: `fault_matrix.csv` and
+//! `fault_matrix.json`.
 
 use crate::output::{print_table, results_dir, write_artifact, write_csv};
 use crate::runner::RunParams;
-use crate::sweep::{self, JobFailure};
+use crate::sweep;
 use std::io;
 use timecache_core::{FaultKind, FaultPlan, TimeCacheConfig, TriggerPoint};
 use timecache_os::{programs::StridedLoop, System, SystemConfig};
@@ -89,35 +84,6 @@ pub struct Row {
 }
 
 impl Row {
-    /// One-line journal encoding (fields are pipe-free).
-    fn encode(&self) -> String {
-        format!(
-            "{}|{}|{}|{}|{}|{}",
-            self.scenario, self.mode, self.injected, self.detected, self.violations, self.cycles
-        )
-    }
-
-    fn decode(line: &str) -> Option<Row> {
-        let mut parts = line.split('|');
-        let scenario = parts.next()?.to_owned();
-        let mode = parts.next()?.to_owned();
-        let injected = parts.next()?.parse().ok()?;
-        let detected = parts.next()?.parse().ok()?;
-        let violations = parts.next()?.parse().ok()?;
-        let cycles = parts.next()?.parse().ok()?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(Row {
-            scenario,
-            mode,
-            injected,
-            detected,
-            violations,
-            cycles,
-        })
-    }
-
     /// The cell's security verdict, given its mode.
     fn verdict(&self) -> &'static str {
         match (self.mode.as_str(), self.violations) {
@@ -132,17 +98,13 @@ impl Row {
 /// What the matrix established, for the driver's exit policy.
 #[derive(Debug)]
 pub struct FaultSweepSummary {
-    /// Violations summed over completed TimeCache cells (must be 0).
+    /// Violations summed over the TimeCache cells (must be 0).
     pub timecache_violations: u64,
-    /// Violations summed over completed baseline cells (must be > 0: the
-    /// checker has to catch the undefended leak, or it proves nothing).
+    /// Violations summed over the baseline cells (must be > 0: the checker
+    /// has to catch the undefended leak, or it proves nothing).
     pub baseline_violations: u64,
-    /// Completed baseline cells (guards the check above when cells fail).
-    pub baseline_rows_completed: usize,
-    /// Faults injected across all completed cells.
+    /// Faults injected across all cells.
     pub total_injected: u64,
-    /// Cells whose job panicked.
-    pub failures: Vec<JobFailure>,
 }
 
 /// Instructions per process for one cell: enough for dozens of quanta
@@ -153,9 +115,6 @@ fn cell_instructions(params: &RunParams) -> u64 {
 
 /// Runs one cell of the matrix.
 fn run_cell(index: usize, params: &RunParams) -> Row {
-    if std::env::var("TIMECACHE_FAULT_SWEEP_PANIC").as_deref() == Ok(index.to_string().as_str()) {
-        panic!("injected worker panic in fault-sweep job {index}");
-    }
     let (label, fault) = SCENARIOS[index / 2];
     let timecache = index % 2 == 1;
     // 14-bit timestamps roll over every 16 Ki cycles — every few quanta —
@@ -216,26 +175,13 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<FaultSweepSummary> {
         SCENARIOS.len(),
         jobs
     );
-    let dir = results_dir()?;
-    let tag = format!("mi{}", cell_instructions(params));
-    let outcome = sweep::run_checkpointed(
-        &dir,
-        "fault_matrix",
-        &tag,
-        JOBS,
-        jobs,
-        Row::encode,
-        Row::decode,
-        |i| {
-            let (label, _) = SCENARIOS[i / 2];
-            let mode = if i % 2 == 1 { "timecache" } else { "baseline" };
-            sweep::progress(&format!("  running {label} [{mode}] ..."));
-            run_cell(i, params)
-        },
-    )?;
+    let rows = sweep::run(jobs, JOBS, |i| {
+        let (label, _) = SCENARIOS[i / 2];
+        let mode = if i % 2 == 1 { "timecache" } else { "baseline" };
+        sweep::progress(&format!("  running {label} [{mode}] ..."));
+        run_cell(i, params)
+    });
 
-    let failed: std::collections::HashMap<usize, &JobFailure> =
-        outcome.failures.iter().map(|f| (f.index, f)).collect();
     let header = [
         "scenario",
         "mode",
@@ -245,52 +191,28 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<FaultSweepSummary> {
         "cycles",
         "verdict",
     ];
-    let mut table = Vec::with_capacity(JOBS);
     let mut summary = FaultSweepSummary {
         timecache_violations: 0,
         baseline_violations: 0,
-        baseline_rows_completed: 0,
         total_injected: 0,
-        failures: outcome.failures.clone(),
     };
-    for (i, slot) in outcome.results.iter().enumerate() {
-        let (label, _) = SCENARIOS[i / 2];
-        let mode = if i % 2 == 1 { "timecache" } else { "baseline" };
-        match slot {
-            Some(row) => {
-                if mode == "timecache" {
-                    summary.timecache_violations += row.violations;
-                } else {
-                    summary.baseline_violations += row.violations;
-                    summary.baseline_rows_completed += 1;
-                }
-                summary.total_injected += row.injected;
-                table.push(vec![
-                    row.scenario.clone(),
-                    row.mode.clone(),
-                    row.injected.to_string(),
-                    row.detected.to_string(),
-                    row.violations.to_string(),
-                    row.cycles.to_string(),
-                    row.verdict().to_owned(),
-                ]);
-            }
-            None => {
-                let message = failed
-                    .get(&i)
-                    .map(|f| f.message.as_str())
-                    .unwrap_or("unknown failure");
-                table.push(vec![
-                    label.to_owned(),
-                    mode.to_owned(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    format!("failed: {message}"),
-                ]);
-            }
+    let mut table = Vec::with_capacity(JOBS);
+    for row in &rows {
+        if row.mode == "timecache" {
+            summary.timecache_violations += row.violations;
+        } else {
+            summary.baseline_violations += row.violations;
         }
+        summary.total_injected += row.injected;
+        table.push(vec![
+            row.scenario.clone(),
+            row.mode.clone(),
+            row.injected.to_string(),
+            row.detected.to_string(),
+            row.violations.to_string(),
+            row.cycles.to_string(),
+            row.verdict().to_owned(),
+        ]);
     }
     print_table(
         "Fault-injection matrix (invariant: no unpaid fast access; TimeCache must stay secure)",
@@ -299,48 +221,17 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<FaultSweepSummary> {
     );
     write_csv("fault_matrix.csv", &header, &table)?;
 
-    let mut json = String::from("{\"jobs\":");
-    let _ = std::fmt::Write::write_fmt(&mut json, format_args!("{JOBS}"));
-    json.push_str(",\"failed\":");
-    JobFailure::write_json_list(&mut json, &summary.failures);
-    let _ = std::fmt::Write::write_fmt(
-        &mut json,
-        format_args!(
-            ",\"total_injected\":{},\"timecache_violations\":{},\"baseline_violations\":{}}}",
-            summary.total_injected, summary.timecache_violations, summary.baseline_violations
-        ),
+    let json = format!(
+        "{{\"jobs\":{JOBS},\"total_injected\":{},\"timecache_violations\":{},\"baseline_violations\":{}}}",
+        summary.total_injected, summary.timecache_violations, summary.baseline_violations
     );
-    let json_path = dir.join("fault_matrix.json");
-    write_artifact(&json_path, &json)?;
-
-    if !summary.failures.is_empty() {
-        eprintln!(
-            "{} of {JOBS} cells panicked (see fault_matrix.csv)",
-            summary.failures.len()
-        );
-    }
+    write_artifact(&results_dir()?.join("fault_matrix.json"), &json)?;
     Ok(summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rows_roundtrip_through_the_journal_encoding() {
-        let row = Row {
-            scenario: "corrupt_snapshot@restore".into(),
-            mode: "timecache".into(),
-            injected: 12,
-            detected: 12,
-            violations: 0,
-            cycles: 987654,
-        };
-        assert_eq!(Row::decode(&row.encode()), Some(row.clone()));
-        assert_eq!(row.verdict(), "secure");
-        assert_eq!(Row::decode("only|three|fields"), None);
-        assert_eq!(Row::decode("a|b|1|2|3|4|extra"), None);
-    }
 
     #[test]
     fn verdicts_reflect_mode_expectations() {
@@ -356,6 +247,10 @@ mod tests {
         row.violations = 0;
         assert_eq!(row.verdict(), "quiet");
         row.mode = "timecache".into();
+        assert_eq!(row.verdict(), "secure");
+        // Injected faults that were all detected leave the cell secure.
+        row.injected = 12;
+        row.detected = 12;
         assert_eq!(row.verdict(), "secure");
         row.violations = 1;
         assert_eq!(row.verdict(), "VIOLATED");

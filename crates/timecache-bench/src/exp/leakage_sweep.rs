@@ -14,16 +14,14 @@
 //! * **defended**: |t| < 4.5 for every channel — the defense collapses
 //!   the arms into the same distribution.
 //!
-//! One job per channel (each job runs both arms, so a row is internally
-//! consistent even if another row fails). The sweep runs through
-//! [`sweep::run_checkpointed`], so a killed run resumes from
-//! `leakage_matrix.partial.jsonl`, and the CSV is byte-identical for any
-//! `--jobs` value because every cell is a pure function of its index.
+//! One job per channel, each running both arms. The sweep runs through
+//! [`sweep::run`], and the CSV is byte-identical for any `--jobs` value
+//! because every cell is a pure function of its index.
 //! Artifacts: `leakage_matrix.csv` and `leakage_matrix.json`.
 
 use crate::output::{print_table, results_dir, write_artifact, write_csv};
 use crate::runner::RunParams;
-use crate::sweep::{self, JobFailure};
+use crate::sweep;
 use std::io;
 use timecache_oracle::{assess, Assessment, Channel, LEAKAGE_THRESHOLD};
 use timecache_telemetry::encode;
@@ -57,35 +55,6 @@ impl Row {
         }
     }
 
-    /// One-line journal encoding. The t-statistics use `f64`'s shortest
-    /// round-trip `Display`, so decode(encode(row)) == row exactly and a
-    /// resumed sweep reproduces the same CSV bytes as a fresh one.
-    fn encode(&self) -> String {
-        format!(
-            "{}|{}|{}|{}|{}",
-            self.channel, self.defense, self.rounds, self.t_baseline, self.t_defended
-        )
-    }
-
-    fn decode(line: &str) -> Option<Row> {
-        let mut parts = line.split('|');
-        let channel = parts.next()?.to_owned();
-        let defense = parts.next()?.to_owned();
-        let rounds = parts.next()?.parse().ok()?;
-        let t_baseline = parts.next()?.parse().ok()?;
-        let t_defended = parts.next()?.parse().ok()?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(Row {
-            channel,
-            defense,
-            rounds,
-            t_baseline,
-            t_defended,
-        })
-    }
-
     /// The row's verdict against the TVLA threshold: the baseline arm must
     /// leak and the defended arm must not.
     fn verdict(&self) -> &'static str {
@@ -104,16 +73,12 @@ impl Row {
 /// What the matrix established, for the driver's exit policy.
 #[derive(Debug)]
 pub struct LeakageSweepSummary {
-    /// Completed rows where the baseline arm failed to leak (|t| <= 4.5):
-    /// the primitive didn't demonstrate itself, so its defended silence
-    /// proves nothing.
+    /// Rows where the baseline arm failed to leak (|t| <= 4.5): the
+    /// primitive didn't demonstrate itself, so its defended silence proves
+    /// nothing.
     pub baseline_silent: usize,
-    /// Completed rows where the defended arm still leaks (|t| >= 4.5).
+    /// Rows where the defended arm still leaks (|t| >= 4.5).
     pub defended_leaks: usize,
-    /// Rows that completed.
-    pub rows_completed: usize,
-    /// Cells whose job panicked.
-    pub failures: Vec<JobFailure>,
 }
 
 /// Measurement rounds per arm for one cell. Quick runs use the floor —
@@ -150,24 +115,11 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<LeakageSweepSummary> {
         Channel::ALL.len(),
         jobs
     );
-    let dir = results_dir()?;
-    let tag = format!("r{}", cell_rounds(params));
-    let outcome = sweep::run_checkpointed(
-        &dir,
-        "leakage_matrix",
-        &tag,
-        JOBS,
-        jobs,
-        Row::encode,
-        Row::decode,
-        |i| {
-            sweep::progress(&format!("  assessing {} ...", Channel::ALL[i].name()));
-            run_cell(i, params)
-        },
-    )?;
+    let rows = sweep::run(jobs, JOBS, |i| {
+        sweep::progress(&format!("  assessing {} ...", Channel::ALL[i].name()));
+        run_cell(i, params)
+    });
 
-    let failed: std::collections::HashMap<usize, &JobFailure> =
-        outcome.failures.iter().map(|f| (f.index, f)).collect();
     let header = [
         "channel",
         "defense",
@@ -176,49 +128,29 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<LeakageSweepSummary> {
         "t_defended",
         "verdict",
     ];
-    let mut table = Vec::with_capacity(JOBS);
-    let mut summary = LeakageSweepSummary {
-        baseline_silent: 0,
-        defended_leaks: 0,
-        rows_completed: 0,
-        failures: outcome.failures.clone(),
+    let summary = LeakageSweepSummary {
+        baseline_silent: rows
+            .iter()
+            .filter(|row| row.t_baseline.abs() <= LEAKAGE_THRESHOLD)
+            .count(),
+        defended_leaks: rows
+            .iter()
+            .filter(|row| row.t_defended.abs() >= LEAKAGE_THRESHOLD)
+            .count(),
     };
-    for (i, slot) in outcome.results.iter().enumerate() {
-        let channel = Channel::ALL[i];
-        match slot {
-            Some(row) => {
-                summary.rows_completed += 1;
-                if row.t_baseline.abs() <= LEAKAGE_THRESHOLD {
-                    summary.baseline_silent += 1;
-                }
-                if row.t_defended.abs() >= LEAKAGE_THRESHOLD {
-                    summary.defended_leaks += 1;
-                }
-                table.push(vec![
-                    row.channel.clone(),
-                    row.defense.clone(),
-                    row.rounds.to_string(),
-                    format!("{:.2}", row.t_baseline),
-                    format!("{:.2}", row.t_defended),
-                    row.verdict().to_owned(),
-                ]);
-            }
-            None => {
-                let message = failed
-                    .get(&i)
-                    .map(|f| f.message.as_str())
-                    .unwrap_or("unknown failure");
-                table.push(vec![
-                    channel.name().to_owned(),
-                    channel.defense().to_owned(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    format!("failed: {message}"),
-                ]);
-            }
-        }
-    }
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            vec![
+                row.channel.clone(),
+                row.defense.clone(),
+                row.rounds.to_string(),
+                format!("{:.2}", row.t_baseline),
+                format!("{:.2}", row.t_defended),
+                row.verdict().to_owned(),
+            ]
+        })
+        .collect();
     print_table(
         &format!(
             "Leakage assessment (Welch's t, threshold {LEAKAGE_THRESHOLD}: baseline must \
@@ -229,19 +161,11 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<LeakageSweepSummary> {
     );
     write_csv("leakage_matrix.csv", &header, &table)?;
 
-    let mut json = String::from("{\"jobs\":");
-    let _ = std::fmt::Write::write_fmt(&mut json, format_args!("{JOBS}"));
-    let _ = std::fmt::Write::write_fmt(
-        &mut json,
-        format_args!(",\"threshold\":{LEAKAGE_THRESHOLD},\"rows\":["),
-    );
-    let mut first = true;
-    for slot in outcome.results.iter() {
-        let Some(row) = slot else { continue };
-        if !first {
+    let mut json = format!("{{\"jobs\":{JOBS},\"threshold\":{LEAKAGE_THRESHOLD},\"rows\":[");
+    for (k, row) in rows.iter().enumerate() {
+        if k > 0 {
             json.push(',');
         }
-        first = false;
         json.push_str("{\"channel\":");
         encode::json_string(&mut json, &row.channel);
         json.push_str(",\"defense\":");
@@ -256,45 +180,20 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<LeakageSweepSummary> {
         encode::json_string(&mut json, row.verdict());
         json.push('}');
     }
-    json.push_str("],\"failed\":");
-    JobFailure::write_json_list(&mut json, &summary.failures);
     let _ = std::fmt::Write::write_fmt(
         &mut json,
         format_args!(
-            ",\"baseline_silent\":{},\"defended_leaks\":{}}}",
+            "],\"baseline_silent\":{},\"defended_leaks\":{}}}",
             summary.baseline_silent, summary.defended_leaks
         ),
     );
-    let json_path = dir.join("leakage_matrix.json");
-    write_artifact(&json_path, &json)?;
-
-    if !summary.failures.is_empty() {
-        eprintln!(
-            "{} of {JOBS} cells panicked (see leakage_matrix.csv)",
-            summary.failures.len()
-        );
-    }
+    write_artifact(&results_dir()?.join("leakage_matrix.json"), &json)?;
     Ok(summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rows_roundtrip_through_the_journal_encoding() {
-        let row = Row {
-            channel: "flush+reload".into(),
-            defense: "timecache".into(),
-            rounds: 40,
-            t_baseline: 123.456789012345,
-            t_defended: 0.0,
-        };
-        assert_eq!(Row::decode(&row.encode()), Some(row.clone()));
-        assert_eq!(row.verdict(), "eliminated");
-        assert_eq!(Row::decode("only|three|fields"), None);
-        assert_eq!(Row::decode("a|b|1|2.0|3.0|extra"), None);
-    }
 
     #[test]
     fn verdicts_cover_both_failure_directions() {
@@ -308,8 +207,13 @@ mod tests {
         assert_eq!(row.verdict(), "STILL LEAKS");
         row.t_defended = 0.3;
         assert_eq!(row.verdict(), "eliminated");
+        // A defense that collapses the arms exactly gives t = 0.
+        row.t_defended = 0.0;
+        assert_eq!(row.verdict(), "eliminated");
         row.t_baseline = 1.0;
         assert_eq!(row.verdict(), "NO BASELINE LEAK");
+        row.t_defended = 9.0;
+        assert_eq!(row.verdict(), "BROKEN");
     }
 
     #[test]

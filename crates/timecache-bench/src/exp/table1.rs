@@ -46,8 +46,7 @@ pub fn run() -> io::Result<()> {
 mod tests {
     #[test]
     fn table1_prints_without_panicking() {
-        std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
+        crate::output::test_results_dir();
         super::run().unwrap();
-        std::env::remove_var("TIMECACHE_RESULTS");
     }
 }

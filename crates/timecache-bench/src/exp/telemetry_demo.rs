@@ -100,12 +100,8 @@ mod tests {
 
     #[test]
     fn demo_writes_the_full_artifact_set() {
-        std::env::set_var(
-            "TIMECACHE_RESULTS",
-            std::env::temp_dir().join("tc-results-demo"),
-        );
+        let dir = crate::output::test_results_dir();
         run(&RunParams::quick()).unwrap();
-        let dir = crate::output::results_dir().unwrap();
         for suffix in [
             "metrics.prom",
             "metrics.json",
@@ -120,6 +116,5 @@ mod tests {
         let prom = std::fs::read_to_string(dir.join("telemetry_demo_metrics.prom")).unwrap();
         assert!(prom.contains("sim_cache_accesses_total"));
         assert!(prom.contains("attack_probe_latency_cycles_bucket"));
-        std::env::remove_var("TIMECACHE_RESULTS");
     }
 }

@@ -94,6 +94,20 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
+/// Points `TIMECACHE_RESULTS` at a per-process temp directory and returns
+/// the directory (test helper). Unit tests run on parallel threads of one
+/// process, so the variable is set once and never removed: a test that
+/// removed it could send another test's artifacts into `results/`.
+#[cfg(test)]
+pub(crate) fn test_results_dir() -> PathBuf {
+    static SET: std::sync::Once = std::sync::Once::new();
+    SET.call_once(|| {
+        let dir = std::env::temp_dir().join(format!("timecache-bench-test-{}", std::process::id()));
+        std::env::set_var("TIMECACHE_RESULTS", dir);
+    });
+    results_dir().expect("create the test results directory")
+}
+
 /// Checks that a path was written and is nonempty (test helper).
 pub fn assert_csv_written(path: &Path) {
     let meta = fs::metadata(path).expect("csv exists");
@@ -118,7 +132,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
+        test_results_dir();
         let p = write_csv(
             "unit_test.csv",
             &["a", "b"],
@@ -128,12 +142,11 @@ mod tests {
         assert_csv_written(&p);
         let body = fs::read_to_string(&p).unwrap();
         assert_eq!(body, "a,b\n1,2\n");
-        std::env::remove_var("TIMECACHE_RESULTS");
     }
 
     #[test]
     fn csv_escapes_delimiters_in_cells() {
-        std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
+        test_results_dir();
         let p = write_csv(
             "unit_test_escape.csv",
             &["label", "note"],
@@ -142,6 +155,5 @@ mod tests {
         .unwrap();
         let body = fs::read_to_string(&p).unwrap();
         assert_eq!(body, "label,note\n\"a,b\",\"say \"\"hi\"\"\"\n");
-        std::env::remove_var("TIMECACHE_RESULTS");
     }
 }

@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn artifacts_cover_all_sinks() {
-        std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
+        crate::output::test_results_dir();
         let tel = Telemetry::enabled();
         tel.registry()
             .unwrap()
@@ -147,7 +147,6 @@ mod tests {
         assert!(manifest.contains("\"experiment\":\"unit_demo\""));
         assert!(manifest.contains("\"events_recorded\":1"));
         assert!(manifest.contains("unit_demo_events.jsonl"));
-        std::env::remove_var("TIMECACHE_RESULTS");
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The batched replay fast path's contract: pushing a recorded trace
-//! through `Hierarchy::access_batch` (via `Trace::replay_hierarchy`) yields
-//! exactly the per-access loop's observables — the `AccessOutcome`
-//! sequence, the final clock, the hierarchy statistics, and the merged
-//! telemetry counters — whether the replay runs on the caller's thread
-//! (`--jobs 1`) or across sweep workers (`--jobs 4`).
+//! `Trace::replay_hierarchy`'s contract: replaying a recorded trace yields
+//! exactly the observables of a hand-written loop of `Hierarchy::access`
+//! and `clflush` calls — the `AccessOutcome` sequence, the final clock and
+//! the hierarchy statistics. Four replays fanned across the sweep engine
+//! merge their telemetry into access counters equal to four times the
+//! hand-written loop's, whether they run on the caller's thread
+//! (`--jobs 1`) or on four workers.
 
 use timecache_bench::{sweep, telemetry};
 use timecache_core::TimeCacheConfig;
@@ -63,7 +64,7 @@ fn hierarchy() -> Hierarchy {
 }
 
 /// The per-access reference: the same op stream through
-/// `Hierarchy::access` one call at a time, with the batched replay's
+/// `Hierarchy::access` one call at a time, with `replay_hierarchy`'s
 /// serial clock rule (`now += latency`; clflush adds its own latency).
 fn replay_per_access(trace: &Trace) -> (Vec<AccessOutcome>, u64, HierarchyStats) {
     let mut h = hierarchy();
@@ -100,7 +101,7 @@ fn replay_per_access(trace: &Trace) -> (Vec<AccessOutcome>, u64, HierarchyStats)
     (outs, now, stats)
 }
 
-/// One batched replay with an instrumented hierarchy; returns observables
+/// One `replay_hierarchy` call on an instrumented hierarchy; returns observables
 /// plus the worker-local telemetry's view of the access counters.
 fn replay_batched(trace: &Trace) -> (Vec<AccessOutcome>, u64, HierarchyStats) {
     let mut h = hierarchy();

@@ -1,32 +1,38 @@
-//! End-to-end contract of the fault-injection matrix: the artifact is
-//! complete even when a worker panics, an interrupted run resumes from the
-//! checkpoint journal to a byte-identical final CSV, and the security
-//! verdicts come out with the expected asymmetry (TimeCache secure,
-//! baseline leaky) under every injected fault.
-//!
-//! Everything lives in ONE `#[test]` because the scenario toggles
-//! process-wide environment variables (`TIMECACHE_RESULTS`,
-//! `TIMECACHE_FAULT_SWEEP_PANIC`); a single test body keeps them
-//! race-free without cross-test locking.
+//! End-to-end contract of the fault-injection and leakage matrices: the
+//! security verdicts come out with the expected asymmetry (TimeCache
+//! secure under every injected fault, baseline leaky; every channel leaks
+//! at baseline and is silenced by its defense), and the quick-profile
+//! artifacts are pinned by FNV-1a digests, so a change to any cell shows
+//! up here before it reaches EXPERIMENTS.md.
 
 use std::fs;
-use timecache_bench::exp::fault_sweep::{self, JOBS};
+use std::path::PathBuf;
+use timecache_bench::exp::{fault_sweep, leakage_sweep};
 use timecache_bench::runner::RunParams;
 
-#[test]
-fn fault_matrix_is_resilient_checkpointed_and_secure() {
-    let dir = std::env::temp_dir().join(format!("tc-fault-sweep-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    std::env::set_var("TIMECACHE_RESULTS", &dir);
-    let csv = dir.join("fault_matrix.csv");
-    let json = dir.join("fault_matrix.json");
-    let journal = dir.join("fault_matrix.partial.jsonl");
-    let params = RunParams::quick();
+/// Points `TIMECACHE_RESULTS` at a per-process temp directory, once: the
+/// tests run on parallel threads and share the variable.
+fn results_dir() -> PathBuf {
+    static SET: std::sync::Once = std::sync::Once::new();
+    let dir = std::env::temp_dir().join(format!("tc-matrix-test-{}", std::process::id()));
+    SET.call_once(|| std::env::set_var("TIMECACHE_RESULTS", &dir));
+    dir
+}
 
-    // --- Clean run: full matrix, expected verdicts, journal cleaned up.
-    let summary = fault_sweep::run(&params, 2).expect("write fault matrix");
-    assert!(summary.failures.is_empty(), "clean run must not fail cells");
+/// FNV-1a (64-bit) over a file's bytes.
+fn digest(path: PathBuf) -> u64 {
+    fs::read(&path)
+        .unwrap_or_else(|e| panic!("{path:?}: {e}"))
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn fault_matrix_is_secure_and_pinned() {
+    let dir = results_dir();
+    let summary = fault_sweep::run(&RunParams::quick(), 2).expect("write fault matrix");
     assert_eq!(
         summary.timecache_violations, 0,
         "TimeCache must stay invariant-clean under every fault scenario"
@@ -35,66 +41,40 @@ fn fault_matrix_is_resilient_checkpointed_and_secure() {
         summary.baseline_violations > 0,
         "the checker must catch the undefended baseline leak"
     );
-    assert_eq!(summary.baseline_rows_completed, JOBS / 2);
     assert!(
         summary.total_injected > 0,
         "fault scenarios must actually inject faults"
     );
-    let clean_csv = fs::read(&csv).unwrap();
-    let clean_text = String::from_utf8(clean_csv.clone()).unwrap();
+    let csv = fs::read_to_string(dir.join("fault_matrix.csv")).unwrap();
     assert_eq!(
-        clean_text.lines().count(),
-        JOBS + 1,
+        csv.lines().count(),
+        fault_sweep::JOBS + 1,
         "header + one row per cell"
     );
-    assert!(!clean_text.contains("VIOLATED"));
-    assert!(clean_text.contains("leaks"));
-    assert!(!journal.exists(), "clean finish must remove the journal");
-    let json_text = fs::read_to_string(&json).unwrap();
-    assert!(json_text.contains("\"timecache_violations\":0"));
-    assert!(json_text.contains("\"failed\":[]"));
+    assert!(!csv.contains("VIOLATED"));
+    assert!(csv.contains("leaks"));
+    assert_eq!(digest(dir.join("fault_matrix.csv")), 0xae2f_7f4a_4a43_6d6f);
+    assert_eq!(digest(dir.join("fault_matrix.json")), 0xf5be_0934_cf10_84ac);
+}
 
-    // --- Forced worker panic: the cell fails (it is not retried), but the
-    // artifact is still complete (the failed row is listed) and the
-    // journal survives for resumption.
-    fs::remove_file(&csv).unwrap();
-    std::env::set_var("TIMECACHE_FAULT_SWEEP_PANIC", "4");
-    let broken = fault_sweep::run(&params, 2).expect("write fault matrix");
-    std::env::remove_var("TIMECACHE_FAULT_SWEEP_PANIC");
-    assert_eq!(broken.failures.len(), 1);
-    assert_eq!(broken.failures[0].index, 4);
-    assert!(broken.failures[0].message.contains("injected worker panic"));
+#[test]
+fn leakage_matrix_is_eliminated_and_pinned() {
+    let dir = results_dir();
+    let summary = leakage_sweep::run(&RunParams::quick(), 2).expect("write leakage matrix");
     assert_eq!(
-        broken.baseline_rows_completed,
-        JOBS / 2 - 1,
-        "job 4 is a baseline cell and did not complete"
+        summary.baseline_silent, 0,
+        "every channel must leak at baseline"
     );
-    let broken_text = fs::read_to_string(&csv).unwrap();
     assert_eq!(
-        broken_text.lines().count(),
-        JOBS + 1,
-        "failed cell still gets a row"
+        summary.defended_leaks, 0,
+        "every defense must silence its channel"
     );
-    assert!(broken_text.contains("failed: injected worker panic"));
-    assert!(
-        journal.exists(),
-        "failures must keep the checkpoint journal"
-    );
-    assert!(fs::read_to_string(&json).unwrap().contains("\"job\":4"));
-
-    // --- Resume: only the failed cell reruns (the journal already holds
-    // the other 17 rows) and the final CSV is byte-identical to the
-    // uninterrupted run's.
-    let resumed = fault_sweep::run(&params, 2).expect("write fault matrix");
-    assert!(resumed.failures.is_empty());
-    assert_eq!(resumed.timecache_violations, 0);
-    assert!(resumed.baseline_violations > 0);
     assert_eq!(
-        fs::read(&csv).unwrap(),
-        clean_csv,
-        "resumed run must reproduce the clean CSV byte-for-byte"
+        digest(dir.join("leakage_matrix.csv")),
+        0x54da_aea7_81f3_8aaa
     );
-    assert!(!journal.exists());
-
-    let _ = fs::remove_dir_all(&dir);
+    assert_eq!(
+        digest(dir.join("leakage_matrix.json")),
+        0xe5d7_e97a_0390_cfd9
+    );
 }

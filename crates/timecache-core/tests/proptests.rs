@@ -16,8 +16,7 @@ use timecache_core::{
     TransposeArray, Visibility, WrappingTime,
 };
 
-/// Minimal xorshift64* PRNG (same algorithm as `timecache_workloads::rng`,
-/// duplicated here because `timecache-core` sits below the workload crate).
+/// Minimal xorshift64* PRNG (same algorithm as [`timecache_core::FastRng`]).
 struct Rng(u64);
 
 impl Rng {

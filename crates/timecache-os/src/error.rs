@@ -2,9 +2,8 @@
 //!
 //! The scheduler's fallible entry points ([`crate::System::try_spawn`],
 //! [`crate::System::try_extend_target`], [`crate::Trace::from_text`])
-//! return these instead of panicking, so harnesses — the resilient sweep
-//! engine in particular — can report a bad configuration as a failed job
-//! rather than a dead worker. The `Display` strings are byte-for-byte the
+//! return these instead of panicking, so harnesses can report a bad
+//! configuration as an error. The `Display` strings are byte-for-byte the
 //! legacy panic messages, so the panicking convenience wrappers (which
 //! simply `panic!("{err}")`) keep every historical message intact.
 

@@ -10,7 +10,7 @@ use timecache_sim::{
     AccessKind, CacheConfig, Hierarchy, HierarchyConfig, Level, LineAddr, SecurityMode,
 };
 
-/// Minimal xorshift64* PRNG (duplicated from `timecache_workloads::rng`
+/// Minimal xorshift64* PRNG (duplicated from `timecache_core::FastRng`
 /// to keep this crate's dev-dependencies empty).
 struct Rng(u64);
 

@@ -31,7 +31,6 @@
 pub mod layout;
 pub mod mixes;
 pub mod parsec;
-pub mod rng;
 pub mod rsa;
 pub mod spec;
 pub mod synthetic;

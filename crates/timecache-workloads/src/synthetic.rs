@@ -20,7 +20,7 @@
 //!   (deduplicated pages), accessed at `shared_data_frac`.
 
 use crate::layout;
-use crate::rng::FastRng;
+use timecache_core::FastRng;
 use timecache_os::{DataKind, Op, Program};
 use timecache_sim::Addr;
 

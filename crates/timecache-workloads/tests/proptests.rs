@@ -3,10 +3,10 @@
 //! against a fast native implementation.
 //!
 //! The workspace builds offline with no third-party crates (DESIGN.md §6),
-//! so these use the crate's own [`FastRng`] over fixed seeds instead of
+//! so these use the core crate's [`FastRng`] over fixed seeds instead of
 //! `proptest`.
 
-use timecache_workloads::rng::FastRng;
+use timecache_core::FastRng;
 use timecache_workloads::rsa::{modexp, ModExp, Mpi, PrimitiveOp};
 
 fn native_modexp(b: u64, e: u64, m: u64) -> u64 {
