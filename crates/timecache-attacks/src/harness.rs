@@ -173,22 +173,16 @@ mod tests {
     fn telemetry_captures_probe_latencies() {
         use timecache_telemetry::TraceEvent;
 
+        // Both modes on one handle at the `security` experiment's 5 rounds
+        // each: the event log keeps every probe, with nothing dropped.
         let tel = Telemetry::enabled();
-        let r = run_microbenchmark_with_telemetry(SecurityMode::Baseline, 2, &tel);
         let hist = tel.registry().unwrap().histogram(
             "attack_probe_latency_cycles",
             "Reload/probe latencies measured by attackers.",
             &[("attack", "flush_reload")],
         );
-        assert_eq!(hist.count(), r.probes);
-        let probe_events = tel
-            .tracer()
-            .unwrap()
-            .records()
-            .iter()
-            .filter(|e| matches!(e.event, TraceEvent::Probe { .. }))
-            .count() as u64;
-        assert_eq!(probe_events, r.probes);
+        let base = run_microbenchmark_with_telemetry(SecurityMode::Baseline, 5, &tel);
+        assert_eq!(hist.count(), base.probes);
 
         // The baseline microbenchmark is all-hits (that's the leak), so its
         // own histogram has a single mode and no derivable boundary.
@@ -198,11 +192,20 @@ mod tests {
         // handle makes the distribution bimodal — the known-cached /
         // known-flushed calibration a real attacker performs — and the
         // recovered boundary separates the latency model's extremes.
-        run_microbenchmark_with_telemetry(timecache_mode(), 2, &tel);
+        let tc = run_microbenchmark_with_telemetry(timecache_mode(), 5, &tel);
         let t = Threshold::from_histogram(&hist).expect("two modes present");
         let lat = timecache_sim::LatencyConfig::default();
         assert!(t.is_hit(lat.l1_hit));
         assert!(!t.is_hit(lat.dram));
+
+        let tracer = tel.tracer().unwrap();
+        let probe_events = tracer
+            .records()
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Probe { .. }))
+            .count() as u64;
+        assert_eq!(probe_events, base.probes + tc.probes);
+        assert_eq!(tracer.dropped(), 0);
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //! `--quick` shrinks the instruction budgets (useful for smoke-testing the
 //! harness; reported numbers will be noisier). `--jobs N` sets the sweep
 //! engine's worker count, passed to every sweep (default: all cores; every
-//! artifact but the retained event window is byte-identical for every
-//! `N`). `--telemetry` records
-//! metrics, events, and phase profiles for every system the experiment
-//! builds, and writes `<id>_metrics.prom` / `<id>_metrics.json` /
-//! `<id>_events.jsonl` / `<id>_profile.json` / `<id>_manifest.json` under
-//! `results/` next to the experiment's CSV. `fault-sweep` runs the
+//! artifact, the telemetry event log included, is byte-identical for every
+//! `N`). `--telemetry` records metrics, rare events (context switches,
+//! rollover resets, probes, faults, invariant violations) and phase
+//! profiles for every system the experiment builds, and writes
+//! `<id>_metrics.prom` / `<id>_metrics.json` / `<id>_events.jsonl` /
+//! `<id>_profile.json` / `<id>_manifest.json` under `results/` next to the
+//! experiment's CSV. `fault-sweep` runs the
 //! fault-injection matrix and exits nonzero if any TimeCache cell violates
 //! the security invariant or if the baseline rows fail to exhibit the
 //! expected leak. `leakage-sweep` runs the TVLA-style statistical leakage

@@ -25,13 +25,14 @@
 //!
 //! The run-scoped [`crate::telemetry`] handle is thread-local and its
 //! sinks are `Rc`-shared, so workers cannot record into the caller's
-//! handle directly. Instead, when the caller's handle is enabled each
-//! worker installs its own enabled handle for the duration of the sweep
-//! and ships a [`TelemetrySnapshot`] back at join; the engine absorbs the
-//! snapshots into the caller's handle in worker order. Counters,
-//! histograms, phase profiles and event counts merge additively, so they
-//! equal a serial run's (see `Telemetry::absorb`); the retained event
-//! window depends on which jobs each worker ran.
+//! handle directly. Instead, when the caller's handle is enabled each job
+//! runs under its own fresh enabled handle and leaves a
+//! [`TelemetrySnapshot`] in its job's slot; after the join the engine
+//! absorbs the snapshots into the caller's handle in job order. That
+//! replays the serial run's recording order, so the merged counters,
+//! histograms, phase profiles and event log (`*_events.jsonl`, including
+//! its sequence numbers and drop count) equal a serial run's at any
+//! worker count (see `Telemetry::absorb`).
 //!
 //! # Progress output
 //!
@@ -70,61 +71,47 @@ where
         return (0..n).map(job).collect();
     }
 
-    let workers = jobs.min(n);
     let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // The caller's handle is not Send; capture only whether it is enabled
-    // and absorb the workers' snapshots after the scope ends.
+    let slots: Vec<Mutex<Option<(T, TelemetrySnapshot)>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
+    // The caller's handle is not Send; capture only its settings and
+    // absorb the jobs' snapshots after the scope ends.
     let caller_tel = crate::telemetry::current();
     let record = caller_tel.is_enabled();
-    // Workers inherit the caller's trace-event setting so a counter-only
-    // sweep stays counter-only (and its absorb stays cheap) in parallel.
     let events_on = caller_tel.trace_events();
-    let snapshots: Vec<Mutex<Option<TelemetrySnapshot>>> =
-        (0..workers).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
-        for worker in 0..workers {
+        for _ in 0..jobs.min(n) {
             let cursor = &cursor;
             let slots = &slots;
-            let snapshots = &snapshots;
             let job = &job;
-            scope.spawn(move || {
+            scope.spawn(move || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
                 let tel = if record {
-                    let tel = Telemetry::enabled();
-                    tel.set_trace_events(events_on);
-                    crate::telemetry::set(&tel);
-                    Some(tel)
+                    Telemetry::enabled()
                 } else {
-                    None
+                    Telemetry::disabled()
                 };
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = job(i);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                }
-                if let Some(tel) = tel {
-                    *snapshots[worker].lock().expect("snapshot slot poisoned") =
-                        Some(tel.snapshot());
-                }
+                tel.set_trace_events(events_on);
+                crate::telemetry::set(&tel);
+                let result = job(i);
+                *slots[i].lock().expect("result slot poisoned") = Some((result, tel.snapshot()));
             });
         }
     });
 
-    for slot in snapshots {
-        if let Some(snap) = slot.into_inner().expect("snapshot slot poisoned") {
-            caller_tel.absorb(&snap);
-        }
-    }
     slots
         .into_iter()
         .map(|slot| {
-            slot.into_inner()
+            let (result, snap) = slot
+                .into_inner()
                 .expect("result slot poisoned")
-                .expect("every job index was claimed and completed")
+                .expect("every job index was claimed and completed");
+            caller_tel.absorb(&snap);
+            result
         })
         .collect()
 }
@@ -181,8 +168,8 @@ mod tests {
 
     #[test]
     fn worker_event_drops_merge_into_caller_tracer() {
-        // Each job emits more than half a ring, so workers overwrite events
-        // before the join as well as when merging.
+        // Each job emits more than half a ring, so the caller's ring
+        // overwrites events while merging.
         let job = |i: usize| {
             let tel = crate::telemetry::current();
             for latency in 0..40_000 {
@@ -201,12 +188,18 @@ mod tests {
             run(jobs, 8, job);
             crate::telemetry::disable();
             let tracer = tel.tracer().unwrap();
-            (tracer.recorded(), tracer.dropped(), tracer.len())
+            (
+                tracer.recorded(),
+                tracer.dropped(),
+                tracer.len(),
+                tracer.to_jsonl(),
+            )
         };
         let serial = counts(1);
         assert_eq!(serial.0, 8 * 40_000);
         assert!(serial.1 > 0, "the ring must overflow");
-        assert_eq!(counts(4), serial);
+        // Counts and the retained window, sequence numbers included.
+        assert!(counts(4) == serial, "jobs = 4 differs from the serial run");
     }
 
     #[test]

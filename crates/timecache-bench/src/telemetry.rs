@@ -6,16 +6,17 @@
 //! [`timecache_os::System`] it builds, so enabling telemetry before an
 //! experiment makes the entire run observable without threading a handle
 //! through every experiment signature. Parallel sweeps via [`crate::sweep`]
-//! give each worker thread its own enabled handle and merge the workers'
-//! snapshots back into the caller's handle at join, so merged counter,
-//! histogram, and profile totals equal a serial run's. After the run,
-//! [`write_artifacts`] snapshots everything into [`crate::output::results_dir`]:
+//! run each job under its own enabled handle and merge the jobs'
+//! snapshots back into the caller's handle in job order, so every artifact
+//! below equals a serial run's. After the run, [`write_artifacts`]
+//! snapshots everything into [`crate::output::results_dir`]:
 //!
 //! * `<id>_metrics.prom` — Prometheus text exposition of all counters,
 //!   gauges, and histograms;
 //! * `<id>_metrics.json` — the same registry as JSON;
-//! * `<id>_events.jsonl` — the bounded event trace, one JSON object per
-//!   line;
+//! * `<id>_events.jsonl` — the event log of context-switch saves and
+//!   restores, rollover resets, probes, injected faults and invariant
+//!   violations, one JSON object per line;
 //! * `<id>_profile.json` — per-process / per-context phase cycles;
 //! * `<id>_manifest.json` — the run manifest tying the artifacts together
 //!   (experiment id, event counts, artifact list).

@@ -1021,16 +1021,19 @@ mod tests {
         cfg.telemetry = Telemetry::enabled();
         let tel = cfg.telemetry.clone();
         let mut s = System::new(cfg).unwrap();
-        let pids = [0, 1].map(|_| s.spawn(Box::new(Spin::new(u64::MAX)), 0, 0, Some(10_000)));
+        let pids = [0, 1].map(|_| s.spawn(Box::new(Spin::new(u64::MAX)), 0, 0, Some(40_000)));
         // Warm-up, reset, measure: the counters keep both phases.
         let warm = s.run(100_000_000);
         assert!(warm.all_completed());
         s.reset_stats();
         for pid in pids {
-            s.try_extend_target(pid, 10_000).unwrap();
+            s.try_extend_target(pid, 40_000).unwrap();
         }
         let r = s.run(100_000_000);
         assert!(r.all_completed());
+        // More accesses than the event ring holds: a per-access trace
+        // would overflow it.
+        assert!(r.total_instructions > timecache_telemetry::DEFAULT_TRACE_CAPACITY as u64);
 
         let reg = tel.registry().unwrap();
         assert_eq!(
@@ -1072,8 +1075,9 @@ mod tests {
             }
         }
 
-        // Every restore of a previously-run process shows up in the trace.
+        // Every save and restore shows up in the trace, none dropped.
         let tracer = tel.tracer().unwrap();
+        assert_eq!(tracer.dropped(), 0);
         let saves = tracer
             .records()
             .iter()

@@ -31,7 +31,7 @@ use crate::stats::{CacheStats, HierarchyStats};
 use timecache_core::{
     FaultInjector, FaultKind, Snapshot, TimeCacheConfig, TriggerPoint, Visibility,
 };
-use timecache_telemetry::{AccessOp, Counter, Histogram, ServedBy, Telemetry, TraceEvent};
+use timecache_telemetry::{Counter, Histogram, ServedBy, Telemetry};
 
 /// The kind of memory access a core performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -175,49 +175,22 @@ fn cores_in(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A cache level as telemetry identifies it (label values and event names).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheKind {
-    L1I,
-    L1D,
-    Llc,
-}
-
-impl CacheKind {
-    fn of(kind: AccessKind) -> CacheKind {
-        match kind {
-            AccessKind::IFetch => CacheKind::L1I,
-            AccessKind::Load | AccessKind::Store => CacheKind::L1D,
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            CacheKind::L1I => 0,
-            CacheKind::L1D => 1,
-            CacheKind::Llc => 2,
-        }
-    }
-
-    /// Event-facing cache name, matching [`Cache::name`].
-    fn event_name(self) -> &'static str {
-        match self {
-            CacheKind::L1I => "L1I",
-            CacheKind::L1D => "L1D",
-            CacheKind::Llc => "LLC",
-        }
+/// Which of a core's two L1s serves `kind`: 0 for the L1I, 1 for the L1D.
+fn l1_index(kind: AccessKind) -> usize {
+    match kind {
+        AccessKind::IFetch => 0,
+        AccessKind::Load | AccessKind::Store => 1,
     }
 }
 
 /// Pre-created telemetry handles for the hierarchy's hot path. Every
 /// counter/histogram is resolved once at attach time, so instrumentation
-/// during simulation is plain unsynchronized adds into the shared cells and
-/// ring — no lookups, no heap allocation.
+/// during simulation is plain unsynchronized adds into the shared cells —
+/// no lookups, no heap allocation.
 #[derive(Debug, Clone)]
 struct SimSensors {
-    tel: Telemetry,
-    /// `outcome[cache][o]` with `o` ∈ {hit, first_access, miss}; cache
-    /// order per [`CacheKind::index`].
+    /// `outcome[cache][o]` with `o` ∈ {hit, first_access, miss}; caches in
+    /// the order l1i, l1d, llc.
     outcome: [[Counter; 3]; 3],
     /// Access-latency histograms indexed by [`Level`] (l1, llc, remote_l1,
     /// memory).
@@ -236,9 +209,7 @@ struct SimSensors {
 
 impl SimSensors {
     /// Creates the sensor block, or `None` when telemetry is disabled.
-    /// Takes the handle by value: the one clone lives here for the sensor
-    /// block's lifetime; the access hot path never touches the `Rc` again.
-    fn create(tel: Telemetry) -> Option<Box<SimSensors>> {
+    fn create(tel: &Telemetry) -> Option<Box<SimSensors>> {
         let reg = tel.registry()?;
         const CACHES: [&str; 3] = ["l1i", "l1d", "llc"];
         const OUTCOMES: [&str; 3] = ["hit", "first_access", "miss"];
@@ -303,7 +274,6 @@ impl SimSensors {
         );
         let clflushes = reg.counter("sim_clflush_total", "clflush instructions executed.", &[]);
         Some(Box::new(SimSensors {
-            tel,
             outcome,
             latency,
             events,
@@ -315,14 +285,6 @@ impl SimSensors {
             rollovers,
             clflushes,
         }))
-    }
-}
-
-fn op_of(kind: AccessKind) -> AccessOp {
-    match kind {
-        AccessKind::IFetch => AccessOp::IFetch,
-        AccessKind::Load => AccessOp::Load,
-        AccessKind::Store => AccessOp::Store,
     }
 }
 
@@ -347,7 +309,7 @@ pub struct Hierarchy {
     l1d: Vec<Cache>,
     llc: Cache,
     /// L1→LLC slot links: `l1_links[core][l1][flat]`, with `l1` the L1's
-    /// [`CacheKind::index`], is the LLC flat index of the line in that L1
+    /// [`l1_index`], is the LLC flat index of the line in that L1
     /// slot, written by `fill_l1`. A link is valid while its L1 copy lives:
     /// LLC lines never move, and an LLC eviction or `clflush` invalidates
     /// every L1 copy first. An invalid L1 slot's link is stale and never
@@ -422,15 +384,14 @@ impl Hierarchy {
     /// Attaches a [`Telemetry`] handle. When `tel` is enabled, the
     /// hierarchy reports per-level access-outcome counters (on
     /// [`Hierarchy::publish_stats`]), per-component latency histograms, line
-    /// lifecycle events, and switch-cost totals through it. Attaching a
-    /// disabled handle detaches instrumentation.
+    /// lifecycle counters, and switch-cost totals through it. It traces no
+    /// events. Attaching a disabled handle detaches instrumentation.
     ///
     /// All metric handles are resolved here, once — after this call the
     /// access hot path performs no allocation, registry lookups, or `Rc`
-    /// reference-count traffic (the handle is cloned exactly once, into the
-    /// sensor block).
+    /// reference-count traffic.
     pub fn attach_telemetry(&mut self, tel: &Telemetry) {
-        self.sensors = SimSensors::create(tel.clone());
+        self.sensors = SimSensors::create(tel);
     }
 
     /// Attaches a [`FaultInjector`] whose plan targets the context-switch
@@ -490,14 +451,9 @@ impl Hierarchy {
     ) -> AccessOutcome {
         self.check_context(core, thread);
         let line = LineAddr::from_raw(addr >> self.line_shift);
-        if let Some(s) = &self.sensors {
-            // Announce the clock so events emitted from clock-less inner
-            // paths (evictions, write-backs) carry the access cycle.
-            s.tel.set_now(now);
-        }
         let out = self.access_inner(core, thread, kind, line, now);
-        if self.sensors.is_some() {
-            self.note_access(core, thread, kind, line, &out);
+        if let Some(s) = &self.sensors {
+            s.latency[out.served_by as usize].observe(out.latency);
         }
         out
     }
@@ -651,27 +607,21 @@ impl Hierarchy {
         }
         let mut present = false;
         for core in 0..self.cfg.cores {
-            if let Some(dirty) = self.l1i[core].invalidate(line) {
+            if self.l1i[core].invalidate(line).is_some() {
                 present = true;
-                self.note_invalidation(CacheKind::L1I, line, dirty);
             }
             if let Some(dirty) = self.l1d[core].invalidate(line) {
                 present = true;
-                self.note_invalidation(CacheKind::L1D, line, dirty);
                 if dirty {
                     self.l1d[core].stats_mut().writebacks += 1;
-                    self.note_writeback(CacheKind::L1D, line);
                 }
             }
         }
         if let Some(hit) = self.llc.lookup(line) {
             present = true;
             self.dir[hit.flat] = DirEntry::default();
-            let dirty = self.llc.invalidate(line) == Some(true);
-            self.note_invalidation(CacheKind::Llc, line, dirty);
-            if dirty {
+            if self.llc.invalidate(line) == Some(true) {
                 self.llc.stats_mut().writebacks += 1;
-                self.note_writeback(CacheKind::Llc, line);
             }
         }
         let constant_time = self
@@ -767,7 +717,6 @@ impl Hierarchy {
             }
         }
         if let Some(s) = &self.sensors {
-            s.tel.set_now(now);
             s.restores.inc();
             s.comparator_cycles.add(cost.comparator_cycles);
             s.transfer_lines.add(cost.transfer_lines);
@@ -847,64 +796,6 @@ impl Hierarchy {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Records an access outcome's latency observation and trace event.
-    fn note_access(
-        &self,
-        core: usize,
-        thread: usize,
-        kind: AccessKind,
-        line: LineAddr,
-        out: &AccessOutcome,
-    ) {
-        let s = self.sensors.as_ref().expect("checked by caller");
-        s.latency[out.served_by as usize].observe(out.latency);
-
-        s.tel.emit(TraceEvent::Access {
-            core: core as u32,
-            thread: thread as u32,
-            op: op_of(kind),
-            served_by: out.served_by.into(),
-            latency: out.latency,
-            l1_tag_hit: out.l1_tag_hit,
-            first_access_l1: out.first_access_l1,
-            first_access_llc: out.first_access_llc,
-            line: line.raw(),
-        });
-    }
-
-    /// Records a replacement eviction event. No-op when telemetry is
-    /// detached.
-    fn note_eviction(&self, cache: CacheKind, line: LineAddr, dirty: bool) {
-        if let Some(s) = &self.sensors {
-            s.tel.emit(TraceEvent::Eviction {
-                cache: cache.event_name(),
-                line: line.raw(),
-                dirty,
-            });
-        }
-    }
-
-    /// Records an invalidation (coherence / back-invalidation / clflush).
-    fn note_invalidation(&self, cache: CacheKind, line: LineAddr, dirty: bool) {
-        if let Some(s) = &self.sensors {
-            s.tel.emit(TraceEvent::Invalidation {
-                cache: cache.event_name(),
-                line: line.raw(),
-                dirty,
-            });
-        }
-    }
-
-    /// Records a dirty-line write-back.
-    fn note_writeback(&self, cache: CacheKind, line: LineAddr) {
-        if let Some(s) = &self.sensors {
-            s.tel.emit(TraceEvent::Writeback {
-                cache: cache.event_name(),
-                line: line.raw(),
-            });
-        }
-    }
-
     fn l1_mut(&mut self, core: usize, kind: AccessKind) -> &mut Cache {
         match kind {
             AccessKind::IFetch => &mut self.l1i[core],
@@ -921,7 +812,7 @@ impl Hierarchy {
         l1_flat: usize,
         line: LineAddr,
     ) -> usize {
-        let slot = self.l1_links[core][CacheKind::of(kind).index()][l1_flat];
+        let slot = self.l1_links[core][l1_index(kind)][l1_flat];
         debug_assert_eq!(
             self.llc.lookup(line).map(|hit| hit.flat),
             Some(slot),
@@ -965,28 +856,20 @@ impl Hierarchy {
         let (slot, victim) = self.llc.fill(line, llc_ctx, now);
         let slot = slot.flat;
         if let Some(victim) = victim {
-            self.note_eviction(CacheKind::Llc, victim.line, victim.dirty);
             // Inclusive LLC: evicting a line removes it from all L1s.
             // The victim occupied the same flat slot the new line now uses;
             // its directory entry is at that index.
             let victim_entry = std::mem::take(&mut self.dir[slot]);
             for core in cores_in(victim_entry.sharers) {
-                if let Some(dirty) = self.l1i[core].invalidate(victim.line) {
-                    self.note_invalidation(CacheKind::L1I, victim.line, dirty);
-                }
-                if let Some(dirty) = self.l1d[core].invalidate(victim.line) {
-                    self.note_invalidation(CacheKind::L1D, victim.line, dirty);
-                    if dirty {
-                        // Dirty L1 copy of a dying LLC line: straight to
-                        // memory.
-                        self.l1d[core].stats_mut().writebacks += 1;
-                        self.note_writeback(CacheKind::L1D, victim.line);
-                    }
+                self.l1i[core].invalidate(victim.line);
+                if self.l1d[core].invalidate(victim.line) == Some(true) {
+                    // Dirty L1 copy of a dying LLC line: straight to
+                    // memory.
+                    self.l1d[core].stats_mut().writebacks += 1;
                 }
             }
             if victim.dirty {
                 self.llc.stats_mut().writebacks += 1;
-                self.note_writeback(CacheKind::Llc, victim.line);
             }
         } else {
             // Even without a victim the slot's directory entry may be stale
@@ -1018,10 +901,8 @@ impl Hierarchy {
         let (slot, victim) = self.l1_mut(core, kind).fill(line, thread, now);
         let slot = slot.flat;
         if let Some(v) = victim {
-            self.note_eviction(CacheKind::of(kind), v.line, v.dirty);
             if v.dirty {
                 self.l1_mut(core, kind).stats_mut().writebacks += 1;
-                self.note_writeback(CacheKind::of(kind), v.line);
             }
             // The landing slot still links to the victim's LLC slot.
             let v_slot = self.linked_llc_slot(core, kind, slot, v.line);
@@ -1041,7 +922,7 @@ impl Hierarchy {
                 entry.clear_owner(core);
             }
         }
-        self.l1_links[core][CacheKind::of(kind).index()][slot] = llc_slot;
+        self.l1_links[core][l1_index(kind)][slot] = llc_slot;
         self.dir[llc_slot].sharers |= 1 << core;
         slot
     }
@@ -1054,17 +935,11 @@ impl Hierarchy {
         self.l1d[core].set_dirty(l1d_slot, true);
         let remote = self.dir[llc_slot].sharers & !(1 << core);
         for other in cores_in(remote) {
-            if let Some(dirty) = self.l1i[other].invalidate(line) {
-                self.note_invalidation(CacheKind::L1I, line, dirty);
-            }
-            if let Some(dirty) = self.l1d[other].invalidate(line) {
-                self.note_invalidation(CacheKind::L1D, line, dirty);
-                if dirty {
-                    // Remote dirty copy written back before we overwrite.
-                    self.l1d[other].stats_mut().writebacks += 1;
-                    self.note_writeback(CacheKind::L1D, line);
-                    self.llc.set_dirty(llc_slot, true);
-                }
+            self.l1i[other].invalidate(line);
+            if self.l1d[other].invalidate(line) == Some(true) {
+                // Remote dirty copy written back before we overwrite.
+                self.l1d[other].stats_mut().writebacks += 1;
+                self.llc.set_dirty(llc_slot, true);
             }
         }
         self.dir[llc_slot] = DirEntry {
@@ -1080,7 +955,6 @@ impl Hierarchy {
             if self.l1d[owner].is_dirty(hit.flat) {
                 self.l1d[owner].set_dirty(hit.flat, false);
                 self.l1d[owner].stats_mut().writebacks += 1;
-                self.note_writeback(CacheKind::L1D, line);
             }
         }
         self.llc.set_dirty(llc_slot, true);

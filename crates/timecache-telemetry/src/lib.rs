@@ -26,8 +26,7 @@
 //! if let Some(reg) = tel.registry() {
 //!     reg.counter("events_total", "Total events.", &[]).inc();
 //! }
-//! tel.set_now(100);
-//! tel.emit(TraceEvent::Probe { attack: "demo", latency: 2, hit: true });
+//! tel.emit_at(100, TraceEvent::Probe { attack: "demo", latency: 2, hit: true });
 //! if let Some(p) = tel.profiler() {
 //!     p.record(Scope::Process(0), Phase::Compute, 42);
 //! }
@@ -38,7 +37,7 @@
 //!
 //! // Disabled telemetry: every call is a cheap no-op.
 //! let off = Telemetry::disabled();
-//! off.emit(TraceEvent::Probe { attack: "demo", latency: 2, hit: true });
+//! off.emit_at(100, TraceEvent::Probe { attack: "demo", latency: 2, hit: true });
 //! assert!(off.registry().is_none());
 //! ```
 
@@ -52,7 +51,7 @@ pub mod trace;
 
 pub use profile::{Phase, PhaseCycles, ProfileSnapshot, Profiler, Scope};
 pub use registry::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, HISTOGRAM_BUCKETS};
-pub use trace::{AccessOp, EventRecord, ServedBy, TraceEvent, Tracer};
+pub use trace::{EventRecord, ServedBy, TraceEvent, Tracer};
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -65,13 +64,9 @@ struct TelemetryInner {
     registry: Registry,
     tracer: Tracer,
     profiler: Profiler,
-    /// The most recently announced simulated cycle, used to stamp events
-    /// emitted from call sites that have no clock of their own.
-    now: Cell<u64>,
-    /// Whether [`Telemetry::emit`]/[`Telemetry::emit_at`] record anything.
-    /// Defaults to true; campaigns that only consume counters (sweeps, the
-    /// oracle, microbenchmarks) turn it off so instrumented hot paths skip
-    /// event construction entirely. Counters and histograms are unaffected.
+    /// Whether [`Telemetry::emit_at`] records anything. Defaults to true;
+    /// a counter-only measurement can turn it off. Counters and histograms
+    /// are unaffected.
     trace_events: Cell<bool>,
 }
 
@@ -108,7 +103,6 @@ impl Telemetry {
                 registry: Registry::new(),
                 tracer: Tracer::with_capacity(capacity),
                 profiler: Profiler::new(),
-                now: Cell::new(0),
                 trace_events: Cell::new(true),
             })),
         }
@@ -138,52 +132,23 @@ impl Telemetry {
         self.inner.as_deref().map(|i| &i.profiler)
     }
 
-    /// Announces the current simulated cycle. Instrumented components call
-    /// this as their clock advances so events emitted from clock-less call
-    /// sites (e.g. `clflush`) still carry a meaningful time.
-    #[inline]
-    pub fn set_now(&self, cycle: u64) {
-        if let Some(inner) = &self.inner {
-            inner.now.set(cycle);
-        }
-    }
-
-    /// The most recently announced simulated cycle (0 when disabled).
-    #[inline]
-    pub fn now(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.now.get())
-    }
-
-    /// Whether trace-event emission is on (false when disabled). Hot paths
-    /// with many emit sites read this once and hoist the branch.
+    /// Whether trace-event emission is on (false when disabled).
     #[inline]
     pub fn trace_events(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.trace_events.get())
     }
 
-    /// Turns trace-event emission on or off. Off, [`Telemetry::emit`] and
-    /// [`Telemetry::emit_at`] become no-ops while counters, histograms,
-    /// gauges, and the profiler keep recording exactly — the switch for
-    /// counter-only campaigns that would otherwise churn the event ring.
-    /// No-op when disabled; emission defaults to on.
+    /// Turns trace-event emission on or off. Off, [`Telemetry::emit_at`]
+    /// is a no-op while counters, histograms, gauges, and the profiler keep
+    /// recording exactly, so a measurement can time the counter sinks
+    /// alone. No-op when disabled; emission defaults to on.
     pub fn set_trace_events(&self, on: bool) {
         if let Some(inner) = &self.inner {
             inner.trace_events.set(on);
         }
     }
 
-    /// Records `event` at the last announced cycle. No-op when disabled or
-    /// when trace events are off ([`Telemetry::set_trace_events`]).
-    #[inline]
-    pub fn emit(&self, event: TraceEvent) {
-        if let Some(inner) = &self.inner {
-            if inner.trace_events.get() {
-                inner.tracer.record(inner.now.get(), event);
-            }
-        }
-    }
-
-    /// Records `event` at an explicit cycle. No-op when disabled or when
+    /// Records `event` at simulated cycle `cycle`. No-op when disabled or when
     /// trace events are off ([`Telemetry::set_trace_events`]).
     #[inline]
     pub fn emit_at(&self, cycle: u64, event: TraceEvent) {
@@ -272,13 +237,14 @@ mod tests {
         assert!(t.registry().is_none());
         assert!(t.tracer().is_none());
         assert!(t.profiler().is_none());
-        t.set_now(5);
-        assert_eq!(t.now(), 0);
-        t.emit(TraceEvent::Probe {
-            attack: "x",
-            latency: 1,
-            hit: true,
-        });
+        t.emit_at(
+            5,
+            TraceEvent::Probe {
+                attack: "x",
+                latency: 1,
+                hit: true,
+            },
+        );
     }
 
     #[test]
@@ -287,12 +253,14 @@ mod tests {
         let u = t.clone();
         t.registry().unwrap().counter("c_total", "c", &[]).inc();
         assert_eq!(u.registry().unwrap().counter_value("c_total", &[]), Some(1));
-        t.set_now(7);
-        u.emit(TraceEvent::Probe {
-            attack: "x",
-            latency: 1,
-            hit: false,
-        });
+        u.emit_at(
+            7,
+            TraceEvent::Probe {
+                attack: "x",
+                latency: 1,
+                hit: false,
+            },
+        );
         assert_eq!(t.tracer().unwrap().records()[0].cycle, 7);
     }
 
@@ -362,12 +330,6 @@ mod tests {
         assert!(t.trace_events());
         t.set_trace_events(false);
         assert!(!t.trace_events());
-        t.set_now(3);
-        t.emit(TraceEvent::Probe {
-            attack: "x",
-            latency: 1,
-            hit: true,
-        });
         t.emit_at(
             9,
             TraceEvent::Probe {
@@ -381,11 +343,14 @@ mod tests {
         t.registry().unwrap().counter("c_total", "c", &[]).inc();
         assert_eq!(t.registry().unwrap().counter_value("c_total", &[]), Some(1));
         t.set_trace_events(true);
-        t.emit(TraceEvent::Probe {
-            attack: "x",
-            latency: 1,
-            hit: true,
-        });
+        t.emit_at(
+            9,
+            TraceEvent::Probe {
+                attack: "x",
+                latency: 1,
+                hit: true,
+            },
+        );
         assert_eq!(t.tracer().unwrap().len(), 1);
 
         // A disabled handle reports off and tolerates the setter.
@@ -393,21 +358,5 @@ mod tests {
         assert!(!off.trace_events());
         off.set_trace_events(true);
         assert!(!off.trace_events());
-    }
-
-    #[test]
-    fn emit_at_overrides_clock() {
-        let t = Telemetry::with_trace_capacity(4);
-        t.set_now(10);
-        t.emit_at(
-            99,
-            TraceEvent::Probe {
-                attack: "x",
-                latency: 1,
-                hit: true,
-            },
-        );
-        assert_eq!(t.tracer().unwrap().records()[0].cycle, 99);
-        assert_eq!(t.now(), 10);
     }
 }

@@ -12,29 +12,6 @@ use crate::encode;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// The memory operation kind, mirrored from the simulator (the telemetry
-/// crate sits below `timecache-sim` in the dependency graph).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessOp {
-    /// Instruction fetch.
-    IFetch,
-    /// Data load.
-    Load,
-    /// Data store.
-    Store,
-}
-
-impl AccessOp {
-    /// Stable lowercase name used in exports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AccessOp::IFetch => "ifetch",
-            AccessOp::Load => "load",
-            AccessOp::Store => "store",
-        }
-    }
-}
-
 /// Which component serviced (or bounded the latency of) an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedBy {
@@ -60,57 +37,13 @@ impl ServedBy {
     }
 }
 
-/// One typed simulator event.
+/// One typed simulator event. Only rare events that explain a number are
+/// traced: context-switch save and restore, rollover resets, attacker
+/// probes, injected faults and invariant violations. Per-access and
+/// per-line activity is counted by the registry's counters and histograms
+/// instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// One memory access completed, with its outcome per level.
-    /// `FirstAccess` outcomes are visible as the `first_access_*` flags —
-    /// the paper's new miss class.
-    Access {
-        /// Core performing the access.
-        core: u32,
-        /// SMT thread within the core.
-        thread: u32,
-        /// Fetch/load/store.
-        op: AccessOp,
-        /// Component that determined the latency.
-        served_by: ServedBy,
-        /// Observed latency in cycles.
-        latency: u64,
-        /// Whether the L1 had a tag hit.
-        l1_tag_hit: bool,
-        /// First-access miss charged at the L1 (tag hit, s-bit clear).
-        first_access_l1: bool,
-        /// First-access miss charged at the LLC.
-        first_access_llc: bool,
-        /// The accessed line address.
-        line: u64,
-    },
-    /// A line was evicted by replacement.
-    Eviction {
-        /// Cache name ("L1I", "L1D", "LLC").
-        cache: &'static str,
-        /// The displaced line address.
-        line: u64,
-        /// Whether the victim held modified data.
-        dirty: bool,
-    },
-    /// A line was invalidated (coherence, back-invalidation, `clflush`).
-    Invalidation {
-        /// Cache name.
-        cache: &'static str,
-        /// The invalidated line address.
-        line: u64,
-        /// Whether the line was dirty.
-        dirty: bool,
-    },
-    /// A dirty line was written back.
-    Writeback {
-        /// Cache name.
-        cache: &'static str,
-        /// The written-back line address.
-        line: u64,
-    },
     /// A process's caching context was saved at a context switch.
     SwitchSave {
         /// Core of the hardware context.
@@ -189,10 +122,6 @@ impl TraceEvent {
     /// Stable event-type name used in exports.
     pub fn kind(&self) -> &'static str {
         match self {
-            TraceEvent::Access { .. } => "access",
-            TraceEvent::Eviction { .. } => "eviction",
-            TraceEvent::Invalidation { .. } => "invalidation",
-            TraceEvent::Writeback { .. } => "writeback",
             TraceEvent::SwitchSave { .. } => "switch_save",
             TraceEvent::SwitchRestore { .. } => "switch_restore",
             TraceEvent::RolloverReset { .. } => "rollover_reset",
@@ -337,42 +266,6 @@ fn write_record(out: &mut String, rec: &EventRecord) {
         rec.event.kind()
     );
     match rec.event {
-        TraceEvent::Access {
-            core,
-            thread,
-            op,
-            served_by,
-            latency,
-            l1_tag_hit,
-            first_access_l1,
-            first_access_llc,
-            line,
-        } => {
-            let _ = write!(
-                out,
-                ",\"core\":{core},\"thread\":{thread},\"op\":\"{}\",\"served_by\":\"{}\",\
-                 \"latency\":{latency},\"l1_tag_hit\":{l1_tag_hit},\
-                 \"first_access_l1\":{first_access_l1},\"first_access_llc\":{first_access_llc},\
-                 \"line\":{line}",
-                op.as_str(),
-                served_by.as_str()
-            );
-        }
-        TraceEvent::Eviction { cache, line, dirty } => {
-            let _ = write!(out, ",\"cache\":");
-            encode::json_string(out, cache);
-            let _ = write!(out, ",\"line\":{line},\"dirty\":{dirty}");
-        }
-        TraceEvent::Invalidation { cache, line, dirty } => {
-            let _ = write!(out, ",\"cache\":");
-            encode::json_string(out, cache);
-            let _ = write!(out, ",\"line\":{line},\"dirty\":{dirty}");
-        }
-        TraceEvent::Writeback { cache, line } => {
-            let _ = write!(out, ",\"cache\":");
-            encode::json_string(out, cache);
-            let _ = write!(out, ",\"line\":{line}");
-        }
         TraceEvent::SwitchSave { core, thread, pid } => {
             let _ = write!(out, ",\"core\":{core},\"thread\":{thread},\"pid\":{pid}");
         }
@@ -480,25 +373,23 @@ mod tests {
         t.record(5, probe(3));
         t.record(
             9,
-            TraceEvent::Access {
+            TraceEvent::SwitchRestore {
                 core: 0,
                 thread: 1,
-                op: AccessOp::Load,
-                served_by: ServedBy::Memory,
-                latency: 200,
-                l1_tag_hit: true,
-                first_access_l1: true,
-                first_access_llc: false,
-                line: 0x40,
+                pid: 2,
+                comparator_cycles: 200,
+                transfer_lines: 3,
+                charged_cycles: 2_360,
+                sbits_reset: 4,
             },
         );
         let jsonl = t.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"type\":\"probe\""));
-        assert!(lines[1].contains("\"type\":\"access\""));
-        assert!(lines[1].contains("\"first_access_l1\":true"));
-        assert!(lines[1].contains("\"served_by\":\"memory\""));
+        assert!(lines[1].contains("\"type\":\"switch_restore\""));
+        assert!(lines[1].contains("\"comparator_cycles\":200"));
+        assert!(lines[1].contains("\"sbits_reset\":4"));
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
