@@ -67,19 +67,6 @@ pub fn dual_core_system(security: SecurityMode) -> System {
     System::new(cfg).expect("table-I config is valid")
 }
 
-/// An SMT system: one core, two hardware threads.
-pub fn smt_system(security: SecurityMode) -> System {
-    let mut hierarchy = HierarchyConfig::with_cores(1);
-    hierarchy.smt_per_core = 2;
-    hierarchy.security = security;
-    let cfg = SystemConfig {
-        hierarchy,
-        quantum_cycles: 200_000,
-        ..SystemConfig::default()
-    };
-    System::new(cfg).expect("table-I config is valid")
-}
-
 /// The TimeCache security mode with the paper's default parameters.
 pub fn timecache_mode() -> SecurityMode {
     SecurityMode::TimeCache(TimeCacheConfig::default())
@@ -212,6 +199,5 @@ mod tests {
     fn systems_construct() {
         let _ = single_core_system(SecurityMode::Baseline);
         let _ = dual_core_system(timecache_mode());
-        let _ = smt_system(timecache_mode());
     }
 }

@@ -9,6 +9,7 @@ use std::fs;
 use std::path::PathBuf;
 use timecache_bench::exp::{fault_sweep, leakage_sweep};
 use timecache_bench::runner::RunParams;
+use timecache_core::Fnv1a;
 
 /// Points `TIMECACHE_RESULTS` at a per-process temp directory, once: the
 /// tests run on parallel threads and share the variable.
@@ -21,12 +22,9 @@ fn results_dir() -> PathBuf {
 
 /// FNV-1a (64-bit) over a file's bytes.
 fn digest(path: PathBuf) -> u64 {
-    fs::read(&path)
-        .unwrap_or_else(|e| panic!("{path:?}: {e}"))
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    let mut h = Fnv1a::new();
+    h.write(&fs::read(&path).unwrap_or_else(|e| panic!("{path:?}: {e}")));
+    h.finish()
 }
 
 #[test]

@@ -71,17 +71,6 @@ impl TimeCacheConfig {
         self.dram_wait_on_remote_hit = on;
         self
     }
-
-    /// Returns a copy with a different timestamp width (useful for rollover
-    /// experiments with narrow counters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is zero or greater than 64.
-    pub fn with_timestamp_bits(mut self, bits: u8) -> Self {
-        self.timestamp_width = TimestampWidth::new(bits);
-        self
-    }
 }
 
 impl Default for TimeCacheConfig {
@@ -106,10 +95,9 @@ mod tests {
 
     #[test]
     fn builders_toggle_flags() {
-        let c = TimeCacheConfig::new(8)
+        let c = TimeCacheConfig::new(16)
             .with_constant_time_clflush(true)
-            .with_dram_wait_on_remote_hit(true)
-            .with_timestamp_bits(16);
+            .with_dram_wait_on_remote_hit(true);
         assert_eq!(c.timestamp_width().bits(), 16);
         assert!(c.constant_time_clflush());
         assert!(c.dram_wait_on_remote_hit());

@@ -62,6 +62,7 @@ mod area;
 mod comparator;
 mod config;
 mod fault;
+mod fnv;
 mod rng;
 mod sbit;
 mod snapshot;
@@ -73,6 +74,7 @@ pub use area::AreaModel;
 pub use comparator::{BitSerialComparator, CompareOutcome};
 pub use config::TimeCacheConfig;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRecord, TriggerPoint};
+pub use fnv::Fnv1a;
 pub use rng::FastRng;
 pub use sbit::SBitArray;
 pub use snapshot::Snapshot;

@@ -1,8 +1,8 @@
 //! A small, fast, deterministic RNG.
 //!
-//! Two consumers share this generator: workload synthesis (via the
-//! re-export in `timecache-workloads`), which draws several random numbers
-//! per simulated instruction, and the fault injector ([`crate::fault`]),
+//! Two consumers share this generator: workload synthesis in
+//! `timecache-workloads`, which draws several random numbers per simulated
+//! instruction, and the fault injector ([`crate::fault`]),
 //! which needs seed-reproducible fault schedules. [`FastRng`] is an
 //! xorshift64* generator seeded through SplitMix64 — statistically more
 //! than adequate for both uses, an order of magnitude faster than a

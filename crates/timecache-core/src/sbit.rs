@@ -144,16 +144,6 @@ impl SBitArray {
         self.len.div_ceil(8)
     }
 
-    /// Iterates over the indices of set s-bits.
-    pub fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            (0..WORD_BITS)
-                .filter(move |b| w >> b & 1 == 1)
-                .map(move |b| wi * WORD_BITS + b)
-                .filter(move |&i| i < self.len)
-        })
-    }
-
     fn bounds(&self, line: usize) {
         assert!(
             line < self.len,
@@ -256,15 +246,5 @@ mod tests {
         // figures are per-context; what matters here is bytes = lines/8.
         assert_eq!(SBitArray::new(1024).storage_bytes(), 128);
         assert_eq!(SBitArray::new(131072).storage_bytes(), 16384);
-    }
-
-    #[test]
-    fn iter_set_yields_sorted_indices() {
-        let mut s = SBitArray::new(200);
-        for i in [199, 0, 64, 100] {
-            s.set(i);
-        }
-        let v: Vec<_> = s.iter_set().collect();
-        assert_eq!(v, vec![0, 64, 100, 199]);
     }
 }

@@ -7,6 +7,7 @@
 //! snapshot is restored into the hardware context it resumes on and brought
 //! up to date by the bit-serial comparator.
 
+use crate::fnv::Fnv1a;
 use crate::sbit::SBitArray;
 use crate::timestamp::{TimestampWidth, WrappingTime};
 
@@ -172,21 +173,13 @@ impl Snapshot {
 
 /// FNV-1a over the snapshot's words, preemption time, and counter width.
 fn integrity_checksum(sbits: &SBitArray, raw_ts: u64, width: TimestampWidth) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash = OFFSET;
-    let mut mix = |value: u64| {
-        for byte in value.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
+    let mut hash = Fnv1a::new();
     for &word in sbits.words() {
-        mix(word);
+        hash.write_u64(word);
     }
-    mix(raw_ts);
-    mix(u64::from(width.bits()));
-    hash
+    hash.write_u64(raw_ts);
+    hash.write_u64(u64::from(width.bits()));
+    hash.finish()
 }
 
 #[cfg(test)]

@@ -1312,15 +1312,13 @@ mod tests {
         // tie-break or to the interleaving shows up here.
         let log = full_log.borrow();
         assert_eq!(log.len() as u64, full.total_instructions);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fnv = timecache_core::Fnv1a::new();
         for &(pid, idx, now) in log.iter() {
-            for b in [u64::from(pid), idx, now]
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-            {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            fnv.write_u64(u64::from(pid));
+            fnv.write_u64(idx);
+            fnv.write_u64(now);
         }
+        let h = fnv.finish();
         assert_eq!(h, 0x94a6_7fef_e090_8c5b, "interleaving digest {h:#018x}");
     }
 

@@ -114,12 +114,6 @@ impl RsaVictim {
         }
     }
 
-    /// The code layout this victim fetches from (attackers probe the same
-    /// addresses — that is the point of shared software).
-    pub fn code_layout(&self) -> RsaCodeLayout {
-        self.layout
-    }
-
     /// Results of completed exponentiations (for correctness checks).
     pub fn results(&self) -> &[Mpi] {
         &self.results

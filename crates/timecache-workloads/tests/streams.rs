@@ -10,6 +10,7 @@
 //! `cargo test -p timecache-workloads --test streams -- --nocapture` and
 //! copy the printed `got` values into the tables below.
 
+use timecache_core::Fnv1a;
 use timecache_os::{DataKind, Op, Program};
 use timecache_workloads::parsec::ParsecBenchmark;
 use timecache_workloads::{SpecBenchmark, SyntheticWorkload};
@@ -17,49 +18,39 @@ use timecache_workloads::{SpecBenchmark, SyntheticWorkload};
 /// Ops hashed per stream.
 const OPS: usize = 200_000;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_u64(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// FNV-1a over the first [`OPS`] ops: a tag word per op, then its fields.
 fn stream_digest(mut w: SyntheticWorkload) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::new();
     for _ in 0..OPS {
         match w.next_op() {
             Op::Instr { pc, data } => {
-                fnv_u64(&mut h, 0);
-                fnv_u64(&mut h, pc);
+                h.write_u64(0);
+                h.write_u64(pc);
                 match data {
-                    None => fnv_u64(&mut h, 0),
+                    None => h.write_u64(0),
                     Some((DataKind::Load, addr)) => {
-                        fnv_u64(&mut h, 1);
-                        fnv_u64(&mut h, addr);
+                        h.write_u64(1);
+                        h.write_u64(addr);
                     }
                     Some((DataKind::Store, addr)) => {
-                        fnv_u64(&mut h, 2);
-                        fnv_u64(&mut h, addr);
+                        h.write_u64(2);
+                        h.write_u64(addr);
                     }
                 }
             }
             Op::Flush { pc, target } => {
-                fnv_u64(&mut h, 1);
-                fnv_u64(&mut h, pc);
-                fnv_u64(&mut h, target);
+                h.write_u64(1);
+                h.write_u64(pc);
+                h.write_u64(target);
             }
             Op::Yield { pc } => {
-                fnv_u64(&mut h, 2);
-                fnv_u64(&mut h, pc);
+                h.write_u64(2);
+                h.write_u64(pc);
             }
-            Op::Done => fnv_u64(&mut h, 3),
+            Op::Done => h.write_u64(3),
         }
     }
-    h
+    h.finish()
 }
 
 /// Compares every `(name, got)` with its recorded digest and reports all
