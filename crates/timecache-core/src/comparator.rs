@@ -1,31 +1,22 @@
-//! Gate-level model of the bit-serial, timestamp-parallel comparator.
+//! The bit-serial, timestamp-parallel comparator.
 //!
 //! Section V-C / Fig. 6 of the paper: at a context switch, the s-bits
 //! restored for the resuming process are stale — any line filled after the
-//! process was preempted (`Tc > Ts`) must have its s-bit reset. Comparing
-//! timestamps line-by-line would take O(lines) cycles; instead the hardware
-//! streams the transposed timestamp array out one *bit-plane* per cycle
-//! (MSB first) and attaches a tiny peripheral circuit to every bit line:
+//! process was preempted (`Tc > Ts`) must have its s-bit reset. The
+//! hardware streams its transposed Tc array out one bit-plane per cycle,
+//! MSB first, into a pair of SR latches per bit line (`GT`: `Tc > Ts` found;
+//! `DONE`: `Tc < Ts` found, stop), so the sweep costs one cycle per
+//! timestamp bit plus one for the s-bit reset drive, whatever the number of
+//! lines.
 //!
-//! * an SR latch `GT` — set when this line's `Tc` is discovered to be
-//!   greater than `Ts` (its output later drives the s-bit reset);
-//! * an SR latch `DONE` — set when `Tc < Ts` is discovered, which must
-//!   *stop* further bit comparisons for this line;
-//! * two AND gates implementing, per iteration `i` from the MSB:
-//!   `set_GT = Tc[i] & !Ts[i] & !DONE & !GT` and
-//!   `set_DONE = !Tc[i] & Ts[i] & !DONE & !GT`.
-//!
-//! After `width` iterations, lines whose `GT` latch is set have their s-bit
-//! reset through the regular bit-line drivers. Total cost: O(width) cycles
-//! regardless of the number of lines.
-//!
-//! [`BitSerialComparator::compare`] executes this circuit 64 lines at a time
-//! using word-wide boolean algebra — the same parallelism the silicon gets
-//! from having one peripheral per bit line — and is property-tested against
-//! the functional predicate `Tc > Ts` in the crate's test suite.
+//! The simulator needs what that circuit computes and what it costs, not
+//! its wiring: [`BitSerialComparator::compare`] builds the reset mask
+//! straight from the per-line timestamps with
+//! [`WrappingTime::is_older_than_fill`], and charges
+//! [`BitSerialComparator::sweep_cycles`]. The unit tests check the paper's
+//! latch equations against the same predicate.
 
 use crate::timestamp::WrappingTime;
-use crate::transpose::TransposeArray;
 
 /// The result of one bit-serial comparison sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,21 +43,19 @@ impl CompareOutcome {
 /// Bit-serial, timestamp-parallel comparator (Fig. 6).
 ///
 /// The comparator is stateless between invocations (its SR latches are reset
-/// before each sweep), so it is modelled as a unit struct with a single
-/// associated function.
+/// before each sweep), so it is modelled as a unit struct with associated
+/// functions.
 ///
 /// # Examples
 ///
 /// ```
-/// use timecache_core::{BitSerialComparator, TransposeArray, TimestampWidth, WrappingTime};
+/// use timecache_core::{BitSerialComparator, TimestampWidth, WrappingTime};
 ///
 /// let w = TimestampWidth::new(8);
-/// let mut tc = TransposeArray::new(3, w);
-/// tc.write_word(0, 50);   // older than Ts: keep
-/// tc.write_word(1, 100);  // equal to Ts: keep
-/// tc.write_word(2, 150);  // newer than Ts: reset
+/// // Line 0 is older than Ts (keep), line 1 equal (keep), line 2 newer (reset).
+/// let tc = [50, 100, 150];
 ///
-/// let out = BitSerialComparator::compare(&mut tc, WrappingTime::from_cycle(100, w));
+/// let out = BitSerialComparator::compare(&tc, WrappingTime::from_cycle(100, w));
 /// assert_eq!(out.reset_mask[0], 0b100);
 /// assert_eq!(out.cycles, 9); // 8 bit iterations + reset drive
 /// ```
@@ -74,68 +63,25 @@ impl CompareOutcome {
 pub struct BitSerialComparator;
 
 impl BitSerialComparator {
-    /// Runs the comparison circuit: for every line `l`,
-    /// `reset_mask[l] = (Tc[l] > Ts)`.
+    /// Runs one sweep: for every line `l`, `reset_mask[l] = (tc[l] > Ts)`,
+    /// packed 64 lines per word with no bits set past `tc.len()`.
     ///
-    /// `ts` is the resuming process's preemption timestamp, loaded into the
-    /// shift register; `tc` is the transposed timestamp array. Both use
-    /// truncated (width-masked) values; rollover must be handled by the
-    /// caller *before* invoking the comparator (see
+    /// `ts` is the resuming process's preemption timestamp; `tc` holds each
+    /// line's fill timestamp, truncated to `ts`'s width. Rollover must be
+    /// handled by the caller *before* invoking the comparator (see
     /// [`WrappingTime::rollover_since`]).
-    ///
-    /// Takes the array mutably because it first flushes any pending
-    /// transpose-interface writes into the bit-plane view
-    /// ([`TransposeArray::sync_planes`]) — in hardware both interfaces
-    /// address the same cells, so the sweep always sees current data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ts` and `tc` have different timestamp widths.
-    pub fn compare(tc: &mut TransposeArray, ts: WrappingTime) -> CompareOutcome {
-        assert_eq!(
-            tc.width(),
-            ts.width(),
-            "comparator requires matching timestamp widths"
-        );
-        tc.sync_planes();
-        let width = tc.width().bits();
-        let words = tc.words_per_plane();
-
-        // SR latches, one per line (bit line), packed 64 per word.
-        let mut gt = vec![0u64; words]; // "Tc > Ts" latched
-        let mut done = vec![0u64; words]; // "Tc < Ts" latched (stop)
-
-        // The shift register feeds Ts MSB-first; each iteration reads one
-        // bit-plane of the transposed array through the regular interface.
-        for bit in (0..width).rev() {
-            // Ts[bit] is a single wire fanned out to every peripheral.
-            let a: u64 = if ts.value() >> bit & 1 == 1 {
-                u64::MAX
-            } else {
-                0
-            };
-            let plane = tc.bit_plane(bit);
-            for w in 0..words {
-                let b = plane[w];
-                let idle = !(gt[w] | done[w]);
-                // set_GT = b & !a & idle ; set_DONE = !b & a & idle
-                gt[w] |= b & !a & idle;
-                done[w] |= !b & a & idle;
-            }
-        }
-
-        // Mask out any phantom lines in the final partial word so the reset
-        // count reflects real lines only.
-        if let Some(last) = gt.last_mut() {
-            let valid = tc.num_words() - (words - 1) * 64;
-            if valid < 64 {
-                *last &= (1u64 << valid) - 1;
-            }
-        }
-
+    pub fn compare(tc: &[u64], ts: WrappingTime) -> CompareOutcome {
+        let reset_mask = tc
+            .chunks(64)
+            .map(|group| {
+                group.iter().enumerate().fold(0u64, |mask, (lane, &t)| {
+                    mask | u64::from(ts.is_older_than_fill(t)) << lane
+                })
+            })
+            .collect();
         CompareOutcome {
-            reset_mask: gt,
-            cycles: width as u64 + 1,
+            reset_mask,
+            cycles: Self::sweep_cycles(ts.width().bits()),
         }
     }
 
@@ -152,15 +98,28 @@ mod tests {
     use crate::timestamp::TimestampWidth;
 
     fn run(values: &[u64], ts: u64, width: u8) -> Vec<bool> {
-        let w = TimestampWidth::new(width);
-        let mut tc = TransposeArray::new(values.len(), w);
-        for (i, &v) in values.iter().enumerate() {
-            tc.write_word(i, v);
-        }
-        let out = BitSerialComparator::compare(&mut tc, WrappingTime::from_cycle(ts, w));
+        let out = BitSerialComparator::compare(
+            values,
+            WrappingTime::from_cycle(ts, TimestampWidth::new(width)),
+        );
         (0..values.len())
             .map(|i| out.reset_mask[i / 64] >> (i % 64) & 1 == 1)
             .collect()
+    }
+
+    /// Fig. 6 for one bit line, as a reference model: the shift register
+    /// feeds `Ts` MSB-first, and each iteration evaluates the two AND gates
+    /// `set_GT = Tc[i] & !Ts[i] & idle` and `set_DONE = !Tc[i] & Ts[i] & idle`,
+    /// where `idle = !GT & !DONE`. The `GT` latch drives the s-bit reset.
+    fn latch_model(tc: u64, ts: u64, width: u8) -> bool {
+        let (mut gt, mut done) = (false, false);
+        for i in (0..width).rev() {
+            let (b, a) = (tc >> i & 1 == 1, ts >> i & 1 == 1);
+            let idle = !gt && !done;
+            gt |= b && !a && idle;
+            done |= !b && a && idle;
+        }
+        gt
     }
 
     #[test]
@@ -195,33 +154,19 @@ mod tests {
     fn partial_last_word_has_no_phantom_resets() {
         // 70 lines, all Tc newer than Ts: exactly 70 resets, not 128.
         let w = TimestampWidth::new(8);
-        let mut tc = TransposeArray::new(70, w);
-        for i in 0..70 {
-            tc.write_word(i, 200);
-        }
-        let out = BitSerialComparator::compare(&mut tc, WrappingTime::from_cycle(10, w));
+        let out = BitSerialComparator::compare(&[200; 70], WrappingTime::from_cycle(10, w));
+        assert_eq!(out.reset_mask.len(), 2);
         assert_eq!(out.reset_count(), 70);
     }
 
     #[test]
     fn cycles_scale_with_width_not_lines() {
-        let w = TimestampWidth::new(32);
-        let mut small = TransposeArray::new(8, w);
-        let mut large = TransposeArray::new(100_000, w);
-        let ts = WrappingTime::from_cycle(0, w);
+        let ts = WrappingTime::from_cycle(0, TimestampWidth::new(32));
         assert_eq!(
-            BitSerialComparator::compare(&mut small, ts).cycles,
-            BitSerialComparator::compare(&mut large, ts).cycles,
+            BitSerialComparator::compare(&[0; 8], ts).cycles,
+            BitSerialComparator::compare(&vec![0; 100_000], ts).cycles,
         );
         assert_eq!(BitSerialComparator::sweep_cycles(32), 33);
-    }
-
-    #[test]
-    #[should_panic(expected = "matching timestamp widths")]
-    fn width_mismatch_rejected() {
-        let mut tc = TransposeArray::new(4, TimestampWidth::new(8));
-        let ts = WrappingTime::from_cycle(0, TimestampWidth::new(16));
-        BitSerialComparator::compare(&mut tc, ts);
     }
 
     #[test]
@@ -231,8 +176,7 @@ mod tests {
         assert_eq!(run(&[0, 1], 0, 1), vec![false, true]);
         assert_eq!(run(&[0, 1], 1, 1), vec![false, false]);
         let w = TimestampWidth::new(1);
-        let mut tc = TransposeArray::new(2, w);
-        let out = BitSerialComparator::compare(&mut tc, WrappingTime::from_cycle(0, w));
+        let out = BitSerialComparator::compare(&[0, 0], WrappingTime::from_cycle(0, w));
         assert_eq!(out.cycles, 2);
         assert_eq!(BitSerialComparator::sweep_cycles(1), 2);
     }
@@ -267,13 +211,14 @@ mod tests {
 
     #[test]
     fn exhaustive_small_width_equivalence() {
-        // For 5-bit timestamps, check the circuit against `tc > ts` for every
-        // (tc, ts) pair exhaustively.
+        // For 5-bit timestamps, every (tc, ts) pair: the comparator, the
+        // Fig. 6 latch model and `tc > ts` all agree.
+        let values: Vec<u64> = (0..32).collect();
         for ts in 0u64..32 {
-            let values: Vec<u64> = (0..32).collect();
             let r = run(&values, ts, 5);
-            for (tc, &flag) in values.iter().zip(&r) {
-                assert_eq!(flag, *tc > ts, "tc={tc} ts={ts}");
+            for (&tc, &flag) in values.iter().zip(&r) {
+                assert_eq!(flag, tc > ts, "tc={tc} ts={ts}");
+                assert_eq!(latch_model(tc, ts, 5), flag, "latches: tc={tc} ts={ts}");
             }
         }
     }

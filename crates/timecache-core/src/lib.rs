@@ -16,13 +16,13 @@
 //!
 //! * a per-line, per-hardware-context **s-bit** ("has this context already
 //!   accessed this resident line?") — [`SBitArray`];
-//! * a per-line fill timestamp **Tc** stored in a *transposed* SRAM array so
-//!   all lines' timestamps can be streamed out one bit-plane at a time —
-//!   [`TransposeArray`];
+//! * a per-line fill timestamp **Tc**, which the paper keeps in a transposed
+//!   SRAM array so all lines' timestamps stream out one bit-plane per cycle;
 //! * a **bit-serial, timestamp-parallel comparator** (Fig. 6 of the paper)
 //!   that, on a context switch, resets the s-bits of every line filled after
 //!   the resuming process was preempted (`Tc > Ts`) in time proportional to
-//!   the timestamp *width*, not the number of lines — [`BitSerialComparator`];
+//!   the timestamp *width*, not the number of lines — [`BitSerialComparator`],
+//!   which computes that reset mask and charges the sweep's cycle cost;
 //! * per-process **caching-context snapshots** saved/restored by trusted
 //!   software at context switches — [`Snapshot`];
 //! * everything glued together per cache level by [`TimeCacheState`].
@@ -68,7 +68,6 @@ mod sbit;
 mod snapshot;
 mod state;
 mod timestamp;
-mod transpose;
 
 pub use area::AreaModel;
 pub use comparator::{BitSerialComparator, CompareOutcome};
@@ -80,4 +79,3 @@ pub use sbit::SBitArray;
 pub use snapshot::Snapshot;
 pub use state::{RestoreOutcome, TimeCacheState, Visibility};
 pub use timestamp::{TimestampWidth, WrappingTime};
-pub use transpose::TransposeArray;

@@ -1,16 +1,15 @@
 //! Per-cache-level TimeCache state machine.
 //!
 //! [`TimeCacheState`] aggregates the mechanism for one cache level: one
-//! transposed `Tc` array, one [`SBitArray`] per hardware context sharing the
-//! cache, and the save/restore/compare choreography performed at context
-//! switches (Fig. 4 of the paper).
+//! `Tc` fill timestamp per line, one [`SBitArray`] per hardware context
+//! sharing the cache, and the save/restore/compare choreography performed
+//! at context switches (Fig. 4 of the paper).
 
 use crate::comparator::BitSerialComparator;
 use crate::config::TimeCacheConfig;
 use crate::fault::{FaultInjector, FaultKind, TriggerPoint};
 use crate::sbit::SBitArray;
 use crate::snapshot::Snapshot;
-use crate::transpose::TransposeArray;
 
 /// What a tag-hit access is allowed to observe, per Section V-A.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,7 +84,8 @@ pub struct RestoreOutcome {
 pub struct TimeCacheState {
     config: TimeCacheConfig,
     num_lines: usize,
-    tc: TransposeArray,
+    /// Each line's fill timestamp, truncated to the counter width.
+    tc: Vec<u64>,
     sbits: Vec<SBitArray>,
 }
 
@@ -102,7 +102,7 @@ impl TimeCacheState {
         TimeCacheState {
             config,
             num_lines,
-            tc: TransposeArray::new(num_lines, config.timestamp_width()),
+            tc: vec![0; num_lines],
             sbits: vec![SBitArray::new(num_lines); num_contexts],
         }
     }
@@ -131,7 +131,7 @@ impl TimeCacheState {
     /// Panics if `line` or `ctx` is out of range.
     pub fn on_fill(&mut self, line: usize, ctx: usize, now: u64) {
         self.check(line, ctx);
-        self.tc.write_word(line, now);
+        self.tc[line] = self.config.timestamp_width().truncate(now);
         for (c, map) in self.sbits.iter_mut().enumerate() {
             if c == ctx {
                 map.set(line);
@@ -303,7 +303,7 @@ impl TimeCacheState {
         }
 
         self.sbits[ctx].copy_from(snap.sbits());
-        let outcome = BitSerialComparator::compare(&mut self.tc, snap.ts());
+        let outcome = BitSerialComparator::compare(&self.tc, snap.ts());
         if faults.fire(FaultKind::FlipComparator, TriggerPoint::Compare) {
             // Dual modular redundancy: the sweep runs twice and the masks
             // must agree. A glitched copy disagrees with the clean one, so
@@ -338,7 +338,7 @@ impl TimeCacheState {
     ///
     /// Panics if `line` is out of range.
     pub fn tc_of(&self, line: usize) -> u64 {
-        self.tc.read_word(line)
+        self.tc[line]
     }
 
     /// A copy of one context's s-bit array.
@@ -520,6 +520,43 @@ mod tests {
         let b = state(16, 1, 32);
         let snap = b.save_context(0, 0);
         a.restore_context_faulty(0, Some(&snap), 0, &FaultInjector::disabled());
+    }
+
+    #[test]
+    #[should_panic(expected = "timestamp width mismatch")]
+    fn width_mismatch_rejected() {
+        let mut a = state(8, 1, 32);
+        let snap = state(8, 1, 16).save_context(0, 0);
+        a.restore_context_faulty(0, Some(&snap), 0, &FaultInjector::disabled());
+    }
+
+    #[test]
+    fn on_fill_truncates_to_width() {
+        // The counter has no more wires than its width.
+        let mut tc = state(4, 1, 8);
+        tc.on_fill(0, 0, 0x1FF);
+        assert_eq!(tc.tc_of(0), 0xFF);
+    }
+
+    #[test]
+    fn refill_overwrites_old_timestamp() {
+        // A refill overwrites every bit of the old value.
+        let mut tc = state(4, 1, 8);
+        tc.on_fill(1, 0, 0xFF);
+        tc.on_fill(1, 0, 0x01);
+        assert_eq!(tc.tc_of(1), 0x01);
+        assert_eq!(tc.tc_of(0), 0);
+    }
+
+    #[test]
+    fn fill_read_roundtrip() {
+        let mut tc = state(200, 1, 16);
+        for i in 0..200 {
+            tc.on_fill(i, 0, (i as u64).wrapping_mul(2654435761));
+        }
+        for i in 0..200 {
+            assert_eq!(tc.tc_of(i), (i as u64).wrapping_mul(2654435761) & 0xFFFF);
+        }
     }
 
     // --- rollover edge cases (satellite: ISSUE 3) ---

@@ -1,8 +1,8 @@
 //! Randomized (but fully deterministic, seed-driven) tests for the
 //! TimeCache hardware mechanism.
 //!
-//! These verify the gate-level comparator against the functional predicate,
-//! the transpose array against a plain vector, and the central security
+//! These verify the comparator against the functional predicate, the
+//! per-line `Tc` store against truncated fill times, and the central security
 //! invariant of the state machine: *a context never observes `Visible` for a
 //! line it has not itself paid a (first-access) miss for since the line's
 //! most recent fill*.
@@ -13,7 +13,7 @@
 
 use timecache_core::{
     BitSerialComparator, FaultInjector, SBitArray, TimeCacheConfig, TimeCacheState, TimestampWidth,
-    TransposeArray, Visibility, WrappingTime,
+    Visibility, WrappingTime,
 };
 
 /// Minimal xorshift64* PRNG (same algorithm as [`timecache_core::FastRng`]).
@@ -39,7 +39,7 @@ impl Rng {
     }
 }
 
-/// The bit-serial circuit computes exactly `tc > ts` for every line.
+/// The comparator computes exactly `tc > ts` for every line.
 #[test]
 fn comparator_matches_functional_compare() {
     for seed in 0..32u64 {
@@ -48,13 +48,10 @@ fn comparator_matches_functional_compare() {
         let w = TimestampWidth::new(width);
         let len = (rng.below(299) + 1) as usize;
         let tcs: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-        let mut arr = TransposeArray::new(len, w);
-        for (i, &v) in tcs.iter().enumerate() {
-            arr.write_word(i, v);
-        }
+        let arr: Vec<u64> = tcs.iter().map(|&v| w.truncate(v)).collect();
         let ts_raw = rng.next_u64();
         let ts = WrappingTime::from_cycle(ts_raw, w);
-        let out = BitSerialComparator::compare(&mut arr, ts);
+        let out = BitSerialComparator::compare(&arr, ts);
         for (i, &v) in tcs.iter().enumerate() {
             let expected = w.truncate(v) > ts.value();
             let got = out.reset_mask[i / 64] >> (i % 64) & 1 == 1;
@@ -72,11 +69,8 @@ fn comparator_mask_has_no_phantom_bits() {
         let len = (rng.below(199) + 1) as usize;
         let ts_raw = rng.next_u64();
         let w = TimestampWidth::new(16);
-        let mut arr = TransposeArray::new(len, w);
-        for i in 0..len {
-            arr.write_word(i, u64::MAX); // everything maximally new
-        }
-        let out = BitSerialComparator::compare(&mut arr, WrappingTime::from_cycle(ts_raw, w));
+        let arr = vec![w.truncate(u64::MAX); len]; // everything maximally new
+        let out = BitSerialComparator::compare(&arr, WrappingTime::from_cycle(ts_raw, w));
         let expected = if w.truncate(u64::MAX) > w.truncate(ts_raw) {
             len
         } else {
@@ -86,21 +80,22 @@ fn comparator_mask_has_no_phantom_bits() {
     }
 }
 
-/// Transposed storage round-trips arbitrary word sequences.
+/// Every line's `Tc` reads back as its last fill time, truncated to the
+/// counter width.
 #[test]
-fn transpose_roundtrip() {
+fn fill_timestamps_roundtrip() {
     for seed in 0..32u64 {
         let mut rng = Rng::new(0x200 + seed);
         let width = (rng.below(64) + 1) as u8;
         let w = TimestampWidth::new(width);
         let len = (rng.below(199) + 1) as usize;
         let values: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
-        let mut arr = TransposeArray::new(len, w);
+        let mut state = TimeCacheState::new(len, 1, TimeCacheConfig::new(width));
         for (i, &v) in values.iter().enumerate() {
-            arr.write_word(i, v);
+            state.on_fill(i, 0, v);
         }
         for (i, &v) in values.iter().enumerate() {
-            assert_eq!(arr.read_word(i), w.truncate(v), "seed {seed} word {i}");
+            assert_eq!(state.tc_of(i), w.truncate(v), "seed {seed} line {i}");
         }
     }
 }

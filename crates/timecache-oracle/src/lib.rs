@@ -1,8 +1,8 @@
 //! Correctness oracles for the TimeCache simulator.
 //!
 //! The optimized simulator in `timecache-sim` has accumulated hot-path
-//! machinery (sentinel tag-folding, precomputed geometry, transposed
-//! timestamp planes) that is hard to audit by eye. This crate checks it
+//! machinery (sentinel tag-folding, precomputed geometry, L1→LLC slot
+//! links) that is hard to audit by eye. This crate checks it
 //! against two independent oracles:
 //!
 //! * a **differential oracle** ([`refmodel`], [`diff`]): a deliberately

@@ -339,11 +339,6 @@ impl Cache {
     pub fn timecache(&self) -> Option<&TimeCacheState> {
         self.timecache.as_ref()
     }
-
-    /// Number of valid lines currently resident (diagnostics/tests).
-    pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
-    }
 }
 
 #[cfg(test)]
@@ -592,13 +587,24 @@ mod tests {
     }
 
     #[test]
-    fn resident_lines_counts_valid() {
+    fn invalidate_removes_only_its_line() {
         let mut c = tiny();
-        assert_eq!(c.resident_lines(), 0);
+        assert!(c.lookup(la(0x00)).is_none());
         c.fill(la(0x00), 0, 0);
         c.fill(la(0x40), 0, 0);
-        assert_eq!(c.resident_lines(), 2);
         c.invalidate(la(0x00));
-        assert_eq!(c.resident_lines(), 1);
+        assert!(c.lookup(la(0x00)).is_none());
+        assert!(c.lookup(la(0x40)).is_some());
+    }
+
+    #[test]
+    fn flat_index_is_set_major() {
+        // TimeCache state is indexed by `set * ways + way`.
+        let mut c = tiny();
+        for addr in [0x00, 0x40, 0x100, 0xC0] {
+            let (at, _) = c.fill(la(addr), 0, 0);
+            assert_eq!(at.flat, at.set as usize * 2 + at.way as usize);
+            assert_eq!(c.lookup(la(addr)), Some(at));
+        }
     }
 }

@@ -80,12 +80,6 @@ impl CacheGeometry {
     pub fn num_lines(&self) -> usize {
         (self.size_bytes / self.line_size) as usize
     }
-
-    /// Flat line index for (set, way), the layout used for TimeCache state.
-    pub fn line_index(&self, set: u64, way: u32) -> usize {
-        debug_assert!(set < self.num_sets() && way < self.ways);
-        (set * self.ways as u64 + way as u64) as usize
-    }
 }
 
 impl fmt::Display for CacheGeometry {
@@ -117,15 +111,6 @@ mod tests {
             let g = CacheGeometry::new(mb * 1024 * 1024, 16, 64);
             assert_eq!(g.num_lines(), lines, "{mb} MB");
         }
-    }
-
-    #[test]
-    fn line_index_is_flat() {
-        let g = CacheGeometry::new(4096, 4, 64);
-        assert_eq!(g.num_sets(), 16);
-        assert_eq!(g.line_index(0, 0), 0);
-        assert_eq!(g.line_index(1, 0), 4);
-        assert_eq!(g.line_index(15, 3), 63);
     }
 
     #[test]

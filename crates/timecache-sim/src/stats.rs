@@ -49,20 +49,6 @@ impl CacheStats {
     pub fn first_access_mpki(&self, instructions: u64) -> f64 {
         per_kilo(self.first_access, instructions)
     }
-
-    /// True-miss MPKI, excluding first-access misses.
-    pub fn true_miss_mpki(&self, instructions: u64) -> f64 {
-        per_kilo(self.misses, instructions)
-    }
-
-    /// Hit fraction among demand accesses (0 when there were none).
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
 }
 
 fn per_kilo(events: u64, instructions: u64) -> f64 {
@@ -156,8 +142,6 @@ mod tests {
         assert_eq!(s.total_miss_like(), 100);
         assert!((s.mpki(10_000) - 10.0).abs() < 1e-9);
         assert!((s.first_access_mpki(10_000) - 2.0).abs() < 1e-9);
-        assert!((s.true_miss_mpki(10_000) - 8.0).abs() < 1e-9);
-        assert!((s.hit_rate() - 0.9).abs() < 1e-9);
     }
 
     #[test]
@@ -167,7 +151,6 @@ mod tests {
             ..CacheStats::default()
         };
         assert_eq!(s.mpki(0), 0.0);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
     #[test]
@@ -211,10 +194,6 @@ mod tests {
         // Zero instructions: every per-kilo rate is defined as zero.
         assert_eq!(s.mpki(0), 0.0);
         assert_eq!(s.first_access_mpki(0), 0.0);
-        assert_eq!(s.true_miss_mpki(0), 0.0);
-        // Zero accesses: hit rate is defined as zero, not NaN.
-        assert_eq!(s.hit_rate(), 0.0);
-        assert!(!CacheStats::default().hit_rate().is_nan());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! branch, and with telemetry enabled all metric handles are resolved at
 //! attach time and the event ring is preallocated, so steady-state
 //! recording is also allocation-free. Construction allocates too, but a
-//! fixed number of times: a TimeCache cache keeps all its timestamp
-//! bit-planes in one block, whatever the timestamp width.
+//! fixed number of times: a TimeCache cache keeps its per-line
+//! timestamps in one `Vec<u64>`, whatever the timestamp width.
 //!
 //! This file contains a single test on purpose: the counting allocator is
 //! process-global, and a concurrently running test would perturb the
@@ -76,8 +76,8 @@ fn drive(h: &mut Hierarchy, now: &mut u64, iters: u64) {
 
 #[test]
 fn access_hot_path_never_allocates() {
-    // Construction: the per-cache timestamp planes are one allocation, so
-    // widening the timestamps adds no allocations.
+    // Construction: the per-cache Tc store is one allocation, so widening
+    // the timestamps adds no allocations.
     assert_eq!(
         construction_allocations(8),
         construction_allocations(32),

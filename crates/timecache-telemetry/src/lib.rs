@@ -219,11 +219,6 @@ impl TelemetrySnapshot {
             .is_none_or(RegistrySnapshot::is_empty)
             && self.events.is_empty()
     }
-
-    /// Number of trace events carried.
-    pub fn num_events(&self) -> usize {
-        self.events.len()
-    }
 }
 
 #[cfg(test)]
@@ -292,7 +287,6 @@ mod tests {
         .join()
         .unwrap();
         assert!(!snap.is_empty());
-        assert_eq!(snap.num_events(), 1);
 
         let main = Telemetry::enabled();
         main.registry()

@@ -411,11 +411,6 @@ impl RegistrySnapshot {
     pub fn is_empty(&self) -> bool {
         self.families.is_empty()
     }
-
-    /// Total number of series across all metric families.
-    pub fn num_series(&self) -> usize {
-        self.families.iter().map(|f| f.series.len()).sum()
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -642,7 +637,6 @@ mod tests {
         let r = Registry::new();
         r.counter("a_total", "a", &[("k", "v")]).add(3);
         let snap = r.snapshot();
-        assert_eq!(snap.num_series(), 1);
         // Mutating the registry after the snapshot must not change it.
         r.counter("a_total", "a", &[("k", "v")]).add(10);
         let fresh = Registry::new();

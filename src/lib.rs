@@ -8,7 +8,7 @@
 //! module names so applications can depend on a single crate:
 //!
 //! * [`core`] — the TimeCache hardware mechanism (s-bits, timestamps,
-//!   transpose array, bit-serial comparator, snapshots).
+//!   bit-serial comparator, snapshots).
 //! * [`sim`] — the execution-driven multi-level cache-hierarchy simulator.
 //! * [`os`] — processes, scheduler, and the full-system runner.
 //! * [`workloads`] — synthetic SPEC/PARSEC-like workloads and the RSA
