@@ -27,6 +27,10 @@ struct Measured {
     first_access: [u64; 3],
     /// Misses at L1I, L1D (each summed over cores) and the LLC.
     misses: [u64; 3],
+    /// Coherence, back-invalidation and `clflush` invalidations, per level.
+    invalidations: [u64; 3],
+    /// Dirty lines written back, per level.
+    writebacks: [u64; 3],
 }
 
 impl Measured {
@@ -42,14 +46,18 @@ impl Measured {
             context_switches: report.context_switches,
             first_access: levels.map(|s| s.first_access),
             misses: levels.map(|s| s.misses),
+            invalidations: levels.map(|s| s.invalidations),
+            writebacks: levels.map(|s| s.writebacks),
         }
     }
 }
 
 // Recorded from these runs before the limited-pointer sharer tracking was
-// deleted. They pin the simulator's results exactly, with no tolerance:
-// only a reviewed change to the simulated semantics may update them, and
-// that change must say so.
+// deleted; `invalidations` and `writebacks` were recorded later, while the
+// directory still stored a dirty owner next to one mask per core. They pin
+// the simulator's results exactly, with no tolerance: only a reviewed
+// change to the simulated semantics may update them, and that change must
+// say so.
 
 const WRF_TIMECACHE: Measured = Measured {
     total_cycles: 25_090_586,
@@ -57,6 +65,8 @@ const WRF_TIMECACHE: Measured = Measured {
     context_switches: 51,
     first_access: [509, 0, 38],
     misses: [376_642, 110_294, 1_850],
+    invalidations: [0, 0, 0],
+    writebacks: [0, 34_650, 0],
 };
 
 const WRF_BASELINE: Measured = Measured {
@@ -65,6 +75,8 @@ const WRF_BASELINE: Measured = Measured {
     context_switches: 49,
     first_access: [0, 0, 0],
     misses: [376_454, 110_262, 1_850],
+    invalidations: [0, 0, 0],
+    writebacks: [0, 34_637, 0],
 };
 
 const X264_TIMECACHE: Measured = Measured {
@@ -73,6 +85,8 @@ const X264_TIMECACHE: Measured = Measured {
     context_switches: 0,
     first_access: [0, 0, 4_299],
     misses: [76_845, 111_950, 1_640],
+    invalidations: [0, 214, 0],
+    writebacks: [0, 46_769, 0],
 };
 
 const X264_BASELINE: Measured = Measured {
@@ -81,6 +95,8 @@ const X264_BASELINE: Measured = Measured {
     context_switches: 0,
     first_access: [0, 0, 0],
     misses: [76_845, 111_953, 1_640],
+    invalidations: [0, 205, 0],
+    writebacks: [0, 46_768, 0],
 };
 
 /// Runs `programs` (the second on core `cores - 1`) for a warm-up and a

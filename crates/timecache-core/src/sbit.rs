@@ -62,6 +62,7 @@ impl SBitArray {
     /// # Panics
     ///
     /// Panics if `line >= len()`.
+    #[inline]
     pub fn get(&self, line: usize) -> bool {
         self.bounds(line);
         self.words[line / WORD_BITS] >> (line % WORD_BITS) & 1 == 1
@@ -72,6 +73,7 @@ impl SBitArray {
     /// # Panics
     ///
     /// Panics if `line >= len()`.
+    #[inline]
     pub fn set(&mut self, line: usize) {
         self.bounds(line);
         self.words[line / WORD_BITS] |= 1 << (line % WORD_BITS);
@@ -82,6 +84,7 @@ impl SBitArray {
     /// # Panics
     ///
     /// Panics if `line >= len()`.
+    #[inline]
     pub fn clear(&mut self, line: usize) {
         self.bounds(line);
         self.words[line / WORD_BITS] &= !(1 << (line % WORD_BITS));
@@ -144,6 +147,7 @@ impl SBitArray {
         self.len.div_ceil(8)
     }
 
+    #[inline]
     fn bounds(&self, line: usize) {
         assert!(
             line < self.len,

@@ -129,6 +129,7 @@ impl TimeCacheState {
     /// # Panics
     ///
     /// Panics if `line` or `ctx` is out of range.
+    #[inline]
     pub fn on_fill(&mut self, line: usize, ctx: usize, now: u64) {
         self.check(line, ctx);
         self.tc[line] = self.config.timestamp_width().truncate(now);
@@ -146,6 +147,7 @@ impl TimeCacheState {
     /// # Panics
     ///
     /// Panics if `line` is out of range.
+    #[inline]
     pub fn on_evict(&mut self, line: usize) {
         assert!(line < self.num_lines, "line {line} out of range");
         for map in &mut self.sbits {
@@ -159,6 +161,7 @@ impl TimeCacheState {
     /// # Panics
     ///
     /// Panics if `line` or `ctx` is out of range.
+    #[inline]
     pub fn visibility(&self, line: usize, ctx: usize) -> Visibility {
         self.check(line, ctx);
         if self.sbits[ctx].get(line) {
@@ -174,6 +177,7 @@ impl TimeCacheState {
     /// # Panics
     ///
     /// Panics if `line` or `ctx` is out of range.
+    #[inline]
     pub fn record_first_access(&mut self, line: usize, ctx: usize) {
         self.check(line, ctx);
         self.sbits[ctx].set(line);
@@ -358,6 +362,7 @@ impl TimeCacheState {
         before
     }
 
+    #[inline]
     fn check(&self, line: usize, ctx: usize) {
         assert!(line < self.num_lines, "line {line} out of range");
         assert!(ctx < self.sbits.len(), "context {ctx} out of range");

@@ -10,8 +10,10 @@
 //! Replacement is exact LRU, the gem5 classic-cache default the paper
 //! evaluates on and the policy its LRU-state channel (Section VII-A)
 //! reasons about: every touch and fill stamps the slot with a per-cache
-//! counter, and the victim is the first way with the smallest stamp, so
-//! never-touched ways go lowest way first.
+//! counter, and the victim is the first way with the smallest stamp.
+//! An empty way's stamp is 0 (never filled, or reset by `invalidate`) and
+//! a resident way's is at least 1, so that one scan already picks the first
+//! empty way before any LRU eviction.
 //!
 //! The tag array is structure-of-arrays: tags live in one contiguous
 //! `Vec<u64>` (so the way-scan in [`Cache::lookup`] is a branch-light
@@ -64,7 +66,7 @@ pub struct Cache {
     /// Dirty flags, packed 64 lines per word, indexed by flat line index.
     dirty: Vec<u64>,
     /// LRU stamp per flat line index: the `lru_clock` value of the slot's
-    /// last touch or fill (0 = never touched).
+    /// last touch or fill, or 0 exactly when the slot is empty.
     stamps: Vec<u64>,
     lru_clock: u64,
     timecache: Option<TimeCacheState>,
@@ -192,15 +194,17 @@ impl Cache {
         self.stamp(flat);
     }
 
-    /// Marks the slot at `flat` most recently used.
+    /// Marks the slot at `flat` most recently used. The clock pre-increments,
+    /// so a resident slot's stamp is never 0.
     #[inline]
     fn stamp(&mut self, flat: usize) {
         self.lru_clock += 1;
         self.stamps[flat] = self.lru_clock;
     }
 
-    /// The LRU victim of the set starting at flat index `base`: the first
-    /// way with the smallest stamp.
+    /// The victim of the set starting at flat index `base`: the first way
+    /// with the smallest stamp, which is the first empty way (stamp 0) if
+    /// there is one, else the LRU way.
     #[inline]
     fn lru_victim(&self, base: usize) -> u32 {
         let row = &self.stamps[base..base + self.ways];
@@ -218,10 +222,11 @@ impl Cache {
     /// (e.g. for directory bookkeeping) get it for free instead of paying a
     /// second lookup.
     ///
-    /// The victim's TimeCache s-bits are reset and the new line's `Tc` and
-    /// filling-context s-bit are recorded. The eviction (and, if the victim
-    /// was dirty, the eventual write-back) is counted here; the caller
-    /// performs the actual write-back propagation.
+    /// The new line's `Tc` is recorded, and its s-bits are set for the
+    /// filling context and cleared for every other (which also resets the
+    /// victim's). The eviction (and, if the victim was dirty, the eventual
+    /// write-back) is counted here; the caller performs the actual
+    /// write-back propagation.
     ///
     /// # Panics
     ///
@@ -240,14 +245,13 @@ impl Cache {
         );
         let set = self.index.set_of(line, self.num_sets);
         let base = set as usize * self.ways;
-
-        // Prefer the first invalid way; otherwise evict the LRU way.
-        let invalid = self.match_mask(base, INVALID_TAG);
-        let way = if invalid != 0 {
-            invalid.trailing_zeros()
-        } else {
-            self.lru_victim(base)
-        };
+        debug_assert!(
+            (base..base + self.ways)
+                .all(|f| (self.tags[f] == INVALID_TAG) == (self.stamps[f] == 0)),
+            "{}: a way is empty exactly when its stamp is 0",
+            self.name
+        );
+        let way = self.lru_victim(base);
         let flat = base + way as usize;
 
         let old = self.tags[flat];
@@ -258,10 +262,6 @@ impl Cache {
                 dirty: self.dirty_bit(flat),
             }
         });
-        if let (Some(tc), Some(_)) = (&mut self.timecache, &evicted) {
-            tc.on_evict(flat);
-        }
-
         self.tags[flat] = line.raw();
         self.set_dirty_bit(flat, false);
         self.stamp(flat);
@@ -277,6 +277,7 @@ impl Cache {
         let hit = self.lookup(line)?;
         let dirty = self.dirty_bit(hit.flat);
         self.tags[hit.flat] = INVALID_TAG;
+        self.stamps[hit.flat] = 0;
         self.set_dirty_bit(hit.flat, false);
         self.stats.invalidations += 1;
         if let Some(tc) = &mut self.timecache {
@@ -464,12 +465,16 @@ mod tests {
     fn never_touched_ways_go_lowest_first() {
         for ways in [8u32, 16] {
             let (mut c, line) = shaped(4, ways);
-            // A fresh set has every stamp at 0: the victim is way 0 even
-            // after a later way is stamped.
-            let base = 2 * ways as usize;
-            assert_eq!(c.lru_victim(base), 0);
-            c.stamp(base + 5);
-            assert_eq!(c.lru_victim(base), 0, "{ways}-way");
+            // Only way 5 is resident (so it is the most recently used) and
+            // every other way is empty: the victim is way 0.
+            for k in 0..=5 {
+                c.fill(line(0, k), 0, k);
+            }
+            for k in 0..5 {
+                c.invalidate(line(0, k));
+            }
+            let (slot, ev) = c.fill(line(0, 50), 0, 50);
+            assert_eq!((slot.way, ev), (0, None), "{ways}-way");
             // Through `fill`: empty ways are taken lowest first, and a way
             // emptied by invalidation is refilled before any LRU eviction,
             // even though it was the most recently used.

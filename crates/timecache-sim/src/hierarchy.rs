@@ -18,7 +18,7 @@
 //! # Coherence
 //!
 //! L1s are write-back/write-allocate. The LLC keeps a directory entry per
-//! line: a sharer bitmask over cores and an optional dirty owner. Stores
+//! line: the exact sets of cores whose L1I and whose L1D hold it. Stores
 //! invalidate remote copies; loads of a remotely-dirty line are serviced at
 //! `remote_l1` latency after a write-back — the timing contrast exploited
 //! by the invalidate+transfer attack (Section VII-B), which the
@@ -139,29 +139,16 @@ impl ContextSnapshot {
 
 /// Per-LLC-line directory entry, packed to 8 bytes so the 2 MB LLC's
 /// directory is 256 KB. [`HierarchyConfig::validate`] caps `cores` at
-/// [`crate::MAX_CORES`], the width of `sharers`.
+/// [`crate::MAX_CORES`], the width of each mask.
+///
+/// No dirty owner is stored: a modified L1D copy is always its line's only
+/// L1D copy (a store invalidates the others, and a remote read writes it
+/// back first), so `Hierarchy::remote_owner` reads it from that one L1D.
 #[derive(Debug, Clone, Copy, Default)]
 struct DirEntry {
-    /// Bitmask of cores holding the line in a private L1 (I or D).
-    sharers: u32,
-    /// Core whose L1D holds a modified copy, if any.
-    dirty_owner: Option<u16>,
-}
-
-impl DirEntry {
-    /// The dirty owner, if it is a core other than `core`.
-    fn remote_owner(&self, core: usize) -> Option<usize> {
-        self.dirty_owner
-            .map(usize::from)
-            .filter(|&owner| owner != core)
-    }
-
-    /// Clears the dirty owner if it is `core`.
-    fn clear_owner(&mut self, core: usize) {
-        if self.dirty_owner == Some(core as u16) {
-            self.dirty_owner = None;
-        }
-    }
+    /// `sharers[l1]` is the exact set of cores whose L1 of [`l1_index`]
+    /// `l1` (0 = L1I, 1 = L1D) holds the line.
+    sharers: [u32; 2],
 }
 
 /// The set bits of a sharer mask, as core indices in ascending order.
@@ -554,8 +541,8 @@ impl Hierarchy {
                 self.llc.stats_mut().hits += 1;
                 // Dirty in a remote L1? Forward at remote latency after a
                 // write-back (invalidate+transfer timing).
-                if let Some(owner) = self.dir[hit].remote_owner(core) {
-                    self.writeback_owner_copy(owner, line, hit);
+                if let Some(owner) = self.remote_owner(line, hit, core) {
+                    self.writeback_owner_copy(owner, hit);
                     (lat.remote_l1, Level::RemoteL1, false, hit)
                 } else {
                     (lat.llc_hit, Level::LLC, false, hit)
@@ -569,8 +556,8 @@ impl Hierarchy {
                 self.llc.record_first_access(hit, llc_ctx);
                 // A remotely-dirty copy must still be written back so the
                 // LLC holds current data for the upcoming L1 fill.
-                if let Some(owner) = self.dir[hit].remote_owner(core) {
-                    self.writeback_owner_copy(owner, line, hit);
+                if let Some(owner) = self.remote_owner(line, hit, core) {
+                    self.writeback_owner_copy(owner, hit);
                 }
                 (lat.dram, Level::Memory, true, hit)
             }
@@ -859,9 +846,11 @@ impl Hierarchy {
             // Inclusive LLC: evicting a line removes it from all L1s.
             // The victim occupied the same flat slot the new line now uses;
             // its directory entry is at that index.
-            let victim_entry = std::mem::take(&mut self.dir[slot]);
-            for core in cores_in(victim_entry.sharers) {
+            let [l1i, l1d] = std::mem::take(&mut self.dir[slot]).sharers;
+            for core in cores_in(l1i) {
                 self.l1i[core].invalidate(victim.line);
+            }
+            for core in cores_in(l1d) {
                 if self.l1d[core].invalidate(victim.line) == Some(true) {
                     // Dirty L1 copy of a dying LLC line: straight to
                     // memory.
@@ -898,32 +887,29 @@ impl Hierarchy {
             Some(llc_slot),
             "inclusive LLC lost an L1-resident line"
         );
+        let l1 = l1_index(kind);
         let (slot, victim) = self.l1_mut(core, kind).fill(line, thread, now);
         let slot = slot.flat;
         if let Some(v) = victim {
-            if v.dirty {
-                self.l1_mut(core, kind).stats_mut().writebacks += 1;
-            }
             // The landing slot still links to the victim's LLC slot.
             let v_slot = self.linked_llc_slot(core, kind, slot, v.line);
             if v.dirty {
+                self.l1_mut(core, kind).stats_mut().writebacks += 1;
                 self.llc.set_dirty(v_slot, true);
-                self.dir[v_slot].clear_owner(core);
             }
-            // The line just left this L1, so the core still holds it only
-            // if its other L1 does.
-            let other_l1 = match kind {
-                AccessKind::IFetch => &self.l1d[core],
-                AccessKind::Load | AccessKind::Store => &self.l1i[core],
-            };
-            if other_l1.lookup(v.line).is_none() {
-                let entry = &mut self.dir[v_slot];
-                entry.sharers &= !(1 << core);
-                entry.clear_owner(core);
-            }
+            let sharers = &mut self.dir[v_slot].sharers;
+            debug_assert_eq!(
+                sharers[1 - l1] >> core & 1 == 1,
+                [&self.l1i[core], &self.l1d[core]][1 - l1]
+                    .lookup(v.line)
+                    .is_some(),
+                "directory lost core {core}'s other L1 copy of {}",
+                v.line
+            );
+            sharers[l1] &= !(1 << core);
         }
-        self.l1_links[core][l1_index(kind)][slot] = llc_slot;
-        self.dir[llc_slot].sharers |= 1 << core;
+        self.l1_links[core][l1][slot] = llc_slot;
+        self.dir[llc_slot].sharers[l1] |= 1 << core;
         slot
     }
 
@@ -933,32 +919,44 @@ impl Hierarchy {
     /// here.
     fn write_hit(&mut self, core: usize, line: LineAddr, l1d_slot: usize, llc_slot: usize) {
         self.l1d[core].set_dirty(l1d_slot, true);
-        let remote = self.dir[llc_slot].sharers & !(1 << core);
-        for other in cores_in(remote) {
+        let me = 1 << core;
+        let [l1i, l1d] = self.dir[llc_slot].sharers;
+        for other in cores_in(l1i & !me) {
             self.l1i[other].invalidate(line);
+        }
+        for other in cores_in(l1d & !me) {
             if self.l1d[other].invalidate(line) == Some(true) {
                 // Remote dirty copy written back before we overwrite.
                 self.l1d[other].stats_mut().writebacks += 1;
                 self.llc.set_dirty(llc_slot, true);
             }
         }
-        self.dir[llc_slot] = DirEntry {
-            sharers: 1 << core,
-            dirty_owner: Some(core as u16),
-        };
+        self.dir[llc_slot].sharers = [l1i & me, me];
     }
 
-    /// Writes a remote core's dirty copy of `line` (at LLC slot `llc_slot`)
-    /// back to the LLC (clean forwarding state afterwards).
-    fn writeback_owner_copy(&mut self, owner: usize, line: LineAddr, llc_slot: usize) {
-        if let Some(hit) = self.l1d[owner].lookup(line) {
-            if self.l1d[owner].is_dirty(hit.flat) {
-                self.l1d[owner].set_dirty(hit.flat, false);
-                self.l1d[owner].stats_mut().writebacks += 1;
-            }
+    /// The core other than `core` whose L1D holds a modified copy of `line`
+    /// (at LLC slot `llc_slot`), with the L1D slot of that copy. Only a
+    /// sole L1D sharer can hold one, so this probes at most one L1D, and
+    /// none unless that sharer is remote.
+    fn remote_owner(&self, line: LineAddr, llc_slot: usize, core: usize) -> Option<(usize, usize)> {
+        let l1d = self.dir[llc_slot].sharers[1];
+        if !l1d.is_power_of_two() || l1d == 1 << core {
+            return None;
         }
+        let owner = l1d.trailing_zeros() as usize;
+        let hit = self.l1d[owner].lookup(line);
+        debug_assert!(hit.is_some(), "directory lists L1D{owner} for {line}");
+        hit.filter(|hit| self.l1d[owner].is_dirty(hit.flat))
+            .map(|hit| (owner, hit.flat))
+    }
+
+    /// Writes back the modified copy [`Hierarchy::remote_owner`] found,
+    /// `(core, l1d_slot)`, to the LLC line at `llc_slot` (clean forwarding
+    /// state afterwards).
+    fn writeback_owner_copy(&mut self, (owner, l1d_slot): (usize, usize), llc_slot: usize) {
+        self.l1d[owner].set_dirty(l1d_slot, false);
+        self.l1d[owner].stats_mut().writebacks += 1;
         self.llc.set_dirty(llc_slot, true);
-        self.dir[llc_slot].dirty_owner = None;
     }
 }
 
@@ -981,7 +979,6 @@ mod tests {
     fn dir_entry_is_packed() {
         assert_eq!(std::mem::size_of::<DirEntry>(), 8);
         assert!(crate::MAX_CORES <= u32::BITS as usize);
-        assert!(crate::MAX_CORES <= usize::from(u16::MAX));
     }
 
     #[test]
@@ -1228,6 +1225,9 @@ mod tests {
         // more lines than the LLC, so fills keep back-invalidating L1
         // copies. 24 shared lines, every access kind, clflushes, and fresh
         // restores (L1 first accesses, which read the link) in TimeCache.
+        // The directory is checked too: each LLC line's L1I and L1D masks
+        // are exactly the cores holding it there, and a dirty L1D copy is
+        // its line's only L1D copy.
         for security in [SecurityMode::Baseline, tc()] {
             let cfg = HierarchyConfig {
                 cores: 2,
@@ -1251,7 +1251,7 @@ mod tests {
                 let s = h.stats();
                 s.l1i.iter().chain(&s.l1d).map(|c| c.invalidations).sum()
             };
-            let (mut back_invalidations, mut l1_first_accesses) = (0, 0);
+            let (mut back_invalidations, mut l1_first_accesses, mut dirty_copies) = (0, 0, 0);
             for now in 0..4000 {
                 let core = next(2) as usize;
                 let addr = lines[next(24) as usize].raw() * 64;
@@ -1292,8 +1292,32 @@ mod tests {
                         }
                     }
                 }
+                for &line in &lines {
+                    let Some(llc) = h.llc().lookup(line) else {
+                        continue;
+                    };
+                    let holders = |l1s: &[Cache]| -> u32 {
+                        (0..2)
+                            .filter(|&core| l1s[core].lookup(line).is_some())
+                            .fold(0, |mask, core| mask | 1 << core)
+                    };
+                    let l1d = holders(&h.l1d);
+                    assert_eq!(
+                        h.dir[llc.flat].sharers,
+                        [holders(&h.l1i), l1d],
+                        "directory of {line} at {now}"
+                    );
+                    for core in cores_in(l1d) {
+                        let at = h.l1d[core].lookup(line).unwrap().flat;
+                        if h.l1d[core].is_dirty(at) {
+                            dirty_copies += 1;
+                            assert_eq!(l1d, 1 << core, "dirty {line} shared at {now}");
+                        }
+                    }
+                }
             }
             assert!(back_invalidations > 100, "{back_invalidations}");
+            assert!(dirty_copies > 100, "{dirty_copies}");
             assert_eq!(security.is_timecache(), l1_first_accesses > 0);
         }
     }

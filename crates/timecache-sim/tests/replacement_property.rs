@@ -16,10 +16,14 @@
 //! fresh context with no visibility (a tag-present, s-bit-clear first
 //! access) in the other. Everything observable afterwards — tag
 //! residency, latency classes, eviction victims — must be identical.
+//!
+//! The last test pins the victim rule itself at the L1 and LLC
+//! associativity, against a naive model of exact LRU.
 
 use timecache_core::TimeCacheConfig;
 use timecache_sim::{
-    AccessKind, AccessOutcome, CacheConfig, Hierarchy, HierarchyConfig, Level, SecurityMode,
+    AccessKind, AccessOutcome, Cache, CacheConfig, Hierarchy, HierarchyConfig, Level, LineAddr,
+    SecurityMode,
 };
 
 /// Minimal xorshift64* PRNG (same idiom as `tests/proptests.rs`; the
@@ -229,6 +233,81 @@ fn first_access_store_matches_write_hit_replacement_state() {
             let a = hit.access(AccessKind::Load, candidate(tag));
             let b = first.access(AccessKind::Load, candidate(tag));
             assert_eq!(a, b, "seed {seed}, tag {tag}: store probe diverged");
+        }
+    }
+}
+
+/// Random fill / touch / invalidate traffic on 8- and 16-way caches: every
+/// fill must take the victim a naive model picks ("the first empty way,
+/// else the first least recently used way") and evict the line the model
+/// holds there.
+#[test]
+fn fill_victim_matches_a_naive_lru_model() {
+    const SETS: u64 = 4;
+    for ways in [8u32, 16] {
+        for seed in 0..16u64 {
+            let mut rng = Rng::new(seed);
+            let config = CacheConfig::new(SETS * u64::from(ways) * 64, ways, 64);
+            let mut cache = Cache::new("T", config, 1, None);
+            // model[set][way]: the resident line and the step of its last
+            // fill or touch.
+            let mut model = vec![vec![None::<(LineAddr, u64)>; ways as usize]; SETS as usize];
+            let (mut evictions, mut empty_fills) = (0, 0);
+            for step in 0..2_000u64 {
+                let set = rng.below(SETS);
+                let line = LineAddr::from_raw(set + SETS * rng.below(2 * u64::from(ways)));
+                let row = &mut model[set as usize];
+                let resident = row.iter().position(|w| w.is_some_and(|(l, _)| l == line));
+                let op = rng.below(10);
+                match resident {
+                    Some(way) if op < 2 => {
+                        assert_eq!(
+                            cache.invalidate(line),
+                            Some(false),
+                            "{ways}-way seed {seed} step {step}"
+                        );
+                        row[way] = None;
+                    }
+                    Some(way) => {
+                        let hit = cache.lookup(line).expect("resident");
+                        assert_eq!(hit.way as usize, way, "{ways}-way seed {seed} step {step}");
+                        cache.touch(hit.flat);
+                        row[way] = Some((line, step));
+                    }
+                    None if op < 1 => assert_eq!(
+                        cache.invalidate(line),
+                        None,
+                        "{ways}-way seed {seed} step {step}"
+                    ),
+                    None => {
+                        let victim = row.iter().position(Option::is_none).unwrap_or_else(|| {
+                            let last_use = |w: &Option<(LineAddr, u64)>| w.expect("full set").1;
+                            let oldest = row.iter().map(last_use).min().expect("ways > 0");
+                            row.iter().position(|w| last_use(w) == oldest).unwrap()
+                        });
+                        let expected = row[victim].map(|(l, _)| l);
+                        let (slot, evicted) = cache.fill(line, 0, step);
+                        assert_eq!(
+                            slot.way as usize, victim,
+                            "{ways}-way seed {seed} step {step}"
+                        );
+                        assert_eq!(
+                            evicted.map(|e| e.line),
+                            expected,
+                            "{ways}-way seed {seed} step {step}"
+                        );
+                        match expected {
+                            Some(_) => evictions += 1,
+                            None => empty_fills += 1,
+                        }
+                        row[victim] = Some((line, step));
+                    }
+                }
+            }
+            assert!(
+                evictions > 100 && empty_fills > 100,
+                "{evictions} {empty_fills}"
+            );
         }
     }
 }
