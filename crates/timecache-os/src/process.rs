@@ -20,6 +20,8 @@ pub struct Process {
     pid: Pid,
     name: String,
     pub(crate) program: Box<dyn Program>,
+    /// `program.observes()`, read once here.
+    pub(crate) observes: bool,
     /// Saved caching context (None until first preemption; also None in
     /// baseline mode, where snapshots are empty anyway). `has_run` tells the
     /// restore path whether None means "new process" or "baseline".
@@ -41,6 +43,7 @@ impl Process {
         Process {
             pid,
             name,
+            observes: program.observes(),
             program,
             snapshot: None,
             has_run: false,

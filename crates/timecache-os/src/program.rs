@@ -47,8 +47,9 @@ pub enum Op {
 
 /// What the hardware reported for the most recently executed op.
 ///
-/// Delivered to [`Program::observe`] after every retired instruction,
-/// mirroring what real attack code gets from `rdtscp` around an access.
+/// Delivered to [`Program::observe`] after every retired instruction of a
+/// program whose [`Program::observes`] is true, mirroring what real attack
+/// code gets from `rdtscp` around an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Observation {
     /// Index of the retired instruction within this process.
@@ -75,6 +76,16 @@ pub trait Program {
     /// Receives timing feedback for the instruction that just retired.
     /// Programs that do not measure anything can keep the default no-op.
     fn observe(&mut self, _obs: Observation) {}
+
+    /// Whether this program reads its observations. The scheduler asks
+    /// once, when the process is spawned, and from then on builds and
+    /// delivers an [`Observation`] per retired instruction only if the
+    /// answer was true. A program that keeps the no-op
+    /// [`Program::observe`] may return false to skip that work; one that
+    /// overrides `observe` must keep the default.
+    fn observes(&self) -> bool {
+        true
+    }
 
     /// A short human-readable name for reports.
     fn name(&self) -> &str {

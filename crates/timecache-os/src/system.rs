@@ -618,13 +618,15 @@ impl System {
         self.processes[pi].instructions += 1;
         self.processes[pi].cpu_cycles += cycles;
 
-        let obs = Observation {
-            instr_index: self.processes[pi].instructions - 1,
-            data_latency,
-            flush_latency,
-            now: self.contexts[ctx].clock,
-        };
-        self.processes[pi].program.observe(obs);
+        if self.processes[pi].observes {
+            let obs = Observation {
+                instr_index: self.processes[pi].instructions - 1,
+                data_latency,
+                flush_latency,
+                now: self.contexts[ctx].clock,
+            };
+            self.processes[pi].program.observe(obs);
+        }
 
         let target_hit = self.processes[pi]
             .target_instructions
@@ -705,11 +707,11 @@ impl System {
     /// unless [`SystemConfig::check_invariants`] is set), tracing any
     /// violation.
     fn check_invariant(&mut self, pi: usize, addr: u64, out: &AccessOutcome, cycle: u64) {
-        let pid = self.processes[pi].pid().0;
-        let line = addr >> self.line_shift;
         let Some(inv) = self.invariants.as_mut() else {
             return;
         };
+        let pid = self.processes[pi].pid().0;
+        let line = addr >> self.line_shift;
         if let Some(v) = inv.observe(pid, line, out, cycle) {
             if let Some(s) = &self.sensors {
                 s.tel.emit_at(
@@ -1251,6 +1253,56 @@ mod tests {
                 .push((self.pid, obs.instr_index, obs.now));
             self.inner.observe(obs);
         }
+    }
+
+    /// Spins, and reads no observations: being handed one is a bug.
+    struct Blind(Spin);
+
+    impl Program for Blind {
+        fn next_op(&mut self) -> Op {
+            self.0.next_op()
+        }
+
+        fn observe(&mut self, _obs: Observation) {
+            panic!("observation delivered to a program that reads none");
+        }
+
+        fn observes(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn observations_reach_only_the_programs_that_read_them() {
+        use crate::vm::{Vm, VmProgram};
+        let log = ObsLog::default();
+        let cfg = SystemConfig {
+            quantum_cycles: 5_000,
+            ..SystemConfig::default()
+        };
+        let mut s = System::new(cfg).unwrap();
+        s.spawn(Box::new(Blind(Spin::new(u64::MAX))), 0, 0, Some(3_000));
+        let strided = StridedLoop::new(0x10_0000, 16 * 1024, 64);
+        let logged = Logged {
+            inner: Box::new(strided),
+            pid: 1,
+            log: log.clone(),
+        };
+        let pid = s.spawn(Box::new(logged), 0, 0, Some(2_000));
+        let r = s.run(u64::MAX);
+        assert!(r.all_completed());
+        assert!(r.context_switches > 0);
+        assert_eq!(r.process(pid).unwrap().instructions, 2_000);
+        // One observation per retired instruction, in order, the one that
+        // reaches the target included.
+        let log = log.borrow();
+        let indices: Vec<u64> = log.iter().map(|&(_, idx, _)| idx).collect();
+        assert_eq!(indices, (0..2_000).collect::<Vec<_>>());
+
+        let vm = Vm::new();
+        let space = vm.new_space();
+        assert!(!VmProgram::new(Blind(Spin::new(1)), vm.clone(), space).observes());
+        assert!(VmProgram::new(Spin::new(1), vm, space).observes());
     }
 
     /// 2 cores x 2 SMT contexts, all tied at clock 0, with yielding

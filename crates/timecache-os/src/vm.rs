@@ -314,6 +314,10 @@ impl<P: Program> Program for VmProgram<P> {
         }
     }
 
+    fn observes(&self) -> bool {
+        self.inner.observes()
+    }
+
     fn name(&self) -> &str {
         self.inner.name()
     }

@@ -41,11 +41,13 @@ impl LineAddr {
 
     /// Rebuilds a line address from a raw line number (see
     /// [`LineAddr::raw`]).
+    #[inline]
     pub fn from_raw(raw: u64) -> Self {
         LineAddr(raw)
     }
 
     /// The raw line number (address divided by line size).
+    #[inline]
     pub fn raw(self) -> u64 {
         self.0
     }

@@ -125,6 +125,7 @@ impl Cache {
 
     /// Mutable statistics (the hierarchy attributes hits/misses; the cache
     /// itself counts evictions, invalidations, and write-backs).
+    #[inline]
     pub fn stats_mut(&mut self) -> &mut CacheStats {
         &mut self.stats
     }
@@ -294,12 +295,14 @@ impl Cache {
     }
 
     /// Whether the resident line at flat index `flat` is dirty.
+    #[inline]
     pub fn is_dirty(&self, flat: usize) -> bool {
         self.dirty_bit(flat)
     }
 
     /// TimeCache visibility for `ctx` of the resident line at flat index
     /// `flat`; `Visible` always in baseline mode.
+    #[inline]
     pub fn visibility(&self, flat: usize, ctx: usize) -> Visibility {
         match &self.timecache {
             Some(tc) => tc.visibility(flat, ctx),

@@ -25,7 +25,7 @@
 //! `dram_wait_on_remote_hit` mitigation removes.
 
 use crate::addr::{Addr, LineAddr};
-use crate::cache::Cache;
+use crate::cache::{Cache, LookupResult};
 use crate::config::{ConfigError, HierarchyConfig, SecurityMode};
 use crate::stats::{CacheStats, HierarchyStats};
 use timecache_core::{
@@ -46,6 +46,7 @@ pub enum AccessKind {
 
 impl AccessKind {
     /// Whether this access modifies the line.
+    #[inline]
     pub fn is_write(self) -> bool {
         matches!(self, AccessKind::Store)
     }
@@ -409,6 +410,7 @@ impl Hierarchy {
         }
     }
 
+    #[inline]
     fn check_context(&self, core: usize, thread: usize) {
         assert!(
             core < self.cfg.cores,
@@ -428,6 +430,13 @@ impl Hierarchy {
     /// # Panics
     ///
     /// Panics if `core` or `thread` is out of range.
+    ///
+    /// A visible L1 hit that needs no directory work finishes here, inline
+    /// in the caller: a load or fetch hit, or a store hit on a line already
+    /// dirty in this L1D, whose other L1 copies the store that dirtied it
+    /// invalidated. Every other outcome goes to `access_slow`.
+    // A plain `#[inline]` left this a call in `System::run`.
+    #[inline(always)]
     pub fn access(
         &mut self,
         core: usize,
@@ -438,7 +447,36 @@ impl Hierarchy {
     ) -> AccessOutcome {
         self.check_context(core, thread);
         let line = LineAddr::from_raw(addr >> self.line_shift);
-        let out = self.access_inner(core, thread, kind, line, now);
+        let l1 = self.l1_mut(core, kind);
+        let found = l1.lookup(line);
+        let out = match found {
+            Some(hit)
+                if l1.visibility(hit.flat, thread) == Visibility::Visible
+                    && (!kind.is_write() || l1.is_dirty(hit.flat)) =>
+            {
+                l1.touch(hit.flat);
+                let stats = l1.stats_mut();
+                stats.accesses += 1;
+                stats.hits += 1;
+                debug_assert!(
+                    !kind.is_write() || {
+                        let me = 1 << core;
+                        let llc_slot = self.linked_llc_slot(core, kind, hit.flat, line);
+                        let [l1i, l1d] = self.dir[llc_slot].sharers;
+                        l1i & !me == 0 && l1d == me
+                    },
+                    "dirty {line} in L1D{core} has another L1 copy"
+                );
+                AccessOutcome {
+                    latency: self.cfg.latencies.l1_hit,
+                    served_by: Level::L1,
+                    l1_tag_hit: true,
+                    first_access_l1: false,
+                    first_access_llc: false,
+                }
+            }
+            _ => self.access_slow(core, thread, kind, line, now, found),
+        };
         if let Some(s) = &self.sensors {
             s.latency[out.served_by as usize].observe(out.latency);
         }
@@ -475,21 +513,25 @@ impl Hierarchy {
         (outcomes, now)
     }
 
-    /// The uninstrumented access path.
-    fn access_inner(
+    /// Every access [`Hierarchy::access`] does not finish inline: L1 first
+    /// accesses, store hits on clean lines, and L1 misses. `found` is the
+    /// L1 lookup of `line` the caller already made.
+    #[inline(never)]
+    fn access_slow(
         &mut self,
         core: usize,
         thread: usize,
         kind: AccessKind,
         line: LineAddr,
         now: u64,
+        found: Option<LookupResult>,
     ) -> AccessOutcome {
         let lat = self.cfg.latencies;
 
         let l1 = self.l1_mut(core, kind);
         l1.stats_mut().accesses += 1;
 
-        if let Some(hit) = l1.lookup(line) {
+        if let Some(hit) = found {
             let hit = hit.flat;
             let visible = l1.visibility(hit, thread) == Visibility::Visible;
             l1.touch(hit);
@@ -783,6 +825,7 @@ impl Hierarchy {
     // Internals
     // ------------------------------------------------------------------
 
+    #[inline]
     fn l1_mut(&mut self, core: usize, kind: AccessKind) -> &mut Cache {
         match kind {
             AccessKind::IFetch => &mut self.l1i[core],
@@ -1227,7 +1270,8 @@ mod tests {
         // restores (L1 first accesses, which read the link) in TimeCache.
         // The directory is checked too: each LLC line's L1I and L1D masks
         // are exactly the cores holding it there, and a dirty L1D copy is
-        // its line's only L1D copy.
+        // its line's only L1 copy outside its own core, which is what lets
+        // `access` finish a store hit on a dirty line inline.
         for security in [SecurityMode::Baseline, tc()] {
             let cfg = HierarchyConfig {
                 cores: 2,
@@ -1252,7 +1296,8 @@ mod tests {
                 s.l1i.iter().chain(&s.l1d).map(|c| c.invalidations).sum()
             };
             let (mut back_invalidations, mut l1_first_accesses, mut dirty_copies) = (0, 0, 0);
-            for now in 0..4000 {
+            let mut dirty_store_hits = 0;
+            for now in 0..12_000 {
                 let core = next(2) as usize;
                 let addr = lines[next(24) as usize].raw() * 64;
                 match next(20) {
@@ -1265,10 +1310,24 @@ mod tests {
                     _ => {
                         let kind = kinds[next(3) as usize];
                         let before = l1_invalidations(&h);
+                        let line = LineAddr::from_raw(addr / 64);
+                        let dirty_in_l1d = |h: &Hierarchy| {
+                            h.l1d[core]
+                                .lookup(line)
+                                .is_some_and(|hit| h.l1d[core].is_dirty(hit.flat))
+                        };
+                        let dirty_before = dirty_in_l1d(&h);
                         let out = h.access(core, 0, kind, addr, now);
-                        // A load or fetch invalidates L1 copies only by
-                        // evicting their LLC line.
-                        if !kind.is_write() {
+                        if kind.is_write() {
+                            // Hit or miss, a store leaves its line dirty
+                            // in this core's L1D.
+                            assert!(dirty_in_l1d(&h), "store to {line} at {now}");
+                            if dirty_before && out.served_by == Level::L1 {
+                                dirty_store_hits += 1;
+                            }
+                        } else {
+                            // A load or fetch invalidates L1 copies only by
+                            // evicting their LLC line.
                             back_invalidations += l1_invalidations(&h) - before;
                         }
                         l1_first_accesses += u64::from(out.first_access_l1);
@@ -1301,10 +1360,10 @@ mod tests {
                             .filter(|&core| l1s[core].lookup(line).is_some())
                             .fold(0, |mask, core| mask | 1 << core)
                     };
-                    let l1d = holders(&h.l1d);
+                    let (l1i, l1d) = (holders(&h.l1i), holders(&h.l1d));
                     assert_eq!(
                         h.dir[llc.flat].sharers,
-                        [holders(&h.l1i), l1d],
+                        [l1i, l1d],
                         "directory of {line} at {now}"
                     );
                     for core in cores_in(l1d) {
@@ -1312,12 +1371,18 @@ mod tests {
                         if h.l1d[core].is_dirty(at) {
                             dirty_copies += 1;
                             assert_eq!(l1d, 1 << core, "dirty {line} shared at {now}");
+                            assert_eq!(
+                                l1i & !(1 << core),
+                                0,
+                                "dirty {line} in a remote L1I at {now}"
+                            );
                         }
                     }
                 }
             }
             assert!(back_invalidations > 100, "{back_invalidations}");
             assert!(dirty_copies > 100, "{dirty_copies}");
+            assert!(dirty_store_hits > 100, "{dirty_store_hits}");
             assert_eq!(security.is_timecache(), l1_first_accesses > 0);
         }
     }

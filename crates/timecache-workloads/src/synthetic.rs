@@ -135,9 +135,37 @@ pub struct SyntheticWorkload {
     /// Cursor within the shared benchmark text (walked in bursts too).
     bench_burst_left: u64,
     bench_cursor: u64,
-    /// Probability, per data access, of a fresh-line access: the
-    /// per-instruction rate rescaled by `mem_ratio`, computed once.
-    fresh_per_access: f64,
+    /// Every probability the generator draws against, as a [`threshold`].
+    thresholds: Thresholds,
+}
+
+/// The [`threshold`] of each probability [`SyntheticWorkload`] draws
+/// against, computed once in [`SyntheticWorkload::new`].
+#[derive(Debug, Clone, Copy)]
+struct Thresholds {
+    /// `shared_code_frac`: jump into the shared library.
+    lib: u64,
+    /// `shared_code_frac + BENCH_FRAC`: else jump into benchmark text.
+    lib_bench: u64,
+    /// `mem_ratio`: the instruction accesses data.
+    mem: u64,
+    /// `store_ratio`: the access is a store.
+    store: u64,
+    /// Fresh lines per data access: the per-instruction rate rescaled by
+    /// `mem_ratio`.
+    fresh: u64,
+    /// `peer_fresh_frac`: a fresh access reads the sibling's stream.
+    peer: u64,
+    /// `shared_data_frac`: the access touches the shared data segment.
+    shared: u64,
+}
+
+/// The integer form of a draw against probability `p`: `ceil(p * 2^53)`,
+/// saturating at `u64::MAX`. For the top 53 bits `k` of a random word,
+/// `k < threshold(p)` decides exactly as `FastRng::next_f64() < p`, since
+/// `next_f64()` is `k * 2^-53` and both `k` and the scaling are exact.
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Lines of a shared-library burst (a short libc routine).
@@ -163,6 +191,15 @@ impl SyntheticWorkload {
         // is per *instruction*, but it is drawn inside the mem_ratio branch
         // of `next_data`, so rescale.
         let fresh_per_access = fresh_prob / params.mem_ratio.max(1e-9);
+        let thresholds = Thresholds {
+            lib: threshold(params.shared_code_frac),
+            lib_bench: threshold(params.shared_code_frac + BENCH_FRAC),
+            mem: threshold(params.mem_ratio),
+            store: threshold(params.store_ratio),
+            fresh: threshold(fresh_per_access),
+            peer: threshold(params.peer_fresh_frac),
+            shared: threshold(params.shared_data_frac),
+        };
         // Instances pair up 0<->1, 2<->3, ... for peer-fresh touches.
         let peer = instance ^ 1;
         SyntheticWorkload {
@@ -176,7 +213,7 @@ impl SyntheticWorkload {
             lib_cursor: 0,
             bench_burst_left: 0,
             bench_cursor: 0,
-            fresh_per_access,
+            thresholds,
             params,
         }
     }
@@ -184,6 +221,13 @@ impl SyntheticWorkload {
     /// The parameters this workload was built with.
     pub fn params(&self) -> &SyntheticParams {
         &self.params
+    }
+
+    /// The top 53 bits of the next random word, to compare against a
+    /// [`threshold`]: the draw `next_f64()` makes, without the float.
+    #[inline]
+    fn draw(&mut self) -> u64 {
+        self.rng.next_u64() >> 11
     }
 
     fn next_pc(&mut self) -> Addr {
@@ -198,14 +242,15 @@ impl SyntheticWorkload {
             advance_wrapping(&mut self.bench_cursor, self.params.bench_code_lines);
             return layout::code_line(self.bench_code_base, self.bench_cursor);
         }
-        let r: f64 = self.rng.next_f64();
-        if self.params.shared_code_lines > 0 && r < self.params.shared_code_frac {
+        let t = self.thresholds;
+        let r = self.draw();
+        if self.params.shared_code_lines > 0 && r < t.lib {
             // Jump to a random library routine and walk it.
             self.lib_cursor = self.rng.next_below(self.params.shared_code_lines);
             self.lib_burst_left = LIB_BURST.min(self.params.shared_code_lines);
             return layout::code_line(layout::SHARED_LIB_CODE, self.lib_cursor);
         }
-        if self.params.bench_code_lines > 0 && r < self.params.shared_code_frac + BENCH_FRAC {
+        if self.params.bench_code_lines > 0 && r < t.lib_bench {
             self.bench_cursor = self.rng.next_below(self.params.bench_code_lines);
             self.bench_burst_left = BENCH_BURST.min(self.params.bench_code_lines);
             return layout::code_line(self.bench_code_base, self.bench_cursor);
@@ -216,21 +261,20 @@ impl SyntheticWorkload {
     }
 
     fn next_data(&mut self) -> Option<(DataKind, Addr)> {
-        if self.rng.next_f64() >= self.params.mem_ratio {
+        let t = self.thresholds;
+        if self.draw() >= t.mem {
             return None;
         }
-        let kind = if self.rng.next_f64() < self.params.store_ratio {
+        let kind = if self.draw() < t.store {
             DataKind::Store
         } else {
             DataKind::Load
         };
-        if self.rng.next_f64() < self.fresh_per_access {
+        if self.draw() < t.fresh {
             // Optionally consume the sibling's recent stream instead of
             // producing our own line (guarded so the common frac == 0 case
             // draws no random number and streams stay bit-identical).
-            if self.params.peer_fresh_frac > 0.0
-                && self.rng.next_f64() < self.params.peer_fresh_frac
-            {
+            if self.params.peer_fresh_frac > 0.0 && self.draw() < t.peer {
                 let lag = 16 + self.rng.next_below(64);
                 let line = self.fresh_cursor.saturating_sub(lag) % (1 << 24);
                 return Some((
@@ -244,7 +288,7 @@ impl SyntheticWorkload {
             self.fresh_cursor = (self.fresh_cursor + 1) % (1 << 24);
             return Some((kind, addr));
         }
-        if self.params.shared_data_bytes > 0 && self.rng.next_f64() < self.params.shared_data_frac {
+        if self.params.shared_data_bytes > 0 && self.draw() < t.shared {
             let lines = self.params.shared_data_bytes / layout::LINE;
             let line = self.rng.next_below(lines.max(1));
             return Some((kind, layout::SHARED_SEGMENT + line * layout::LINE));
@@ -272,6 +316,10 @@ impl Program for SyntheticWorkload {
         let pc = self.next_pc();
         let data = self.next_data();
         Op::Instr { pc, data }
+    }
+
+    fn observes(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &str {
@@ -384,6 +432,31 @@ mod tests {
             .filter(|op| matches!(op, Op::Instr { pc, .. } if *pc >= layout::SHARED_LIB_CODE))
             .count();
         assert!(lib > 100, "only {lib} shared-lib fetches");
+    }
+
+    #[test]
+    fn integer_draws_decide_as_float_draws() {
+        let tiny = 1.0 / (1u64 << 53) as f64;
+        for p in [0.0, tiny, 0.02, 0.07, 0.3, 0.5, 1.0 - tiny, 1.0, 1.5, 1e9] {
+            let t = threshold(p);
+            let mut floats = FastRng::seed_from_u64(p.to_bits());
+            let mut ints = floats.clone();
+            for _ in 0..100_000 {
+                assert_eq!(ints.next_u64() >> 11 < t, floats.next_f64() < p, "p = {p}");
+            }
+            // Random words almost never land next to the threshold: check
+            // the draws on either side of it directly.
+            for k in t.saturating_sub(2)..t.saturating_add(2).min(1 << 53) {
+                assert_eq!(k < t, k as f64 * tiny < p, "p = {p}, k = {k}");
+            }
+        }
+        assert_eq!(threshold(1e9), u64::MAX);
+    }
+
+    #[test]
+    fn synthetic_programs_skip_observations() {
+        let w = SyntheticWorkload::new(SyntheticParams::default(), 0, 0);
+        assert!(!w.observes());
     }
 
     #[test]
