@@ -45,8 +45,8 @@ impl Threshold {
         Threshold { cycles }
     }
 
-    /// Empirical calibration from a probe-latency histogram (as recorded by
-    /// the telemetry-instrumented attackers): assumes a bimodal latency
+    /// Empirical calibration from a probe-latency histogram (built from
+    /// the probe events of the telemetry-instrumented attackers): assumes a bimodal latency
     /// distribution, finds the two most-populated buckets, and places the
     /// boundary midway between the fast mode's upper bucket bound and the
     /// slow mode's lower bucket bound. This mirrors how a real attacker
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn from_histogram_splits_bimodal_latencies() {
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         for _ in 0..100 {
             h.observe(2); // L1-hit reloads
         }
@@ -264,7 +264,7 @@ mod tests {
 
     #[test]
     fn from_histogram_needs_two_modes() {
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         assert_eq!(Threshold::from_histogram(&h), None);
         for _ in 0..10 {
             h.observe(200);
@@ -274,7 +274,7 @@ mod tests {
 
     #[test]
     fn from_histogram_ignores_minor_noise_buckets() {
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         for _ in 0..100 {
             h.observe(2);
         }

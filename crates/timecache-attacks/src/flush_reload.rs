@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use timecache_os::{DataKind, Observation, Op, Program};
 use timecache_sim::Addr;
-use timecache_telemetry::{Histogram, Telemetry, TraceEvent};
+use timecache_telemetry::{Telemetry, TraceEvent};
 
 /// One probe measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,6 @@ pub struct FlushReloadAttacker {
     log: ProbeLog,
     pc: Addr,
     tel: Telemetry,
-    latency_hist: Option<Histogram>,
 }
 
 impl FlushReloadAttacker {
@@ -81,24 +80,15 @@ impl FlushReloadAttacker {
                 log: Rc::clone(&log),
                 pc: 0x6660_0000,
                 tel: Telemetry::disabled(),
-                latency_hist: None,
             },
             log,
         )
     }
 
-    /// Routes every probe into `tel`: reload latencies feed the
-    /// `attack_probe_latency_cycles{attack="flush_reload"}` histogram (the
-    /// input to [`Threshold::from_histogram`] calibration) and each probe
-    /// emits a [`TraceEvent::Probe`]. No-op when `tel` is disabled.
+    /// Emits a [`TraceEvent::Probe`] into `tel` for every reload: its
+    /// latencies are the input to [`Threshold::from_histogram`]
+    /// calibration. No-op when `tel` is disabled.
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
-        self.latency_hist = tel.registry().map(|reg| {
-            reg.histogram(
-                "attack_probe_latency_cycles",
-                "Reload/probe latencies measured by attackers.",
-                &[("attack", "flush_reload")],
-            )
-        });
         self.tel = tel.clone();
         self
     }
@@ -149,17 +139,14 @@ impl Program for FlushReloadAttacker {
                     latency,
                     hit,
                 });
-                if let Some(h) = &self.latency_hist {
-                    h.observe(latency);
-                    self.tel.emit_at(
-                        obs.now,
-                        TraceEvent::Probe {
-                            attack: "flush_reload",
-                            latency,
-                            hit,
-                        },
-                    );
-                }
+                self.tel.emit_at(
+                    obs.now,
+                    TraceEvent::Probe {
+                        attack: "flush_reload",
+                        latency,
+                        hit,
+                    },
+                );
                 self.phase = if i + 1 < self.targets.len() {
                     Phase::Probe(i + 1)
                 } else {

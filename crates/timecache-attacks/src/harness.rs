@@ -82,11 +82,10 @@ pub fn run_microbenchmark(security: SecurityMode, rounds: u32) -> MicrobenchResu
     run_microbenchmark_with_telemetry(security, rounds, &Telemetry::disabled())
 }
 
-/// [`run_microbenchmark`] with observability: the system streams cache and
-/// scheduler telemetry into `tel`, and the attacker feeds its reload
-/// latencies into the `attack_probe_latency_cycles` histogram (from which
-/// [`Threshold::from_histogram`] can re-derive the decision boundary) and
-/// emits a probe event per timed load.
+/// [`run_microbenchmark`] with observability: the system streams its
+/// scheduler events into `tel`, and the attacker emits a probe event per
+/// timed load (from whose latencies [`Threshold::from_histogram`] can
+/// re-derive the decision boundary).
 pub fn run_microbenchmark_with_telemetry(
     security: SecurityMode,
     rounds: u32,
@@ -158,17 +157,24 @@ mod tests {
 
     #[test]
     fn telemetry_captures_probe_latencies() {
-        use timecache_telemetry::TraceEvent;
+        use timecache_telemetry::{Histogram, TraceEvent};
+
+        // The probe latencies the event log holds so far.
+        let probe_histogram = |tel: &Telemetry| {
+            let mut hist = Histogram::default();
+            for rec in tel.tracer().unwrap().records() {
+                if let TraceEvent::Probe { latency, .. } = rec.event {
+                    hist.observe(latency);
+                }
+            }
+            hist
+        };
 
         // Both modes on one handle at the `security` experiment's 5 rounds
         // each: the event log keeps every probe, with nothing dropped.
         let tel = Telemetry::enabled();
-        let hist = tel.registry().unwrap().histogram(
-            "attack_probe_latency_cycles",
-            "Reload/probe latencies measured by attackers.",
-            &[("attack", "flush_reload")],
-        );
         let base = run_microbenchmark_with_telemetry(SecurityMode::Baseline, 5, &tel);
+        let hist = probe_histogram(&tel);
         assert_eq!(hist.count(), base.probes);
 
         // The baseline microbenchmark is all-hits (that's the leak), so its
@@ -180,6 +186,7 @@ mod tests {
         // known-flushed calibration a real attacker performs — and the
         // recovered boundary separates the latency model's extremes.
         let tc = run_microbenchmark_with_telemetry(timecache_mode(), 5, &tel);
+        let hist = probe_histogram(&tel);
         let t = Threshold::from_histogram(&hist).expect("two modes present");
         let lat = timecache_sim::LatencyConfig::default();
         assert!(t.is_hit(lat.l1_hit));

@@ -4,25 +4,27 @@
 //! ```text
 //! experiments [--quick] [--telemetry] [--jobs N]
 //!             <all|table1|table2|fig7|fig8|fig9|fig10|security|rollover|
-//!              switchcost|other-attacks|ftm|area|ablation|telemetry-demo|
-//!              fault-sweep|leakage-sweep>
+//!              switchcost|other-attacks|ftm|area|ablation|fault-sweep|
+//!              leakage-sweep>
 //! ```
 //!
 //! Each simulating experiment declares the runs it reads
 //! ([`exp::EXPERIMENTS`]). `all` takes the union of every experiment's
 //! runs, simulates each distinct run once, then renders the experiments in
 //! order from that one table; a single id simulates only its own runs.
+//! Either way `<id>_runs.jsonl` under `results/` records every simulated
+//! run, one JSON object per line: its workload, mode, parameters, cycles,
+//! instructions, switch counts and per-cache statistics.
 //!
 //! `--quick` shrinks the instruction budgets (useful for smoke-testing the
 //! harness; reported numbers will be noisier). `--jobs N` sets the sweep
 //! engine's worker count, passed to every sweep (default: all cores; every
 //! artifact, the telemetry event log included, is byte-identical for every
-//! `N`). `--telemetry` records metrics, rare events (context switches,
-//! rollover resets, probes, faults, invariant violations) and phase
-//! profiles for every system the experiment builds, and writes
-//! `<id>_metrics.prom` / `<id>_metrics.json` / `<id>_events.jsonl` /
-//! `<id>_profile.json` / `<id>_manifest.json` under `results/` next to the
-//! experiment's CSV. `fault-sweep` runs the
+//! `N`). `--telemetry` records the rare events (context switches, rollover
+//! resets, probes, faults, invariant violations) of every system the
+//! experiment builds, and writes `<id>_events.jsonl` and
+//! `<id>_manifest.json` under `results/` next to the experiment's CSV.
+//! `fault-sweep` runs the
 //! fault-injection matrix and exits nonzero if any TimeCache cell violates
 //! the security invariant or if the baseline rows fail to exhibit the
 //! expected leak. `leakage-sweep` runs the TVLA-style statistical leakage
@@ -39,7 +41,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: experiments [--quick] [--telemetry] [--jobs N] \
          <all|table1|table2|fig7|fig8|fig9|fig10|security|rollover|switchcost|\
-         other-attacks|ftm|area|ablation|telemetry-demo|fault-sweep|leakage-sweep>"
+         other-attacks|ftm|area|ablation|fault-sweep|leakage-sweep>"
     );
     std::process::exit(2);
 }
@@ -151,10 +153,10 @@ fn main() {
 /// Runs experiment `which` and returns its exit code; an I/O failure
 /// writing an artifact is returned as the error.
 fn run(which: &str, params: &RunParams, jobs: usize, with_telemetry: bool) -> io::Result<i32> {
+    let id = which.replace('-', "_");
     let mut exit_code = 0;
     match which {
-        "all" => exp::run(&exp::EXPERIMENTS, params, jobs)?,
-        "telemetry-demo" => exp::telemetry_demo::run(params)?,
+        "all" => exp::run(&id, &exp::EXPERIMENTS, params, jobs)?,
         "fault-sweep" => {
             let summary = exp::fault_sweep::run(params, jobs)?;
             exit_code = fault_sweep_exit_code(&summary);
@@ -163,14 +165,14 @@ fn run(which: &str, params: &RunParams, jobs: usize, with_telemetry: bool) -> io
             let summary = exp::leakage_sweep::run(params, jobs)?;
             exit_code = leakage_sweep_exit_code(&summary);
         }
-        id => match exp::EXPERIMENTS.iter().position(|e| e.id == id) {
-            Some(i) => exp::run(&exp::EXPERIMENTS[i..=i], params, jobs)?,
+        _ => match exp::EXPERIMENTS.iter().position(|e| e.id == which) {
+            Some(i) => exp::run(&id, &exp::EXPERIMENTS[i..=i], params, jobs)?,
             None => usage(),
         },
     }
 
     if with_telemetry {
-        telemetry::write_artifacts(&which.replace('-', "_"))?;
+        telemetry::write_artifacts(&id)?;
     }
     Ok(exit_code)
 }

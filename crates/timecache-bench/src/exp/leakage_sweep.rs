@@ -88,22 +88,9 @@ fn cell_rounds(params: &RunParams) -> usize {
     (params.measure_instructions / 200_000).clamp(24, 96) as usize
 }
 
-/// Runs one row of the matrix and records its t-statistics as telemetry
-/// gauges when a registry is attached.
+/// Runs one row of the matrix.
 fn run_cell(index: usize, params: &RunParams) -> Row {
-    let channel = Channel::ALL[index];
-    let a = assess(channel, cell_rounds(params));
-    if let Some(reg) = crate::telemetry::current().registry() {
-        for (config, t) in [("baseline", a.t_baseline), ("defended", a.t_defended)] {
-            reg.gauge(
-                "leakage_welch_t",
-                "Welch's t-statistic between the victim-active and victim-idle arms.",
-                &[("channel", channel.name()), ("config", config)],
-            )
-            .set(t);
-        }
-    }
-    Row::from_assessment(&a)
+    Row::from_assessment(&assess(Channel::ALL[index], cell_rounds(params)))
 }
 
 /// Runs the matrix on `jobs` workers, prints it, writes

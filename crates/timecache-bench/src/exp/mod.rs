@@ -2,7 +2,7 @@
 //! simulates declares the runs it needs as [`RunKey`]s and renders its
 //! table and CSV from a shared [`RunTable`]; [`EXPERIMENTS`] lists every id
 //! `experiments all` runs, and [`run`] simulates the union of their keys
-//! once before rendering each.
+//! once, records each run, and renders each experiment.
 
 pub mod ablation;
 pub mod area;
@@ -19,8 +19,8 @@ pub mod security;
 pub mod switchcost;
 pub mod table1;
 pub mod table2;
-pub mod telemetry_demo;
 
+use crate::output::{results_dir, write_artifact};
 use crate::runner::{Comparison, RunKey, RunParams, RunTable, Workload};
 use std::io;
 use timecache_workloads::mixes;
@@ -70,13 +70,23 @@ fn keys(experiments: &[Experiment], params: &RunParams) -> Vec<RunKey> {
 }
 
 /// Simulates each distinct run `experiments` need once on `jobs` workers,
-/// then renders the experiments in order.
+/// writes the runs to `<id>_runs.jsonl` ([`RunTable::to_jsonl`]; nothing
+/// when they need none), then renders the experiments in order.
 ///
 /// # Errors
 ///
 /// Returns the first error writing an artifact.
-pub fn run(experiments: &[Experiment], params: &RunParams, jobs: usize) -> io::Result<()> {
+pub fn run(
+    id: &str,
+    experiments: &[Experiment],
+    params: &RunParams,
+    jobs: usize,
+) -> io::Result<()> {
     let table = RunTable::build(&keys(experiments, params), jobs);
+    if !table.is_empty() {
+        let path = results_dir()?.join(format!("{id}_runs.jsonl"));
+        write_artifact(&path, &table.to_jsonl())?;
+    }
     experiments
         .iter()
         .try_for_each(|e| (e.render)(&table, params))

@@ -9,7 +9,7 @@ use std::io;
 use timecache_attacks::harness::run_microbenchmark;
 use timecache_workloads::SpecBenchmark::Perlbench;
 
-/// Counter widths to sweep: 32 bits (the paper's choice, never rolls over
+/// Timestamp widths to sweep: 32 bits (the paper's choice, never rolls over
 /// within a run), down to widths that roll over every few quanta.
 pub const WIDTHS: [u8; 4] = [32, 26, 22, 20];
 

@@ -17,11 +17,11 @@
 //! cores by the [`sweep`] engine; every function that sweeps takes the
 //! worker count as an argument, which `experiments` reads from `--jobs N`
 //! (default: all cores; `--jobs 1` reproduces serial execution
-//! bit-for-bit). Passing
-//! `--telemetry` (or running the dedicated `telemetry-demo` experiment)
-//! additionally writes metrics, event-trace, profile, and manifest
-//! artifacts via [`telemetry`]. See `DESIGN.md` for the experiment index
-//! and `EXPERIMENTS.md` for paper-vs-measured records.
+//! bit-for-bit). Every simulated run is recorded, one JSON line each, in
+//! `<id>_runs.jsonl` ([`runner::RunTable::to_jsonl`]). Passing
+//! `--telemetry` additionally writes the event log and its manifest via
+//! [`telemetry`]. See `DESIGN.md` for the experiment index and
+//! `EXPERIMENTS.md` for paper-vs-measured records.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

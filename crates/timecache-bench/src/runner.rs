@@ -4,9 +4,11 @@
 //! declare exactly once.
 
 use crate::sweep;
+use std::fmt::Write as _;
 use timecache_core::TimeCacheConfig;
 use timecache_os::{System, SystemConfig};
-use timecache_sim::{HierarchyConfig, HierarchyStats, SecurityMode};
+use timecache_sim::{CacheStats, HierarchyConfig, HierarchyStats, SecurityMode};
+use timecache_telemetry::encode;
 use timecache_workloads::mixes::{self, PairSpec};
 use timecache_workloads::parsec::ParsecBenchmark;
 use timecache_workloads::SpecBenchmark;
@@ -150,21 +152,42 @@ impl Workload {
         }
     }
 
-    /// Warms up both programs, then measures
-    /// `params.measure_instructions` of each.
-    fn run(self, security: SecurityMode, params: &RunParams) -> ModeMetrics {
-        let (cores, [first, second]) = match self {
-            Workload::Spec(a, b) => (1, [a.workload(0), b.workload(1)]),
-            Workload::Parsec(bench) => (2, [bench.thread_workload(0), bench.thread_workload(1)]),
-        };
-        let mut hier = HierarchyConfig::with_cores(cores).with_llc_bytes(params.llc_bytes);
+    /// Cores the workload occupies: a SPEC pair time-slices one core, a
+    /// PARSEC benchmark runs one thread on each of two.
+    fn cores(self) -> usize {
+        match self {
+            Workload::Spec(..) => 1,
+            Workload::Parsec(_) => 2,
+        }
+    }
+
+    /// The system a run of this workload simulates under `security`, with
+    /// the thread's current run telemetry.
+    pub(crate) fn config(self, security: SecurityMode, params: &RunParams) -> SystemConfig {
+        let mut hier = HierarchyConfig::with_cores(self.cores()).with_llc_bytes(params.llc_bytes);
         hier.security = security;
-        let cfg = SystemConfig {
+        SystemConfig {
             hierarchy: hier,
             quantum_cycles: params.quantum_cycles,
             discard_snapshots: params.discard_snapshots,
             telemetry: crate::telemetry::current(),
             ..SystemConfig::default()
+        }
+    }
+
+    /// Warms up both programs, then measures
+    /// `params.measure_instructions` of each.
+    fn run(self, security: SecurityMode, params: &RunParams) -> ModeMetrics {
+        self.measure(self.config(security, params), params).0
+    }
+
+    /// [`Workload::run`] on a system built from `cfg`, which is returned
+    /// too.
+    fn measure(self, cfg: SystemConfig, params: &RunParams) -> (ModeMetrics, System) {
+        let cores = self.cores();
+        let [first, second] = match self {
+            Workload::Spec(a, b) => [a.workload(0), b.workload(1)],
+            Workload::Parsec(bench) => [bench.thread_workload(0), bench.thread_workload(1)],
         };
         let mut sys = System::new(cfg).expect("experiment config is valid");
         let warmup = Some(params.warmup_instructions);
@@ -185,13 +208,14 @@ impl Workload {
         let report = sys.run(u64::MAX);
         assert!(report.all_completed(), "measurement did not complete");
 
-        ModeMetrics {
+        let metrics = ModeMetrics {
             cycles: report.total_cycles - warm_cycles,
             instructions: 2 * params.measure_instructions,
             stats: report.stats,
             tc_switch_cycles: report.timecache_switch_cycles - warm.timecache_switch_cycles,
             context_switches: report.context_switches,
-        }
+        };
+        (metrics, sys)
     }
 }
 
@@ -278,12 +302,11 @@ impl RunTable {
         }
         let metrics = sweep::run(jobs, distinct.len(), |i| {
             let key = &distinct[i];
-            let mode = match key.security {
-                SecurityMode::Baseline => "baseline",
-                SecurityMode::TimeCache(_) => "timecache",
-                SecurityMode::Ftm => "ftm",
-            };
-            sweep::progress(&format!("  running {} [{mode}] ...", key.workload.label()));
+            sweep::progress(&format!(
+                "  running {} [{}] ...",
+                key.workload.label(),
+                mode_name(key.security)
+            ));
             key.workload.run(key.security, &key.params)
         });
         RunTable {
@@ -312,6 +335,92 @@ impl RunTable {
             timecache,
         }
     }
+
+    /// Whether the table holds no runs.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// The runs as JSON Lines, one object per run in table order: the
+    /// workload label and mode, every [`RunParams`] field, and every
+    /// [`ModeMetrics`] field, with per-core `l1i` and `l1d` statistics and
+    /// the `llc`'s. Every value is simulated, so the text is the same at
+    /// any worker count.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        for (key, metrics) in &self.runs {
+            let RunParams {
+                warmup_instructions,
+                measure_instructions,
+                llc_bytes,
+                quantum_cycles,
+                timestamp_bits,
+                discard_snapshots,
+            } = key.params;
+            let ModeMetrics {
+                cycles,
+                instructions,
+                stats: HierarchyStats { l1i, l1d, llc },
+                tc_switch_cycles,
+                context_switches,
+            } = metrics;
+            out.push_str("{\"workload\":");
+            encode::json_string(&mut out, &key.workload.label());
+            out.push_str(",\"mode\":");
+            encode::json_string(&mut out, mode_name(key.security));
+            let _ = write!(
+                out,
+                ",\"warmup_instructions\":{warmup_instructions},\
+                 \"measure_instructions\":{measure_instructions},\"llc_bytes\":{llc_bytes},\
+                 \"quantum_cycles\":{quantum_cycles},\"timestamp_bits\":{timestamp_bits},\
+                 \"discard_snapshots\":{discard_snapshots},\"cycles\":{cycles},\
+                 \"instructions\":{instructions},\"tc_switch_cycles\":{tc_switch_cycles},\
+                 \"context_switches\":{context_switches}"
+            );
+            for (name, caches) in [("l1i", l1i), ("l1d", l1d)] {
+                let _ = write!(out, ",\"{name}\":[");
+                for (i, stats) in caches.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    cache_stats_json(&mut out, stats);
+                }
+                out.push(']');
+            }
+            out.push_str(",\"llc\":");
+            cache_stats_json(&mut out, llc);
+            out.push_str("}\n");
+        }
+        out
+    }
+}
+
+/// The run record's name of a security mode.
+fn mode_name(security: SecurityMode) -> &'static str {
+    match security {
+        SecurityMode::Baseline => "baseline",
+        SecurityMode::TimeCache(_) => "timecache",
+        SecurityMode::Ftm => "ftm",
+    }
+}
+
+/// Appends one cache's statistics as a JSON object.
+fn cache_stats_json(out: &mut String, stats: &CacheStats) {
+    let CacheStats {
+        accesses,
+        hits,
+        misses,
+        first_access,
+        evictions,
+        invalidations,
+        writebacks,
+    } = stats;
+    let _ = write!(
+        out,
+        "{{\"accesses\":{accesses},\"hits\":{hits},\"misses\":{misses},\
+         \"first_access\":{first_access},\"evictions\":{evictions},\
+         \"invalidations\":{invalidations},\"writebacks\":{writebacks}}}"
+    );
 }
 
 #[cfg(test)]
@@ -334,6 +443,27 @@ mod tests {
         // Baseline never sees first-access misses.
         assert_eq!(cmp.baseline.stats.total_first_access(), 0);
         assert!(cmp.baseline.context_switches > 0);
+    }
+
+    #[test]
+    fn quick_fig7_pair_is_invariant_clean_under_timecache() {
+        // Shared code text: the second process reuses lines the first
+        // fetched, which only a baseline lets it hit.
+        let w = Workload::spec(&mixes::same_benchmark_pairs()[0]);
+        let params = RunParams::quick();
+        let table = RunTable::build(&RunKey::pair(w, &params), 1);
+        for key in RunKey::pair(w, &params) {
+            let mut cfg = w.config(key.security, &params);
+            cfg.check_invariants = true;
+            let (metrics, sys) = w.measure(cfg, &params);
+            // The checker is off the timing path.
+            assert_eq!(&metrics, table.get(&key), "{key:?}");
+            if key.security.is_timecache() {
+                assert_eq!(sys.invariant_violations(), 0);
+            } else {
+                assert!(sys.invariant_violations() > 0);
+            }
+        }
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //! runs under its own fresh enabled handle and leaves a
 //! [`TelemetrySnapshot`] in its job's slot; after the join the engine
 //! absorbs the snapshots into the caller's handle in job order. That
-//! replays the serial run's recording order, so the merged counters,
-//! histograms, phase profiles and event log (`*_events.jsonl`, including
-//! its sequence numbers and drop count) equal a serial run's at any
-//! worker count (see `Telemetry::absorb`).
+//! replays the serial run's recording order, so the merged event log
+//! (`*_events.jsonl`, including its sequence numbers and drop count)
+//! equals a serial run's at any worker count (see `Telemetry::absorb`).
 //!
 //! # Progress output
 //!
@@ -119,6 +118,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timecache_telemetry::TraceEvent;
 
     #[test]
     fn results_land_by_job_index() {
@@ -144,26 +144,35 @@ mod tests {
     #[test]
     fn worker_telemetry_merges_into_caller_handle() {
         let tel = crate::telemetry::enable();
-        let before = tel
-            .registry()
-            .unwrap()
-            .counter_value("sweep_test_total", &[])
-            .unwrap_or(0);
-        run(3, 6, |_| {
-            let worker_tel = crate::telemetry::current();
-            worker_tel
-                .registry()
-                .unwrap()
-                .counter("sweep_test_total", "Test.", &[])
-                .inc();
-        });
-        assert_eq!(
-            tel.registry()
-                .unwrap()
-                .counter_value("sweep_test_total", &[]),
-            Some(before + 6)
+        tel.emit_at(
+            0,
+            TraceEvent::Probe {
+                attack: "caller",
+                latency: 0,
+                hit: true,
+            },
         );
+        run(3, 6, |i| {
+            crate::telemetry::current().emit_at(
+                i as u64,
+                TraceEvent::Probe {
+                    attack: "sweep_test",
+                    latency: i as u64,
+                    hit: false,
+                },
+            );
+        });
         crate::telemetry::disable();
+        // The caller's event, then one per job in job order, renumbered.
+        let records = tel.tracer().unwrap().records();
+        assert_eq!(records.len(), 7);
+        for (i, rec) in records[1..].iter().enumerate() {
+            assert_eq!((rec.seq, rec.cycle), (i as u64 + 1, i as u64));
+            assert!(matches!(
+                rec.event,
+                TraceEvent::Probe { latency, .. } if latency == i as u64
+            ));
+        }
     }
 
     #[test]
@@ -175,7 +184,7 @@ mod tests {
             for latency in 0..40_000 {
                 tel.emit_at(
                     i as u64,
-                    timecache_telemetry::TraceEvent::Probe {
+                    TraceEvent::Probe {
                         attack: "sweep_test",
                         latency,
                         hit: false,

@@ -4,22 +4,21 @@
 //! run is single-threaded; sweeps parallelize across runs).
 //! [`crate::runner`] hands the thread's current handle to every
 //! [`timecache_os::System`] it builds, so enabling telemetry before an
-//! experiment makes the entire run observable without threading a handle
-//! through every experiment signature. Parallel sweeps via [`crate::sweep`]
-//! run each job under its own enabled handle and merge the jobs'
-//! snapshots back into the caller's handle in job order, so every artifact
-//! below equals a serial run's. After the run, [`write_artifacts`]
-//! snapshots everything into [`crate::output::results_dir`]:
+//! experiment records the event log of every run without threading a
+//! handle through every experiment signature. Parallel sweeps via
+//! [`crate::sweep`] run each job under its own enabled handle and merge the
+//! jobs' events back into the caller's handle in job order, so every
+//! artifact below equals a serial run's. After the run, [`write_artifacts`]
+//! writes into [`crate::output::results_dir`]:
 //!
-//! * `<id>_metrics.prom` — Prometheus text exposition of all counters,
-//!   gauges, and histograms;
-//! * `<id>_metrics.json` — the same registry as JSON;
 //! * `<id>_events.jsonl` — the event log of context-switch saves and
 //!   restores, rollover resets, probes, injected faults and invariant
 //!   violations, one JSON object per line;
-//! * `<id>_profile.json` — per-process / per-context phase cycles;
 //! * `<id>_manifest.json` — the run manifest tying the artifacts together
 //!   (experiment id, event counts, artifact list).
+//!
+//! Per-run counts are not telemetry: `exp::run` writes them, one line per
+//! run, to `<id>_runs.jsonl` with or without `--telemetry`.
 
 use crate::output::{results_dir, write_artifact};
 use std::cell::RefCell;
@@ -55,9 +54,10 @@ pub fn current() -> Telemetry {
     CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Writes the current telemetry state as artifacts named after `id` under
-/// [`results_dir`] with [`write_artifact`], returning the written paths. A disabled handle writes
-/// nothing and returns an empty list.
+/// Writes the current event log and its manifest as artifacts named after
+/// `id` under [`results_dir`] with [`write_artifact`], returning the
+/// written paths. A disabled handle writes nothing and returns an empty
+/// list.
 ///
 /// # Errors
 ///
@@ -72,50 +72,33 @@ pub fn write_artifacts(id: &str) -> io::Result<Vec<PathBuf>> {
 ///
 /// Returns the underlying error if any artifact cannot be written.
 pub fn write_artifacts_from(id: &str, tel: &Telemetry) -> io::Result<Vec<PathBuf>> {
-    let (Some(reg), Some(tracer), Some(prof)) = (tel.registry(), tel.tracer(), tel.profiler())
-    else {
+    let Some(tracer) = tel.tracer() else {
         return Ok(Vec::new());
     };
     let dir = results_dir()?;
-    let mut written = Vec::new();
-    for (suffix, body) in [
-        ("metrics.prom", reg.render_prometheus()),
-        ("metrics.json", reg.render_json()),
-        ("events.jsonl", tracer.to_jsonl()),
-        ("profile.json", prof.render_json()),
-    ] {
-        let path = dir.join(format!("{id}_{suffix}"));
-        write_artifact(&path, &body)?;
-        written.push(path);
-    }
+    let events = format!("{id}_events.jsonl");
+    let events_path = dir.join(&events);
+    write_artifact(&events_path, &tracer.to_jsonl())?;
 
-    let mut manifest = String::from("{");
-    encode::json_string(&mut manifest, "experiment");
-    manifest.push(':');
+    let mut manifest = String::from("{\"experiment\":");
     encode::json_string(&mut manifest, id);
     manifest.push_str(&format!(
-        ",\"events_recorded\":{},\"events_dropped\":{},\"events_retained\":{}",
+        ",\"events_recorded\":{},\"events_dropped\":{},\"events_retained\":{},\"artifacts\":[",
         tracer.recorded(),
         tracer.dropped(),
         tracer.len()
     ));
-    manifest.push_str(",\"artifacts\":[");
-    for (i, path) in written.iter().enumerate() {
-        if i > 0 {
-            manifest.push(',');
-        }
-        encode::json_string(&mut manifest, &path.file_name().unwrap().to_string_lossy());
-    }
+    encode::json_string(&mut manifest, &events);
     manifest.push_str("]}");
-    let path = dir.join(format!("{id}_manifest.json"));
-    write_artifact(&path, &manifest)?;
-    written.push(path);
-    Ok(written)
+    let manifest_path = dir.join(format!("{id}_manifest.json"));
+    write_artifact(&manifest_path, &manifest)?;
+    Ok(vec![events_path, manifest_path])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timecache_telemetry::TraceEvent;
 
     #[test]
     fn disabled_handle_writes_nothing() {
@@ -124,30 +107,29 @@ mod tests {
             .is_empty());
     }
 
+    fn probe() -> TraceEvent {
+        TraceEvent::Probe {
+            attack: "demo",
+            latency: 2,
+            hit: true,
+        }
+    }
+
     #[test]
     fn artifacts_cover_all_sinks() {
         crate::output::test_results_dir();
         let tel = Telemetry::enabled();
-        tel.registry()
-            .unwrap()
-            .counter("demo_total", "Demo.", &[])
-            .add(3);
-        tel.emit_at(
-            7,
-            timecache_telemetry::TraceEvent::Probe {
-                attack: "demo",
-                latency: 2,
-                hit: true,
-            },
-        );
+        tel.emit_at(7, probe());
         let written = write_artifacts_from("unit_demo", &tel).unwrap();
-        assert_eq!(written.len(), 5);
-        let prom = std::fs::read_to_string(&written[0]).unwrap();
-        assert!(prom.contains("demo_total 3"));
-        let manifest = std::fs::read_to_string(written.last().unwrap()).unwrap();
-        assert!(manifest.contains("\"experiment\":\"unit_demo\""));
-        assert!(manifest.contains("\"events_recorded\":1"));
-        assert!(manifest.contains("unit_demo_events.jsonl"));
+        assert_eq!(written.len(), 2);
+        let events = std::fs::read_to_string(&written[0]).unwrap();
+        assert_eq!(events, tel.tracer().unwrap().to_jsonl());
+        let manifest = std::fs::read_to_string(&written[1]).unwrap();
+        assert_eq!(
+            manifest,
+            "{\"experiment\":\"unit_demo\",\"events_recorded\":1,\"events_dropped\":0,\
+             \"events_retained\":1,\"artifacts\":[\"unit_demo_events.jsonl\"]}"
+        );
     }
 
     #[test]
@@ -156,11 +138,8 @@ mod tests {
         assert!(!current().is_enabled());
         let tel = enable();
         assert!(current().is_enabled());
-        tel.registry().unwrap().counter("x_total", "x", &[]).inc();
-        assert_eq!(
-            current().registry().unwrap().counter_value("x_total", &[]),
-            Some(1)
-        );
+        current().emit_at(1, probe());
+        assert_eq!(tel.tracer().unwrap().len(), 1);
         disable();
         assert!(!current().is_enabled());
     }

@@ -1,6 +1,6 @@
 //! The parallel sweep engine's contract: worker count changes wall-clock
-//! only, never results — and per-worker telemetry merges to the same
-//! counters a serial run records.
+//! only, never results — and per-worker event logs merge to the log a
+//! serial run records.
 
 use timecache_bench::exp::spec_keys;
 use timecache_bench::runner::{RunParams, RunTable};
@@ -62,42 +62,27 @@ fn wait_bound_jobs_overlap_regardless_of_host_cpus() {
 }
 
 #[test]
-fn parallel_sweep_telemetry_matches_serial_counters() {
+fn parallel_sweep_run_records_and_events_match_serial() {
     let keys = &spec_keys(&tiny_params())[..4];
+    // The run records and the event log of one sweep on `jobs` workers,
+    // under a fresh handle; workers record into their own handles, merged
+    // back at join.
+    let records = |jobs: usize| {
+        let tel = telemetry::enable();
+        let table = RunTable::build(keys, jobs);
+        telemetry::disable();
+        let tracer = tel.tracer().unwrap();
+        assert_eq!(tracer.dropped(), 0);
+        (table.to_jsonl(), tracer.to_jsonl())
+    };
 
-    // Serial run with a fresh handle.
-    let serial_tel = telemetry::enable();
-    let serial = RunTable::build(keys, 1);
-    telemetry::disable();
-
-    // Parallel run with another fresh handle; workers record into their
-    // own registries, merged back at join.
-    let parallel_tel = telemetry::enable();
-    let parallel = RunTable::build(keys, 4);
-    telemetry::disable();
-
-    assert_eq!(serial, parallel);
-    let serial_reg = serial_tel.registry().unwrap();
-    let parallel_reg = parallel_tel.registry().unwrap();
-    for (cache, outcome) in [
-        ("l1d", "hit"),
-        ("l1d", "miss"),
-        ("l1d", "first_access"),
-        ("llc", "hit"),
-        ("llc", "miss"),
-        ("llc", "first_access"),
-    ] {
-        let labels = [("cache", cache), ("outcome", outcome)];
-        let s = serial_reg.counter_value("sim_cache_accesses_total", &labels);
-        let p = parallel_reg.counter_value("sim_cache_accesses_total", &labels);
-        assert_eq!(s, p, "counter mismatch for {cache}/{outcome}");
-        assert!(
-            s.unwrap_or(0) > 0 || outcome == "first_access",
-            "serial run recorded nothing for {cache}/{outcome}"
-        );
-    }
-    assert_eq!(
-        serial_reg.counter_value("sim_switch_restores_total", &[]),
-        parallel_reg.counter_value("sim_switch_restores_total", &[]),
+    let (serial_runs, serial_events) = records(1);
+    let (parallel_runs, parallel_events) = records(4);
+    assert_eq!(serial_runs.lines().count(), keys.len());
+    assert!(
+        serial_events.contains("\"type\":\"switch_restore\""),
+        "the serial sweep logged no switches"
     );
+    assert_eq!(serial_runs, parallel_runs);
+    assert_eq!(serial_events, parallel_events);
 }

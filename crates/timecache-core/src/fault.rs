@@ -48,7 +48,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Every kind, in a stable order ([`FaultKind::index`] matches it).
+    /// Every kind, in a stable order.
     pub const ALL: [FaultKind; 6] = [
         FaultKind::ForceRollover,
         FaultKind::DeferRollover,
@@ -58,7 +58,7 @@ impl FaultKind {
         FaultKind::AbortSave,
     ];
 
-    /// Stable lowercase name used in exports and metric labels.
+    /// Stable lowercase name used in exports.
     pub fn as_str(self) -> &'static str {
         match self {
             FaultKind::ForceRollover => "force_rollover",
@@ -67,18 +67,6 @@ impl FaultKind {
             FaultKind::CorruptSnapshot => "corrupt_snapshot",
             FaultKind::FlipComparator => "flip_comparator",
             FaultKind::AbortSave => "abort_save",
-        }
-    }
-
-    /// Position of this kind within [`FaultKind::ALL`].
-    pub fn index(self) -> usize {
-        match self {
-            FaultKind::ForceRollover => 0,
-            FaultKind::DeferRollover => 1,
-            FaultKind::DropSnapshot => 2,
-            FaultKind::CorruptSnapshot => 3,
-            FaultKind::FlipComparator => 4,
-            FaultKind::AbortSave => 5,
         }
     }
 }
@@ -111,7 +99,7 @@ impl TriggerPoint {
         TriggerPoint::Rollover,
     ];
 
-    /// Stable lowercase name used in exports and metric labels.
+    /// Stable lowercase name used in exports.
     pub fn as_str(self) -> &'static str {
         match self {
             TriggerPoint::Save => "save",

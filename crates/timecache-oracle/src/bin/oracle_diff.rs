@@ -5,7 +5,7 @@
 //! corpus format (ready to check into `tests/corpus/`) and exits nonzero.
 //!
 //! ```text
-//! oracle_diff [--traces N] [--seed S] [--bug NAME] [--telemetry]
+//! oracle_diff [--traces N] [--seed S] [--bug NAME]
 //! ```
 //!
 //! `--bug` injects a deliberate defect into the reference model
@@ -19,7 +19,6 @@
 use std::process::ExitCode;
 use std::time::Instant;
 use timecache_oracle::{run_random, BugKind};
-use timecache_telemetry::Telemetry;
 
 fn parse_bug(name: &str) -> BugKind {
     match name {
@@ -38,7 +37,6 @@ fn main() -> ExitCode {
     let mut traces: u64 = 10_000;
     let mut seed: u64 = 0xD1FF;
     let mut bug: Option<BugKind> = None;
-    let mut telemetry = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -62,9 +60,8 @@ fn main() -> ExitCode {
                 })
             }
             "--bug" => bug = Some(parse_bug(&value("--bug"))),
-            "--telemetry" => telemetry = true,
             "--help" | "-h" => {
-                println!("usage: oracle_diff [--traces N] [--seed S] [--bug NAME] [--telemetry]");
+                println!("usage: oracle_diff [--traces N] [--seed S] [--bug NAME]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -74,13 +71,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let tel = if telemetry {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
     let start = Instant::now();
-    let report = run_random(traces, seed, bug, &tel);
+    let report = run_random(traces, seed, bug);
     let elapsed = start.elapsed().as_secs_f64();
     match report.divergence {
         None => {

@@ -19,7 +19,6 @@ use crate::refmodel::{BugKind, RefContextSnapshot, RefHierarchy};
 use crate::shrink::shrink;
 use crate::trace::{Event, TraceDoc};
 use timecache_sim::{ContextSnapshot, Hierarchy};
-use timecache_telemetry::Telemetry;
 
 /// A reference-vs-simulator disagreement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,30 +186,12 @@ pub struct RandomReport {
 }
 
 /// Replays `count` generated traces starting at `seed`, stopping at (and
-/// shrinking) the first divergence. Telemetry counters
-/// `oracle_traces_total` / `oracle_divergences_total` track progress when
-/// `tel` is enabled.
-pub fn run_random(count: u64, seed: u64, bug: Option<BugKind>, tel: &Telemetry) -> RandomReport {
-    let counters = tel.registry().map(|reg| {
-        (
-            reg.counter("oracle_traces_total", "Differential traces replayed", &[]),
-            reg.counter(
-                "oracle_divergences_total",
-                "Reference-vs-simulator divergences found",
-                &[],
-            ),
-        )
-    });
+/// shrinking) the first divergence.
+pub fn run_random(count: u64, seed: u64, bug: Option<BugKind>) -> RandomReport {
     for i in 0..count {
         let s = seed.wrapping_add(i);
         let doc = generate(s);
-        if let Some((traces, _)) = &counters {
-            traces.inc();
-        }
         if replay(&doc, bug).is_err() {
-            if let Some((_, divergences)) = &counters {
-                divergences.inc();
-            }
             let shrunk = shrink(&doc, |c| replay(c, bug).is_err());
             let divergence = replay(&shrunk, bug).expect_err("shrink preserves failure");
             return RandomReport {

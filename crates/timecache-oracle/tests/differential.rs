@@ -4,15 +4,13 @@
 //! caught *and* shrunk to a tiny trace.
 
 use timecache_oracle::{generate, replay, run_random, BugKind, TraceDoc};
-use timecache_telemetry::Telemetry;
 
 /// Fixed seed of the in-test campaign (the CI job reuses it at 10k+).
 const CAMPAIGN_SEED: u64 = 0xD1FF;
 
 #[test]
 fn ten_thousand_fixed_seed_traces_zero_divergences() {
-    let tel = Telemetry::enabled();
-    let report = run_random(10_000, CAMPAIGN_SEED, None, &tel);
+    let report = run_random(10_000, CAMPAIGN_SEED, None);
     if let Some(found) = &report.divergence {
         panic!(
             "seed {} diverged: {}\nshrunk trace:\n{}",
@@ -22,17 +20,13 @@ fn ten_thousand_fixed_seed_traces_zero_divergences() {
         );
     }
     assert_eq!(report.traces, 10_000);
-    let reg = tel.registry().expect("telemetry enabled");
-    assert_eq!(reg.counter_value("oracle_traces_total", &[]), Some(10_000));
-    assert_eq!(reg.counter_value("oracle_divergences_total", &[]), Some(0));
 }
 
-/// Runs a mutation campaign: the bug must be detected, counted, shrunk to
+/// Runs a mutation campaign: the bug must be detected, shrunk to
 /// at most 20 events, and the shrunken trace must survive a round-trip
 /// through the corpus text format while still witnessing the bug.
 fn mutation_is_caught_and_shrunk(bug: BugKind) {
-    let tel = Telemetry::enabled();
-    let report = run_random(5_000, CAMPAIGN_SEED, Some(bug), &tel);
+    let report = run_random(5_000, CAMPAIGN_SEED, Some(bug));
     let found = report
         .divergence
         .unwrap_or_else(|| panic!("{bug:?} must diverge within 5000 traces"));
@@ -48,8 +42,9 @@ fn mutation_is_caught_and_shrunk(bug: BugKind) {
         "{bug:?}: {}",
         found.divergence
     );
-    let reg = tel.registry().expect("telemetry enabled");
-    assert_eq!(reg.counter_value("oracle_divergences_total", &[]), Some(1));
+    // Exactly one divergence: the campaign stops at the first, and every
+    // trace before it replayed clean.
+    assert_eq!(found.seed, CAMPAIGN_SEED + report.traces - 1);
     // The minimized witness is deterministic and format-stable.
     let doc = TraceDoc::from_text(&found.shrunk.to_text()).expect("valid text");
     assert_eq!(doc, found.shrunk);

@@ -27,11 +27,10 @@
 use crate::addr::{Addr, LineAddr};
 use crate::cache::{Cache, LookupResult};
 use crate::config::{ConfigError, HierarchyConfig, SecurityMode};
-use crate::stats::{CacheStats, HierarchyStats};
+use crate::stats::HierarchyStats;
 use timecache_core::{
     FaultInjector, FaultKind, Snapshot, TimeCacheConfig, TriggerPoint, Visibility,
 };
-use timecache_telemetry::{Counter, Histogram, ServedBy, Telemetry};
 
 /// The kind of memory access a core performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,122 +170,6 @@ fn l1_index(kind: AccessKind) -> usize {
     }
 }
 
-/// Pre-created telemetry handles for the hierarchy's hot path. Every
-/// counter/histogram is resolved once at attach time, so instrumentation
-/// during simulation is plain unsynchronized adds into the shared cells —
-/// no lookups, no heap allocation.
-#[derive(Debug, Clone)]
-struct SimSensors {
-    /// `outcome[cache][o]` with `o` ∈ {hit, first_access, miss}; caches in
-    /// the order l1i, l1d, llc.
-    outcome: [[Counter; 3]; 3],
-    /// Access-latency histograms indexed by [`Level`] (l1, llc, remote_l1,
-    /// memory).
-    latency: [Histogram; 4],
-    /// `events[cache][e]` with `e` ∈ {eviction, invalidation, writeback}.
-    events: [[Counter; 3]; 3],
-    /// The per-level stats already added to `outcome` and `events`.
-    published: [CacheStats; 3],
-    restores: Counter,
-    comparator_cycles: Counter,
-    transfer_lines: Counter,
-    sbits_reset: Counter,
-    rollovers: Counter,
-    clflushes: Counter,
-}
-
-impl SimSensors {
-    /// Creates the sensor block, or `None` when telemetry is disabled.
-    fn create(tel: &Telemetry) -> Option<Box<SimSensors>> {
-        let reg = tel.registry()?;
-        const CACHES: [&str; 3] = ["l1i", "l1d", "llc"];
-        const OUTCOMES: [&str; 3] = ["hit", "first_access", "miss"];
-        const EVENTS: [&str; 3] = ["eviction", "invalidation", "writeback"];
-        let outcome = CACHES.map(|c| {
-            OUTCOMES.map(|o| {
-                reg.counter(
-                    "sim_cache_accesses_total",
-                    "Cache accesses by level and outcome (hit / first_access / miss), \
-                     summed over cores.",
-                    &[("cache", c), ("outcome", o)],
-                )
-            })
-        });
-        let latency = [
-            ServedBy::L1,
-            ServedBy::Llc,
-            ServedBy::RemoteL1,
-            ServedBy::Memory,
-        ]
-        .map(|sb| {
-            reg.histogram(
-                "sim_access_latency_cycles",
-                "Observed access latency in cycles by servicing component.",
-                &[("served_by", sb.as_str())],
-            )
-        });
-        let events = CACHES.map(|c| {
-            EVENTS.map(|e| {
-                reg.counter(
-                    "sim_cache_line_events_total",
-                    "Cache line lifecycle events (eviction / invalidation / writeback) \
-                     by level, summed over cores.",
-                    &[("cache", c), ("event", e)],
-                )
-            })
-        });
-        let restores = reg.counter(
-            "sim_switch_restores_total",
-            "Context restores performed by the hierarchy.",
-            &[],
-        );
-        let comparator_cycles = reg.counter(
-            "sim_switch_comparator_cycles_total",
-            "Bit-serial comparator cycles accumulated across restores.",
-            &[],
-        );
-        let transfer_lines = reg.counter(
-            "sim_switch_transfer_lines_total",
-            "64-byte s-bit snapshot transfers accumulated across restores.",
-            &[],
-        );
-        let sbits_reset = reg.counter(
-            "sim_switch_sbits_reset_total",
-            "s-bits reset by comparator sweeps across restores.",
-            &[],
-        );
-        let rollovers = reg.counter(
-            "sim_switch_rollovers_total",
-            "Restores that detected timestamp rollover.",
-            &[],
-        );
-        let clflushes = reg.counter("sim_clflush_total", "clflush instructions executed.", &[]);
-        Some(Box::new(SimSensors {
-            outcome,
-            latency,
-            events,
-            published: [CacheStats::default(); 3],
-            restores,
-            comparator_cycles,
-            transfer_lines,
-            sbits_reset,
-            rollovers,
-            clflushes,
-        }))
-    }
-}
-
-impl From<Level> for ServedBy {
-    fn from(level: Level) -> ServedBy {
-        match level {
-            Level::L1 => ServedBy::L1,
-            Level::LLC => ServedBy::Llc,
-            Level::RemoteL1 => ServedBy::RemoteL1,
-            Level::Memory => ServedBy::Memory,
-        }
-    }
-}
-
 /// The full memory hierarchy.
 ///
 /// See the [crate docs](crate) for a usage example.
@@ -310,9 +193,6 @@ pub struct Hierarchy {
     /// conversion is a plain shift (no power-of-two assert or
     /// `trailing_zeros` on the hot path).
     line_shift: u32,
-    /// Telemetry sensors; `None` (the default) keeps the hot path free of
-    /// any instrumentation work beyond this one branch.
-    sensors: Option<Box<SimSensors>>,
     /// Fault injector striking the save/restore paths; disabled (one cheap
     /// branch per probe site) unless [`Hierarchy::attach_faults`] is called.
     faults: FaultInjector,
@@ -364,22 +244,8 @@ impl Hierarchy {
             dir,
             tc_cfg,
             line_shift,
-            sensors: None,
             faults: FaultInjector::disabled(),
         })
-    }
-
-    /// Attaches a [`Telemetry`] handle. When `tel` is enabled, the
-    /// hierarchy reports per-level access-outcome counters (on
-    /// [`Hierarchy::publish_stats`]), per-component latency histograms, line
-    /// lifecycle counters, and switch-cost totals through it. It traces no
-    /// events. Attaching a disabled handle detaches instrumentation.
-    ///
-    /// All metric handles are resolved here, once — after this call the
-    /// access hot path performs no allocation, registry lookups, or `Rc`
-    /// reference-count traffic.
-    pub fn attach_telemetry(&mut self, tel: &Telemetry) {
-        self.sensors = SimSensors::create(tel);
     }
 
     /// Attaches a [`FaultInjector`] whose plan targets the context-switch
@@ -449,7 +315,7 @@ impl Hierarchy {
         let line = LineAddr::from_raw(addr >> self.line_shift);
         let l1 = self.l1_mut(core, kind);
         let found = l1.lookup(line);
-        let out = match found {
+        match found {
             Some(hit)
                 if l1.visibility(hit.flat, thread) == Visibility::Visible
                     && (!kind.is_write() || l1.is_dirty(hit.flat)) =>
@@ -476,11 +342,7 @@ impl Hierarchy {
                 }
             }
             _ => self.access_slow(core, thread, kind, line, now, found),
-        };
-        if let Some(s) = &self.sensors {
-            s.latency[out.served_by as usize].observe(out.latency);
         }
-        out
     }
 
     /// Performs a run of accesses by one hardware context: a loop over
@@ -631,9 +493,6 @@ impl Hierarchy {
     /// is constant under the Section VII-C mitigation.
     pub fn clflush(&mut self, addr: Addr) -> u64 {
         let line = LineAddr::from_raw(addr >> self.line_shift);
-        if let Some(s) = &self.sensors {
-            s.clflushes.inc();
-        }
         let mut present = false;
         for core in 0..self.cfg.cores {
             if self.l1i[core].invalidate(line).is_some() {
@@ -745,15 +604,6 @@ impl Hierarchy {
                 cost.sbits_reset += out.sbits_reset as u64;
             }
         }
-        if let Some(s) = &self.sensors {
-            s.restores.inc();
-            s.comparator_cycles.add(cost.comparator_cycles);
-            s.transfer_lines.add(cost.transfer_lines);
-            s.sbits_reset.add(cost.sbits_reset);
-            if cost.rollover {
-                s.rollovers.inc();
-            }
-        }
         cost
     }
 
@@ -766,44 +616,12 @@ impl Hierarchy {
         }
     }
 
-    /// Clears statistics on every cache (e.g. after warm-up), publishing
-    /// them first so telemetry counters keep them.
+    /// Clears statistics on every cache (e.g. after warm-up).
     pub fn reset_stats(&mut self) {
-        self.publish_stats();
         for c in self.l1i.iter_mut().chain(self.l1d.iter_mut()) {
             c.reset_stats();
         }
         self.llc.reset_stats();
-        if let Some(s) = self.sensors.as_deref_mut() {
-            s.published = [CacheStats::default(); 3];
-        }
-    }
-
-    /// Adds the statistics counted since the last call to the
-    /// `sim_cache_accesses_total` and `sim_cache_line_events_total`
-    /// counters (L1I and L1D summed over cores, and the LLC), the only
-    /// place they move. No-op when telemetry is detached; never allocates.
-    pub fn publish_stats(&mut self) {
-        let Some(s) = self.sensors.as_deref_mut() else {
-            return;
-        };
-        let sum = |caches: &[Cache]| {
-            caches
-                .iter()
-                .fold(CacheStats::default(), |t, c| t + *c.stats())
-        };
-        let now = [sum(&self.l1i), sum(&self.l1d), *self.llc.stats()];
-        for (i, now) in now.into_iter().enumerate() {
-            let seen = std::mem::replace(&mut s.published[i], now);
-            let [hit, first_access, miss] = &s.outcome[i];
-            hit.add(now.hits - seen.hits);
-            first_access.add(now.first_access - seen.first_access);
-            miss.add(now.misses - seen.misses);
-            let [eviction, invalidation, writeback] = &s.events[i];
-            eviction.add(now.evictions - seen.evictions);
-            invalidation.add(now.invalidations - seen.invalidations);
-            writeback.add(now.writebacks - seen.writebacks);
-        }
     }
 
     /// Direct read-only access to a core's L1I (diagnostics/tests).

@@ -1,8 +1,8 @@
-//! Minimal hand-rolled serialization helpers shared by every exposition
-//! format: JSON string escaping, JSON-safe float formatting, and RFC-4180
-//! CSV escaping. Keeping one implementation here means the registry, the
-//! tracer, and the bench CSV emitter all serialize through the same code
-//! path (no third-party serializers, per DESIGN.md §6).
+//! Minimal hand-rolled serialization helpers shared by every artifact
+//! writer: JSON string escaping, JSON-safe float formatting, and RFC-4180
+//! CSV escaping. Keeping one implementation here means the tracer, the
+//! bench harness's run records and its CSV emitter all serialize through
+//! the same code path (no third-party serializers, per DESIGN.md §6).
 
 use std::fmt::Write as _;
 
@@ -33,35 +33,6 @@ pub fn json_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
-}
-
-/// Formats a float for Prometheus text exposition, where `NaN`, `+Inf` and
-/// `-Inf` are legal literals.
-pub fn prom_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_owned()
-    } else if v == f64::INFINITY {
-        "+Inf".to_owned()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_owned()
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Escapes a label *value* for Prometheus text exposition (backslash,
-/// double quote, and newline must be escaped inside the quotes).
-pub fn prom_label_value(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Escapes one CSV cell per RFC 4180: cells containing a comma, quote, or
@@ -117,13 +88,6 @@ mod tests {
         s.clear();
         json_f64(&mut s, f64::NAN);
         assert_eq!(s, "null");
-    }
-
-    #[test]
-    fn prom_f64_literals() {
-        assert_eq!(prom_f64(f64::INFINITY), "+Inf");
-        assert_eq!(prom_f64(f64::NAN), "NaN");
-        assert_eq!(prom_f64(2.0), "2");
     }
 
     #[test]

@@ -1,56 +1,48 @@
 //! # timecache-telemetry
 //!
-//! Zero-dependency observability spine for the TimeCache reproduction:
+//! Zero-dependency observability for the TimeCache reproduction:
 //!
-//! * a [`Registry`] of labeled counters, gauges, and log-bucketed latency
-//!   [`Histogram`]s with Prometheus-text and JSON exposition;
-//! * a bounded, typed event [`Tracer`] (ring buffer + JSONL export) whose
-//!   monotonic sequence numbers make traces record/replay-friendly;
-//! * a [`Profiler`] attributing simulated cycles to phases (compute,
-//!   memory stall, switch cost) per process and per hardware context;
-//! * the [`Telemetry`] handle that bundles all three and is cheap to pass
-//!   everywhere: when disabled it is a `None` and every instrumentation
-//!   site short-circuits without touching the heap.
+//! * a bounded, typed event [`Tracer`] (ring buffer + JSONL export) of the
+//!   rare events that explain a number: context-switch saves and restores,
+//!   rollover resets, attacker probes, injected faults and invariant
+//!   violations;
+//! * the [`Telemetry`] handle around it, cheap to pass everywhere: when
+//!   disabled it is a `None` and every emit site short-circuits without
+//!   touching the heap;
+//! * a log2-bucketed latency [`Histogram`] for attacker threshold
+//!   calibration;
+//! * [`encode`], the JSON and CSV escaping every artifact writer shares.
 //!
-//! The simulator crates (`timecache-sim`, `timecache-os`,
-//! `timecache-attacks`, `timecache-bench`) all take a [`Telemetry`] and
-//! report through it; the bench harness snapshots the registry and trace
-//! into `results/` next to each experiment's CSV.
+//! `timecache-os` and `timecache-attacks` emit events through a
+//! [`Telemetry`]; the bench harness writes the event log and a manifest
+//! into `results/` next to each experiment's CSV. Counts are not kept
+//! here: each simulated run's counts are fields of its metrics, which the
+//! harness writes one line per run.
 //!
 //! # Quick start
 //!
 //! ```
-//! use timecache_telemetry::{Telemetry, TraceEvent, Phase, Scope};
+//! use timecache_telemetry::{Telemetry, TraceEvent};
 //!
 //! let tel = Telemetry::enabled();
-//! if let Some(reg) = tel.registry() {
-//!     reg.counter("events_total", "Total events.", &[]).inc();
-//! }
 //! tel.emit_at(100, TraceEvent::Probe { attack: "demo", latency: 2, hit: true });
-//! if let Some(p) = tel.profiler() {
-//!     p.record(Scope::Process(0), Phase::Compute, 42);
-//! }
-//!
-//! let prom = tel.registry().unwrap().render_prometheus();
-//! assert!(prom.contains("events_total 1"));
 //! assert_eq!(tel.tracer().unwrap().len(), 1);
+//! assert!(tel.tracer().unwrap().to_jsonl().contains("\"type\":\"probe\""));
 //!
 //! // Disabled telemetry: every call is a cheap no-op.
 //! let off = Telemetry::disabled();
 //! off.emit_at(100, TraceEvent::Probe { attack: "demo", latency: 2, hit: true });
-//! assert!(off.registry().is_none());
+//! assert!(off.tracer().is_none());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod encode;
-pub mod profile;
-pub mod registry;
+pub mod histogram;
 pub mod trace;
 
-pub use profile::{Phase, PhaseCycles, ProfileSnapshot, Profiler, Scope};
-pub use registry::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, HISTOGRAM_BUCKETS};
+pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use trace::{EventRecord, ServedBy, TraceEvent, Tracer};
 
 use std::cell::Cell;
@@ -61,21 +53,16 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 #[derive(Debug)]
 struct TelemetryInner {
-    registry: Registry,
     tracer: Tracer,
-    profiler: Profiler,
-    /// Whether [`Telemetry::emit_at`] records anything. Defaults to true;
-    /// a counter-only measurement can turn it off. Counters and histograms
-    /// are unaffected.
+    /// Whether [`Telemetry::emit_at`] records anything. Defaults to true.
     trace_events: Cell<bool>,
 }
 
 /// The top-level telemetry handle.
 ///
-/// Cloning is cheap and shares the underlying sinks. The default handle is
-/// *disabled*: instrumentation sites check [`Telemetry::is_enabled`] (or
-/// get `None` from the accessors) and skip all work, keeping the simulator
-/// hot path allocation-free and branch-cheap.
+/// Cloning is cheap and shares the underlying event log. The default
+/// handle is *disabled*: [`Telemetry::emit_at`] is then one branch, and
+/// [`Telemetry::tracer`] returns `None`.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Option<Rc<TelemetryInner>>,
@@ -100,9 +87,7 @@ impl Telemetry {
     pub fn with_trace_capacity(capacity: usize) -> Self {
         Telemetry {
             inner: Some(Rc::new(TelemetryInner {
-                registry: Registry::new(),
                 tracer: Tracer::with_capacity(capacity),
-                profiler: Profiler::new(),
                 trace_events: Cell::new(true),
             })),
         }
@@ -114,22 +99,10 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// The metrics registry, if enabled.
-    #[inline]
-    pub fn registry(&self) -> Option<&Registry> {
-        self.inner.as_deref().map(|i| &i.registry)
-    }
-
     /// The event tracer, if enabled.
     #[inline]
     pub fn tracer(&self) -> Option<&Tracer> {
         self.inner.as_deref().map(|i| &i.tracer)
-    }
-
-    /// The phase profiler, if enabled.
-    #[inline]
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.inner.as_deref().map(|i| &i.profiler)
     }
 
     /// Whether trace-event emission is on (false when disabled).
@@ -139,9 +112,8 @@ impl Telemetry {
     }
 
     /// Turns trace-event emission on or off. Off, [`Telemetry::emit_at`]
-    /// is a no-op while counters, histograms, gauges, and the profiler keep
-    /// recording exactly, so a measurement can time the counter sinks
-    /// alone. No-op when disabled; emission defaults to on.
+    /// is a no-op on an enabled handle. No-op when disabled; emission
+    /// defaults to on.
     pub fn set_trace_events(&self, on: bool) {
         if let Some(inner) = &self.inner {
             inner.trace_events.set(on);
@@ -159,8 +131,8 @@ impl Telemetry {
         }
     }
 
-    /// Captures this handle's full state — registry, retained events, and
-    /// profile tables — as owned plain data. The result is `Send` even
+    /// Captures this handle's event log — the retained events and the drop
+    /// count — as owned plain data. The result is `Send` even
     /// though `Telemetry` itself is not (its sinks are `Rc`-shared), which
     /// is what lets a worker thread run with its own enabled handle and
     /// ship the recordings back for [`Telemetry::absorb`] at join time.
@@ -169,30 +141,20 @@ impl Telemetry {
         match &self.inner {
             None => TelemetrySnapshot::default(),
             Some(inner) => TelemetrySnapshot {
-                registry: Some(inner.registry.snapshot()),
                 events: inner.tracer.records(),
                 events_dropped: inner.tracer.dropped(),
-                profile: Some(inner.profiler.snapshot()),
             },
         }
     }
 
-    /// Folds a snapshot into this handle: counters/histograms add, gauges
-    /// adopt the snapshot value, dropped events count as recorded and
-    /// dropped here, retained events are re-recorded at their original
-    /// cycles (fresh sequence numbers), and profile tables add element-wise
-    /// (see [`Registry::merge`] and [`Profiler::merge`]). No-op when disabled.
+    /// Folds a snapshot into this handle: dropped events count as recorded
+    /// and dropped here, and retained events are re-recorded at their
+    /// original cycles (fresh sequence numbers). No-op when disabled.
     pub fn absorb(&self, snap: &TelemetrySnapshot) {
         let Some(inner) = &self.inner else { return };
-        if let Some(reg) = &snap.registry {
-            inner.registry.merge(reg);
-        }
         inner.tracer.skip(snap.events_dropped);
         for rec in &snap.events {
             inner.tracer.record(rec.cycle, rec.event);
-        }
-        if let Some(profile) = &snap.profile {
-            inner.profiler.merge(profile);
         }
     }
 }
@@ -203,21 +165,16 @@ impl Telemetry {
 /// no-op.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
-    registry: Option<RegistrySnapshot>,
     events: Vec<EventRecord>,
     /// Events the source tracer overwrote before the snapshot.
     events_dropped: u64,
-    profile: Option<ProfileSnapshot>,
 }
 
 impl TelemetrySnapshot {
-    /// Whether the snapshot carries no recordings at all (taken from a
+    /// Whether the snapshot carries no events at all (taken from a
     /// disabled handle, or an enabled handle that never recorded).
     pub fn is_empty(&self) -> bool {
-        self.registry
-            .as_ref()
-            .is_none_or(RegistrySnapshot::is_empty)
-            && self.events.is_empty()
+        self.events.is_empty()
     }
 }
 
@@ -225,37 +182,27 @@ impl TelemetrySnapshot {
 mod tests {
     use super::*;
 
+    fn probe(latency: u64) -> TraceEvent {
+        TraceEvent::Probe {
+            attack: "x",
+            latency,
+            hit: latency < 10,
+        }
+    }
+
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
-        assert!(t.registry().is_none());
         assert!(t.tracer().is_none());
-        assert!(t.profiler().is_none());
-        t.emit_at(
-            5,
-            TraceEvent::Probe {
-                attack: "x",
-                latency: 1,
-                hit: true,
-            },
-        );
+        t.emit_at(5, probe(1));
     }
 
     #[test]
     fn clones_share_sinks() {
         let t = Telemetry::enabled();
         let u = t.clone();
-        t.registry().unwrap().counter("c_total", "c", &[]).inc();
-        assert_eq!(u.registry().unwrap().counter_value("c_total", &[]), Some(1));
-        u.emit_at(
-            7,
-            TraceEvent::Probe {
-                attack: "x",
-                latency: 1,
-                hit: false,
-            },
-        );
+        u.emit_at(7, probe(1));
         assert_eq!(t.tracer().unwrap().records()[0].cycle, 7);
     }
 
@@ -267,21 +214,7 @@ mod tests {
         // Worker thread records into its own handle and ships a snapshot.
         let snap = std::thread::spawn(|| {
             let tel = Telemetry::enabled();
-            tel.registry()
-                .unwrap()
-                .counter("jobs_total", "jobs", &[])
-                .add(2);
-            tel.emit_at(
-                5,
-                TraceEvent::Probe {
-                    attack: "t",
-                    latency: 3,
-                    hit: true,
-                },
-            );
-            tel.profiler()
-                .unwrap()
-                .record(Scope::Process(0), Phase::Compute, 9);
+            tel.emit_at(5, probe(3));
             tel.snapshot()
         })
         .join()
@@ -289,23 +222,12 @@ mod tests {
         assert!(!snap.is_empty());
 
         let main = Telemetry::enabled();
-        main.registry()
-            .unwrap()
-            .counter("jobs_total", "jobs", &[])
-            .add(1);
+        main.emit_at(1, probe(2));
         main.absorb(&snap);
-        assert_eq!(
-            main.registry().unwrap().counter_value("jobs_total", &[]),
-            Some(3)
-        );
-        assert_eq!(main.tracer().unwrap().records()[0].cycle, 5);
-        assert_eq!(
-            main.profiler()
-                .unwrap()
-                .process_cycles(0)
-                .get(Phase::Compute),
-            9
-        );
+        let records = main.tracer().unwrap().records();
+        assert_eq!(records.len(), 2);
+        assert_eq!((records[1].seq, records[1].cycle), (1, 5));
+        assert_eq!(records[1].event, probe(3));
     }
 
     #[test]
@@ -313,7 +235,7 @@ mod tests {
         let off = Telemetry::disabled();
         assert!(off.snapshot().is_empty());
         let on = Telemetry::enabled();
-        on.registry().unwrap().counter("c_total", "c", &[]).inc();
+        on.emit_at(1, probe(1));
         off.absorb(&on.snapshot()); // must not panic
         assert!(!off.is_enabled());
     }
@@ -324,27 +246,12 @@ mod tests {
         assert!(t.trace_events());
         t.set_trace_events(false);
         assert!(!t.trace_events());
-        t.emit_at(
-            9,
-            TraceEvent::Probe {
-                attack: "x",
-                latency: 1,
-                hit: true,
-            },
-        );
-        // Events suppressed; counters unaffected.
+        t.emit_at(9, probe(1));
+        // Events suppressed; the handle stays enabled.
         assert_eq!(t.tracer().unwrap().len(), 0);
-        t.registry().unwrap().counter("c_total", "c", &[]).inc();
-        assert_eq!(t.registry().unwrap().counter_value("c_total", &[]), Some(1));
+        assert!(t.is_enabled());
         t.set_trace_events(true);
-        t.emit_at(
-            9,
-            TraceEvent::Probe {
-                attack: "x",
-                latency: 1,
-                hit: true,
-            },
-        );
+        t.emit_at(9, probe(1));
         assert_eq!(t.tracer().unwrap().len(), 1);
 
         // A disabled handle reports off and tolerates the setter.

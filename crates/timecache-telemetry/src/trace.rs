@@ -4,9 +4,9 @@
 //! Events are `Copy` and carry only scalars and `&'static str` names, so
 //! recording one is a couple of stores into a preallocated ring — no heap
 //! allocation on the hot path. The sequence number survives ring overwrite
-//! (dropped events leave a visible gap), which keeps exported traces
-//! record/replay-friendly: a consumer can detect truncation and two runs of
-//! a deterministic simulation produce identical JSONL byte-for-byte.
+//! (dropped events leave a visible gap), so a consumer can detect
+//! truncation, and two runs of a deterministic simulation produce
+//! identical JSONL byte-for-byte.
 
 use crate::encode;
 use std::cell::RefCell;
@@ -26,7 +26,7 @@ pub enum ServedBy {
 }
 
 impl ServedBy {
-    /// Stable lowercase name used in exports and as a histogram label.
+    /// Stable lowercase name used in exports.
     pub fn as_str(self) -> &'static str {
         match self {
             ServedBy::L1 => "l1",
@@ -40,8 +40,7 @@ impl ServedBy {
 /// One typed simulator event. Only rare events that explain a number are
 /// traced: context-switch save and restore, rollover resets, attacker
 /// probes, injected faults and invariant violations. Per-access and
-/// per-line activity is counted by the registry's counters and histograms
-/// instead.
+/// per-line activity is counted once, in each run's cache statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A process's caching context was saved at a context switch.

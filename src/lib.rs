@@ -14,8 +14,9 @@
 //! * [`workloads`] — synthetic SPEC/PARSEC-like workloads and the RSA
 //!   (square-and-multiply) victim.
 //! * [`attacks`] — reuse/contention attack programs and analysis.
-//! * [`telemetry`] — zero-dependency metrics registry, event tracing, and
-//!   per-phase cycle profiling shared by every layer above.
+//! * [`telemetry`] — the zero-dependency event log (context switches,
+//!   rollovers, probes, faults, invariant violations) that `os` and
+//!   `attacks` emit into.
 //!
 //! See the repository `README.md` for a guided tour and `examples/` for
 //! runnable scenarios.
