@@ -2,7 +2,7 @@
 //! evaluation.
 //!
 //! ```text
-//! experiments [--quick] [--telemetry] [--jobs N]
+//! experiments [--quick] [--jobs N]
 //!             <all|table1|table2|fig7|fig8|fig9|fig10|security|rollover|
 //!              switchcost|other-attacks|ftm|area|ablation|fault-sweep|
 //!              leakage-sweep>
@@ -14,32 +14,33 @@
 //! order from that one table; a single id simulates only its own runs.
 //! Either way `<id>_runs.jsonl` under `results/` records every simulated
 //! run, one JSON object per line: its workload, mode, parameters, cycles,
-//! instructions, switch counts and per-cache statistics.
+//! instructions, switch counts and per-cache statistics. Each run also
+//! records its rare events (context switches, rollover resets, faults,
+//! invariant violations) into a log of its own; `<id>_events.jsonl` lists
+//! them in run order, each line tagged with its run's line in
+//! `<id>_runs.jsonl`, and `<id>_manifest.json` sums their counts.
 //!
 //! `--quick` shrinks the instruction budgets (useful for smoke-testing the
 //! harness; reported numbers will be noisier). `--jobs N` sets the sweep
 //! engine's worker count, passed to every sweep (default: all cores; every
-//! artifact, the telemetry event log included, is byte-identical for every
-//! `N`). `--telemetry` records the rare events (context switches, rollover
-//! resets, probes, faults, invariant violations) of every system the
-//! experiment builds, and writes `<id>_events.jsonl` and
-//! `<id>_manifest.json` under `results/` next to the experiment's CSV.
+//! artifact, the event log included, is byte-identical for every `N`).
 //! `fault-sweep` runs the
-//! fault-injection matrix and exits nonzero if any TimeCache cell violates
-//! the security invariant or if the baseline rows fail to exhibit the
-//! expected leak. `leakage-sweep` runs the TVLA-style statistical leakage
+//! fault-injection matrix, writing each cell's events the same way
+//! (`fault_sweep_events.jsonl`), and exits nonzero if any TimeCache cell
+//! violates the security invariant or if the baseline rows fail to exhibit
+//! the expected leak. `leakage-sweep` runs the TVLA-style statistical leakage
 //! assessment over every attack primitive and exits nonzero unless every
 //! channel's baseline arm leaks (|t| > 4.5) and its defended arm stays
 //! silent (|t| < 4.5). A panicking cell aborts either sweep with a nonzero
 //! exit.
 
 use std::io;
+use timecache_bench::exp;
 use timecache_bench::runner::RunParams;
-use timecache_bench::{exp, telemetry};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--quick] [--telemetry] [--jobs N] \
+        "usage: experiments [--quick] [--jobs N] \
          <all|table1|table2|fig7|fig8|fig9|fig10|security|rollover|switchcost|\
          other-attacks|ftm|area|ablation|fault-sweep|leakage-sweep>"
     );
@@ -120,8 +121,7 @@ fn leakage_sweep_exit_code(summary: &exp::leakage_sweep::LeakageSweepSummary) ->
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let with_telemetry = args.iter().any(|a| a == "--telemetry");
-    args.retain(|a| a != "--quick" && a != "--telemetry");
+    args.retain(|a| a != "--quick");
     let mut jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     for value in take_flag(&mut args, "--jobs") {
         jobs = value
@@ -136,11 +136,8 @@ fn main() {
     } else {
         RunParams::default()
     };
-    if with_telemetry {
-        telemetry::enable();
-    }
 
-    match run(which, &params, jobs, with_telemetry) {
+    match run(which, &params, jobs) {
         Ok(0) => {}
         Ok(code) => std::process::exit(code),
         Err(e) => {
@@ -152,7 +149,7 @@ fn main() {
 
 /// Runs experiment `which` and returns its exit code; an I/O failure
 /// writing an artifact is returned as the error.
-fn run(which: &str, params: &RunParams, jobs: usize, with_telemetry: bool) -> io::Result<i32> {
+fn run(which: &str, params: &RunParams, jobs: usize) -> io::Result<i32> {
     let id = which.replace('-', "_");
     let mut exit_code = 0;
     match which {
@@ -169,10 +166,6 @@ fn run(which: &str, params: &RunParams, jobs: usize, with_telemetry: bool) -> io
             Some(i) => exp::run(&id, &exp::EXPERIMENTS[i..=i], params, jobs)?,
             None => usage(),
         },
-    }
-
-    if with_telemetry {
-        telemetry::write_artifacts(&id)?;
     }
     Ok(exit_code)
 }

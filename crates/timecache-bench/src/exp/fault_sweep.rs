@@ -13,17 +13,20 @@
 //! * **Baseline**: violations in every cell — with no defense the second
 //!   process freeloads on the first one's fills regardless of faults.
 //!
-//! The cells run through [`sweep::run`], so the CSV is byte-identical for
-//! any `--jobs` value. Artifacts: `fault_matrix.csv` and
-//! `fault_matrix.json`.
+//! The cells run through [`sweep::run`], each recording its own events,
+//! so every artifact is byte-identical for any `--jobs` value. Artifacts:
+//! `fault_matrix.csv`, `fault_matrix.json`, and `fault_sweep_events.jsonl`
+//! with `fault_sweep_manifest.json`, whose `run` field is the cell's row in
+//! the CSV.
 
 use crate::output::{print_table, results_dir, write_artifact, write_csv};
 use crate::runner::RunParams;
-use crate::sweep;
+use crate::{sweep, telemetry};
 use std::io;
 use timecache_core::{FaultKind, FaultPlan, TimeCacheConfig, TriggerPoint};
 use timecache_os::{programs::StridedLoop, System, SystemConfig};
 use timecache_sim::{HierarchyConfig, SecurityMode};
+use timecache_telemetry::Telemetry;
 
 /// The fault scenarios: every kind at its interesting trigger point(s),
 /// plus a fault-free control row.
@@ -113,8 +116,8 @@ fn cell_instructions(params: &RunParams) -> u64 {
     (params.measure_instructions / 1_000).clamp(2_000, 16_000)
 }
 
-/// Runs one cell of the matrix.
-fn run_cell(index: usize, params: &RunParams) -> Row {
+/// Runs one cell of the matrix, emitting its events through `telemetry`.
+fn run_cell(index: usize, params: &RunParams, telemetry: &Telemetry) -> Row {
     let (label, fault) = SCENARIOS[index / 2];
     let timecache = index % 2 == 1;
     // 14-bit timestamps roll over every 16 Ki cycles — every few quanta —
@@ -136,7 +139,7 @@ fn run_cell(index: usize, params: &RunParams) -> Row {
         fault_plan: fault.map(|(kind, trigger)| {
             FaultPlan::new(kind, trigger, 0xFA17 + index as u64).with_rate(0.5)
         }),
-        telemetry: crate::telemetry::current(),
+        telemetry: telemetry.clone(),
         ..SystemConfig::default()
     };
     let mut sys = System::new(cfg).expect("fault-sweep config is valid");
@@ -168,19 +171,22 @@ fn run_cell(index: usize, params: &RunParams) -> Row {
 }
 
 /// Runs the matrix on `jobs` workers, prints it, writes `fault_matrix.csv`
-/// / `fault_matrix.json`, and returns the summary for the exit policy.
+/// / `fault_matrix.json` and the cells' events, and returns the summary for
+/// the exit policy.
 pub fn run(params: &RunParams, jobs: usize) -> io::Result<FaultSweepSummary> {
     eprintln!(
         "running fault-injection matrix ({} scenarios x 2 modes, {} jobs)...",
         SCENARIOS.len(),
         jobs
     );
-    let rows = sweep::run(jobs, JOBS, |i| {
+    let (rows, events): (Vec<Row>, Vec<_>) = sweep::run(jobs, JOBS, |i| {
         let (label, _) = SCENARIOS[i / 2];
         let mode = if i % 2 == 1 { "timecache" } else { "baseline" };
         sweep::progress(&format!("  running {label} [{mode}] ..."));
-        run_cell(i, params)
-    });
+        telemetry::record(|tel| run_cell(i, params, tel))
+    })
+    .into_iter()
+    .unzip();
 
     let header = [
         "scenario",
@@ -226,6 +232,7 @@ pub fn run(params: &RunParams, jobs: usize) -> io::Result<FaultSweepSummary> {
         summary.total_injected, summary.timecache_violations, summary.baseline_violations
     );
     write_artifact(&results_dir()?.join("fault_matrix.json"), &json)?;
+    telemetry::write_artifacts("fault_sweep", &events)?;
     Ok(summary)
 }
 
@@ -261,13 +268,13 @@ mod tests {
         let params = RunParams::quick();
         // corrupt_snapshot@restore under TimeCache: faults fire, all are
         // detected, and the invariant holds.
-        let tc = run_cell(13, &params);
+        let tc = run_cell(13, &params, &Telemetry::disabled());
         assert_eq!(tc.mode, "timecache");
         assert_eq!(tc.scenario, "corrupt_snapshot@restore");
         assert!(tc.injected > 0);
         assert_eq!(tc.violations, 0, "TimeCache cell must stay secure");
         // The same scenario under baseline leaks regardless of faults.
-        let base = run_cell(12, &params);
+        let base = run_cell(12, &params, &Telemetry::disabled());
         assert_eq!(base.mode, "baseline");
         assert!(base.violations > 0, "undefended sharing must be caught");
     }

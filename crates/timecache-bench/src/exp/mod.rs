@@ -2,7 +2,7 @@
 //! simulates declares the runs it needs as [`RunKey`]s and renders its
 //! table and CSV from a shared [`RunTable`]; [`EXPERIMENTS`] lists every id
 //! `experiments all` runs, and [`run`] simulates the union of their keys
-//! once, records each run, and renders each experiment.
+//! once, records each run and its events, and renders each experiment.
 
 pub mod ablation;
 pub mod area;
@@ -22,6 +22,7 @@ pub mod table2;
 
 use crate::output::{results_dir, write_artifact};
 use crate::runner::{Comparison, RunKey, RunParams, RunTable, Workload};
+use crate::telemetry;
 use std::io;
 use timecache_workloads::mixes;
 use timecache_workloads::parsec::ParsecBenchmark;
@@ -70,8 +71,10 @@ fn keys(experiments: &[Experiment], params: &RunParams) -> Vec<RunKey> {
 }
 
 /// Simulates each distinct run `experiments` need once on `jobs` workers,
-/// writes the runs to `<id>_runs.jsonl` ([`RunTable::to_jsonl`]; nothing
-/// when they need none), then renders the experiments in order.
+/// writes the runs to `<id>_runs.jsonl` ([`RunTable::to_jsonl`]) and their
+/// events to `<id>_events.jsonl` and `<id>_manifest.json`
+/// ([`telemetry::write_artifacts`]; nothing when they need no runs), then
+/// renders the experiments in order.
 ///
 /// # Errors
 ///
@@ -86,6 +89,7 @@ pub fn run(
     if !table.is_empty() {
         let path = results_dir()?.join(format!("{id}_runs.jsonl"));
         write_artifact(&path, &table.to_jsonl())?;
+        telemetry::write_artifacts(id, table.events())?;
     }
     experiments
         .iter()

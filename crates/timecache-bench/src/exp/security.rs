@@ -2,9 +2,8 @@
 //! the RSA flush+reload key extraction (VI-A.2), under both modes.
 
 use crate::output::{print_table, write_csv};
-use crate::telemetry;
 use std::io;
-use timecache_attacks::harness::{run_microbenchmark_with_telemetry, timecache_mode};
+use timecache_attacks::harness::{run_microbenchmark, timecache_mode};
 use timecache_attacks::rsa_attack::run_rsa_attack;
 use timecache_sim::SecurityMode;
 use timecache_workloads::rsa::Mpi;
@@ -19,7 +18,7 @@ pub fn run() -> io::Result<()> {
         (SecurityMode::Baseline, "baseline"),
         (timecache_mode(), "timecache"),
     ] {
-        let r = run_microbenchmark_with_telemetry(mode, 5, &telemetry::current());
+        let r = run_microbenchmark(mode, 5);
         let leaked = r.hits > 0;
         rows.push(vec![
             "microbenchmark (VI-A.1)".into(),

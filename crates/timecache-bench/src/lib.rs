@@ -18,10 +18,10 @@
 //! worker count as an argument, which `experiments` reads from `--jobs N`
 //! (default: all cores; `--jobs 1` reproduces serial execution
 //! bit-for-bit). Every simulated run is recorded, one JSON line each, in
-//! `<id>_runs.jsonl` ([`runner::RunTable::to_jsonl`]). Passing
-//! `--telemetry` additionally writes the event log and its manifest via
-//! [`telemetry`]. See `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured records.
+//! `<id>_runs.jsonl` ([`runner::RunTable::to_jsonl`]), and records its
+//! events into a log of its own, written beside it as `<id>_events.jsonl`
+//! with a manifest by [`telemetry`]. See `DESIGN.md` for the experiment
+//! index and `EXPERIMENTS.md` for paper-vs-measured records.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use timecache_telemetry::encode;
 
-/// The directory experiment artifacts (CSVs, telemetry snapshots) are
+/// The directory experiment artifacts (CSVs, run records, event logs) are
 /// written to: `$TIMECACHE_RESULTS` or `results/`, created on demand.
 ///
 /// # Errors

@@ -1,14 +1,14 @@
 //! Shared machinery for the performance experiments: build a system, run a
 //! warm-up phase, then measure a fixed instruction budget; and the
 //! [`RunTable`] that simulates each distinct [`RunKey`] the experiments
-//! declare exactly once.
+//! declare exactly once and keeps each run's metrics and events.
 
-use crate::sweep;
+use crate::{sweep, telemetry};
 use std::fmt::Write as _;
 use timecache_core::TimeCacheConfig;
 use timecache_os::{System, SystemConfig};
 use timecache_sim::{CacheStats, HierarchyConfig, HierarchyStats, SecurityMode};
-use timecache_telemetry::encode;
+use timecache_telemetry::{encode, EventRecord, Telemetry};
 use timecache_workloads::mixes::{self, PairSpec};
 use timecache_workloads::parsec::ParsecBenchmark;
 use timecache_workloads::SpecBenchmark;
@@ -161,24 +161,30 @@ impl Workload {
         }
     }
 
-    /// The system a run of this workload simulates under `security`, with
-    /// the thread's current run telemetry.
-    pub(crate) fn config(self, security: SecurityMode, params: &RunParams) -> SystemConfig {
+    /// The system a run of this workload simulates under `security`,
+    /// emitting its events through `telemetry`.
+    pub(crate) fn config(
+        self,
+        security: SecurityMode,
+        params: &RunParams,
+        telemetry: &Telemetry,
+    ) -> SystemConfig {
         let mut hier = HierarchyConfig::with_cores(self.cores()).with_llc_bytes(params.llc_bytes);
         hier.security = security;
         SystemConfig {
             hierarchy: hier,
             quantum_cycles: params.quantum_cycles,
             discard_snapshots: params.discard_snapshots,
-            telemetry: crate::telemetry::current(),
+            telemetry: telemetry.clone(),
             ..SystemConfig::default()
         }
     }
 
     /// Warms up both programs, then measures
-    /// `params.measure_instructions` of each.
-    fn run(self, security: SecurityMode, params: &RunParams) -> ModeMetrics {
-        self.measure(self.config(security, params), params).0
+    /// `params.measure_instructions` of each; returns the metrics with the
+    /// events of the whole run, recorded into a handle of its own.
+    fn run(self, security: SecurityMode, params: &RunParams) -> (ModeMetrics, Vec<EventRecord>) {
+        telemetry::record(|tel| self.measure(self.config(security, params, tel), params).0)
     }
 
     /// [`Workload::run`] on a system built from `cfg`, which is returned
@@ -225,7 +231,7 @@ pub fn run_spec_pair_mode(
     security: SecurityMode,
     params: &RunParams,
 ) -> ModeMetrics {
-    Workload::spec(spec).run(security, params)
+    Workload::spec(spec).run(security, params).0
 }
 
 /// Runs one mode of a PARSEC benchmark: two threads on two cores.
@@ -234,7 +240,7 @@ pub fn run_parsec_mode(
     security: SecurityMode,
     params: &RunParams,
 ) -> ModeMetrics {
-    Workload::Parsec(bench).run(security, params)
+    Workload::Parsec(bench).run(security, params).0
 }
 
 /// One run: a workload under a security mode with the parameters it reads.
@@ -282,10 +288,12 @@ pub(crate) fn distinct(keys: &[RunKey]) -> Vec<RunKey> {
     distinct
 }
 
-/// The metrics of distinct runs, each simulated once.
+/// The metrics and events of distinct runs, each simulated once.
 #[derive(Debug, PartialEq)]
 pub struct RunTable {
     runs: Vec<(RunKey, ModeMetrics)>,
+    /// Each run's events, beside its entry in `runs`.
+    events: Vec<Vec<EventRecord>>,
 }
 
 impl RunTable {
@@ -300,7 +308,7 @@ impl RunTable {
                 keys.len()
             ));
         }
-        let metrics = sweep::run(jobs, distinct.len(), |i| {
+        let runs = sweep::run(jobs, distinct.len(), |i| {
             let key = &distinct[i];
             sweep::progress(&format!(
                 "  running {} [{}] ...",
@@ -309,8 +317,10 @@ impl RunTable {
             ));
             key.workload.run(key.security, &key.params)
         });
+        let (metrics, events): (Vec<ModeMetrics>, _) = runs.into_iter().unzip();
         RunTable {
             runs: distinct.into_iter().zip(metrics).collect(),
+            events,
         }
     }
 
@@ -339,6 +349,12 @@ impl RunTable {
     /// Whether the table holds no runs.
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
+    }
+
+    /// Each run's events, in table order (the order of
+    /// [`RunTable::to_jsonl`]'s lines).
+    pub fn events(&self) -> &[Vec<EventRecord>] {
+        &self.events
     }
 
     /// The runs as JSON Lines, one object per run in table order: the
@@ -453,7 +469,7 @@ mod tests {
         let params = RunParams::quick();
         let table = RunTable::build(&RunKey::pair(w, &params), 1);
         for key in RunKey::pair(w, &params) {
-            let mut cfg = w.config(key.security, &params);
+            let mut cfg = w.config(key.security, &params, &Telemetry::disabled());
             cfg.check_invariants = true;
             let (metrics, sys) = w.measure(cfg, &params);
             // The checker is off the timing path.

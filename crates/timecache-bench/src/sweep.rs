@@ -11,27 +11,18 @@
 //! (no third-party dependencies):
 //!
 //! * `jobs == 1` (or a single job) runs every job inline on the caller's
-//!   thread in index order — bit-for-bit the pre-engine serial behavior,
-//!   including the caller's thread-local telemetry handle;
+//!   thread in index order;
 //! * `jobs > 1` spawns `min(jobs, n)` workers that claim indices from a
 //!   shared [`AtomicUsize`] cursor and deposit results into per-index
 //!   slots.
 //!
+//! A job's result is all it hands back: a simulation job returns its
+//! run's metrics and events together, so nothing a job records is shared
+//! with another job or with the caller.
+//!
 //! The worker count is always an argument. The `experiments` binary
 //! resolves its `--jobs N` flag once (default:
 //! [`std::thread::available_parallelism`]) and passes the count down.
-//!
-//! # Telemetry
-//!
-//! The run-scoped [`crate::telemetry`] handle is thread-local and its
-//! sinks are `Rc`-shared, so workers cannot record into the caller's
-//! handle directly. Instead, when the caller's handle is enabled each job
-//! runs under its own fresh enabled handle and leaves a
-//! [`TelemetrySnapshot`] in its job's slot; after the join the engine
-//! absorbs the snapshots into the caller's handle in job order. That
-//! replays the serial run's recording order, so the merged event log
-//! (`*_events.jsonl`, including its sequence numbers and drop count)
-//! equals a serial run's at any worker count (see `Telemetry::absorb`).
 //!
 //! # Progress output
 //!
@@ -41,7 +32,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use timecache_telemetry::{Telemetry, TelemetrySnapshot};
 
 /// Writes one full progress line to stderr. `eprintln!` holds the stderr
 /// lock for the whole line, so lines from concurrent workers never
@@ -65,20 +55,11 @@ where
     F: Fn(usize) -> T + Sync,
 {
     if jobs <= 1 || n <= 1 {
-        // Inline serial path: identical to the historical behavior,
-        // including use of the caller's thread-local telemetry.
         return (0..n).map(job).collect();
     }
 
     let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(T, TelemetrySnapshot)>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    // The caller's handle is not Send; capture only its settings and
-    // absorb the jobs' snapshots after the scope ends.
-    let caller_tel = crate::telemetry::current();
-    let record = caller_tel.is_enabled();
-    let events_on = caller_tel.trace_events();
-
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(n) {
             let cursor = &cursor;
@@ -89,15 +70,8 @@ where
                 if i >= n {
                     break;
                 }
-                let tel = if record {
-                    Telemetry::enabled()
-                } else {
-                    Telemetry::disabled()
-                };
-                tel.set_trace_events(events_on);
-                crate::telemetry::set(&tel);
                 let result = job(i);
-                *slots[i].lock().expect("result slot poisoned") = Some((result, tel.snapshot()));
+                *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
@@ -105,12 +79,9 @@ where
     slots
         .into_iter()
         .map(|slot| {
-            let (result, snap) = slot
-                .into_inner()
+            slot.into_inner()
                 .expect("result slot poisoned")
-                .expect("every job index was claimed and completed");
-            caller_tel.absorb(&snap);
-            result
+                .expect("every job index was claimed and completed")
         })
         .collect()
 }
@@ -118,7 +89,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use timecache_telemetry::TraceEvent;
 
     #[test]
     fn results_land_by_job_index() {
@@ -139,82 +109,5 @@ mod tests {
         // More workers than jobs must not deadlock or drop results.
         assert_eq!(run(16, 2, |i| i), vec![0, 1]);
         assert_eq!(run(4, 0, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn worker_telemetry_merges_into_caller_handle() {
-        let tel = crate::telemetry::enable();
-        tel.emit_at(
-            0,
-            TraceEvent::Probe {
-                attack: "caller",
-                latency: 0,
-                hit: true,
-            },
-        );
-        run(3, 6, |i| {
-            crate::telemetry::current().emit_at(
-                i as u64,
-                TraceEvent::Probe {
-                    attack: "sweep_test",
-                    latency: i as u64,
-                    hit: false,
-                },
-            );
-        });
-        crate::telemetry::disable();
-        // The caller's event, then one per job in job order, renumbered.
-        let records = tel.tracer().unwrap().records();
-        assert_eq!(records.len(), 7);
-        for (i, rec) in records[1..].iter().enumerate() {
-            assert_eq!((rec.seq, rec.cycle), (i as u64 + 1, i as u64));
-            assert!(matches!(
-                rec.event,
-                TraceEvent::Probe { latency, .. } if latency == i as u64
-            ));
-        }
-    }
-
-    #[test]
-    fn worker_event_drops_merge_into_caller_tracer() {
-        // Each job emits more than half a ring, so the caller's ring
-        // overwrites events while merging.
-        let job = |i: usize| {
-            let tel = crate::telemetry::current();
-            for latency in 0..40_000 {
-                tel.emit_at(
-                    i as u64,
-                    TraceEvent::Probe {
-                        attack: "sweep_test",
-                        latency,
-                        hit: false,
-                    },
-                );
-            }
-        };
-        let counts = |jobs: usize| {
-            let tel = crate::telemetry::enable();
-            run(jobs, 8, job);
-            crate::telemetry::disable();
-            let tracer = tel.tracer().unwrap();
-            (
-                tracer.recorded(),
-                tracer.dropped(),
-                tracer.len(),
-                tracer.to_jsonl(),
-            )
-        };
-        let serial = counts(1);
-        assert_eq!(serial.0, 8 * 40_000);
-        assert!(serial.1 > 0, "the ring must overflow");
-        // Counts and the retained window, sequence numbers included.
-        assert!(counts(4) == serial, "jobs = 4 differs from the serial run");
-    }
-
-    #[test]
-    fn disabled_telemetry_stays_disabled_in_workers() {
-        crate::telemetry::disable();
-        let enabled = run(2, 4, |_| crate::telemetry::current().is_enabled());
-        assert_eq!(enabled, vec![false; 4]);
     }
 }

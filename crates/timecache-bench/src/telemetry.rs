@@ -1,92 +1,61 @@
-//! Run-scoped telemetry for the experiment harness.
+//! Per-run event logs for the experiment harness.
 //!
-//! The harness keeps one [`Telemetry`] handle per *thread* (each simulated
-//! run is single-threaded; sweeps parallelize across runs).
-//! [`crate::runner`] hands the thread's current handle to every
-//! [`timecache_os::System`] it builds, so enabling telemetry before an
-//! experiment records the event log of every run without threading a
-//! handle through every experiment signature. Parallel sweeps via
-//! [`crate::sweep`] run each job under its own enabled handle and merge the
-//! jobs' events back into the caller's handle in job order, so every
-//! artifact below equals a serial run's. After the run, [`write_artifacts`]
-//! writes into [`crate::output::results_dir`]:
+//! Every simulated run records into its own enabled [`Telemetry`] handle
+//! ([`record`]) and keeps the events beside its metrics: the
+//! [`crate::runner::RunTable`] beside each run, the fault matrix beside each
+//! cell. A run's events are a pure function of the run, like its metrics,
+//! so they are the same in any table and at any worker count.
+//! [`write_artifacts`] writes into [`crate::output::results_dir`]:
 //!
-//! * `<id>_events.jsonl` — the event log of context-switch saves and
-//!   restores, rollover resets, probes, injected faults and invariant
-//!   violations, one JSON object per line;
-//! * `<id>_manifest.json` — the run manifest tying the artifacts together
-//!   (experiment id, event counts, artifact list).
-//!
-//! Per-run counts are not telemetry: `exp::run` writes them, one line per
-//! run, to `<id>_runs.jsonl` with or without `--telemetry`.
+//! * `<id>_events.jsonl` — every run's context-switch saves and restores,
+//!   rollover resets, probes, injected faults and invariant violations, one
+//!   JSON object per line ([`trace::to_jsonl`]). Each line starts with
+//!   `"run":i`, the 0-based line of its run in `<id>_runs.jsonl` (or its
+//!   cell's row in `fault_matrix.csv`), and `seq` counts from 0 in each run;
+//! * `<id>_manifest.json` — the event counts summed over the runs and the
+//!   artifact list.
 
 use crate::output::{results_dir, write_artifact};
-use std::cell::RefCell;
 use std::io;
 use std::path::PathBuf;
-use timecache_telemetry::{encode, Telemetry};
+use timecache_telemetry::{encode, trace, EventRecord, Telemetry};
 
-thread_local! {
-    static CURRENT: RefCell<Telemetry> = RefCell::new(Telemetry::disabled());
-}
-
-/// Installs a fresh enabled handle as the current run telemetry and
-/// returns it.
-pub fn enable() -> Telemetry {
+/// Runs `f` with a fresh enabled handle and returns its result with the
+/// events the handle recorded, in sequence order.
+pub fn record<T>(f: impl FnOnce(&Telemetry) -> T) -> (T, Vec<EventRecord>) {
     let tel = Telemetry::enabled();
-    set(&tel);
-    tel
+    let result = f(&tel);
+    (result, tel.tracer().expect("an enabled handle").records())
 }
 
-/// Installs `tel` (a clone shares its sinks) as the current run telemetry.
-pub fn set(tel: &Telemetry) {
-    CURRENT.with(|c| *c.borrow_mut() = tel.clone());
-}
-
-/// Resets the current run telemetry to disabled.
-pub fn disable() {
-    set(&Telemetry::disabled());
-}
-
-/// The current run telemetry (disabled unless [`enable`]/[`set`] was
-/// called). [`crate::runner`] attaches this to every system it builds.
-pub fn current() -> Telemetry {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Writes the current event log and its manifest as artifacts named after
-/// `id` under [`results_dir`] with [`write_artifact`], returning the
-/// written paths. A disabled handle writes nothing and returns an empty
-/// list.
+/// Writes the event logs of `runs`, in order, and their manifest as
+/// artifacts named after `id` under [`results_dir`] with
+/// [`write_artifact`], returning the written paths. Each run's ring drops
+/// its oldest events first, so its first retained `seq` is the number it
+/// dropped and its last `seq` plus one the number it recorded.
 ///
 /// # Errors
 ///
 /// Returns the underlying error if any artifact cannot be written.
-pub fn write_artifacts(id: &str) -> io::Result<Vec<PathBuf>> {
-    write_artifacts_from(id, &current())
-}
-
-/// [`write_artifacts`] for an explicit handle.
-///
-/// # Errors
-///
-/// Returns the underlying error if any artifact cannot be written.
-pub fn write_artifacts_from(id: &str, tel: &Telemetry) -> io::Result<Vec<PathBuf>> {
-    let Some(tracer) = tel.tracer() else {
-        return Ok(Vec::new());
-    };
+pub fn write_artifacts(id: &str, runs: &[Vec<EventRecord>]) -> io::Result<Vec<PathBuf>> {
     let dir = results_dir()?;
     let events = format!("{id}_events.jsonl");
     let events_path = dir.join(&events);
-    write_artifact(&events_path, &tracer.to_jsonl())?;
+    write_artifact(&events_path, &trace::to_jsonl(runs))?;
 
+    let (mut recorded, mut dropped, mut retained) = (0, 0, 0);
+    for records in runs {
+        if let (Some(first), Some(last)) = (records.first(), records.last()) {
+            recorded += last.seq + 1;
+            dropped += first.seq;
+            retained += records.len();
+        }
+    }
     let mut manifest = String::from("{\"experiment\":");
     encode::json_string(&mut manifest, id);
     manifest.push_str(&format!(
-        ",\"events_recorded\":{},\"events_dropped\":{},\"events_retained\":{},\"artifacts\":[",
-        tracer.recorded(),
-        tracer.dropped(),
-        tracer.len()
+        ",\"events_recorded\":{recorded},\"events_dropped\":{dropped},\
+         \"events_retained\":{retained},\"artifacts\":["
     ));
     encode::json_string(&mut manifest, &events);
     manifest.push_str("]}");
@@ -100,17 +69,10 @@ mod tests {
     use super::*;
     use timecache_telemetry::TraceEvent;
 
-    #[test]
-    fn disabled_handle_writes_nothing() {
-        assert!(write_artifacts_from("noop", &Telemetry::disabled())
-            .unwrap()
-            .is_empty());
-    }
-
-    fn probe() -> TraceEvent {
+    fn probe(latency: u64) -> TraceEvent {
         TraceEvent::Probe {
             attack: "demo",
-            latency: 2,
+            latency,
             hit: true,
         }
     }
@@ -118,29 +80,30 @@ mod tests {
     #[test]
     fn artifacts_cover_all_sinks() {
         crate::output::test_results_dir();
-        let tel = Telemetry::enabled();
-        tel.emit_at(7, probe());
-        let written = write_artifacts_from("unit_demo", &tel).unwrap();
+        // Two runs: one that recorded an event, one that overflowed a
+        // 2-entry ring with 3 and kept the last 2.
+        let ((), first) = record(|tel| tel.emit_at(7, probe(1)));
+        let tel = Telemetry::with_trace_capacity(2);
+        for latency in 0..3 {
+            tel.emit_at(8, probe(latency));
+        }
+        let runs = [first, tel.tracer().unwrap().records()];
+        let written = write_artifacts("unit_demo", &runs).unwrap();
         assert_eq!(written.len(), 2);
         let events = std::fs::read_to_string(&written[0]).unwrap();
-        assert_eq!(events, tel.tracer().unwrap().to_jsonl());
+        assert_eq!(events, trace::to_jsonl(&runs));
+        assert_eq!(events.lines().count(), 3);
+        assert!(events.starts_with("{\"run\":0,\"seq\":0,\"cycle\":7,"));
+        assert!(events
+            .lines()
+            .nth(1)
+            .unwrap()
+            .starts_with("{\"run\":1,\"seq\":1,"));
         let manifest = std::fs::read_to_string(&written[1]).unwrap();
         assert_eq!(
             manifest,
-            "{\"experiment\":\"unit_demo\",\"events_recorded\":1,\"events_dropped\":0,\
-             \"events_retained\":1,\"artifacts\":[\"unit_demo_events.jsonl\"]}"
+            "{\"experiment\":\"unit_demo\",\"events_recorded\":4,\"events_dropped\":1,\
+             \"events_retained\":3,\"artifacts\":[\"unit_demo_events.jsonl\"]}"
         );
-    }
-
-    #[test]
-    fn current_handle_is_swappable() {
-        disable();
-        assert!(!current().is_enabled());
-        let tel = enable();
-        assert!(current().is_enabled());
-        current().emit_at(1, probe());
-        assert_eq!(tel.tracer().unwrap().len(), 1);
-        disable();
-        assert!(!current().is_enabled());
     }
 }

@@ -62,4 +62,6 @@ fn unknown_experiment_exits_2_with_usage() {
     assert_usage_error(&[], None);
     // An unknown flag before the id is read as the experiment id.
     assert_usage_error(&["--retries", "1", "fault-sweep"], None);
+    // Events are always recorded, so `--telemetry` is no flag either.
+    assert_usage_error(&["--telemetry", "fig7"], None);
 }

@@ -53,6 +53,16 @@ fn fault_matrix_is_secure_and_pinned() {
     assert!(csv.contains("leaks"));
     assert_eq!(digest(dir.join("fault_matrix.csv")), 0xae2f_7f4a_4a43_6d6f);
     assert_eq!(digest(dir.join("fault_matrix.json")), 0xf5be_0934_cf10_84ac);
+    // Each event names its cell's row, and no cell's log dropped any.
+    let events = fs::read_to_string(dir.join("fault_sweep_events.jsonl")).unwrap();
+    for line in events.lines() {
+        let run: usize = line["{\"run\":".len()..line.find(",\"seq\"").unwrap()]
+            .parse()
+            .unwrap();
+        assert!(run < fault_sweep::JOBS, "{line}");
+    }
+    let manifest = fs::read_to_string(dir.join("fault_sweep_manifest.json")).unwrap();
+    assert!(manifest.contains("\"events_dropped\":0,"), "{manifest}");
 }
 
 #[test]

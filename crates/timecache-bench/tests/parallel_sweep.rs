@@ -1,10 +1,11 @@
 //! The parallel sweep engine's contract: worker count changes wall-clock
-//! only, never results — and per-worker event logs merge to the log a
-//! serial run records.
+//! only, never results — and a run's events, like its metrics, are the
+//! same in any table and at any worker count.
 
 use timecache_bench::exp::spec_keys;
-use timecache_bench::runner::{RunParams, RunTable};
-use timecache_bench::{sweep, telemetry};
+use timecache_bench::runner::{RunKey, RunParams, RunTable};
+use timecache_bench::sweep;
+use timecache_telemetry::trace;
 
 /// A reduced profile so the sweep finishes in seconds.
 fn tiny_params() -> RunParams {
@@ -61,28 +62,53 @@ fn wait_bound_jobs_overlap_regardless_of_host_cpus() {
     );
 }
 
+/// The lines of `run` in `events` (an `<id>_events.jsonl` text), with
+/// their `"run":i,` prefix stripped.
+fn run_lines(events: &str, run: usize) -> Vec<String> {
+    let prefix = format!("{{\"run\":{run},");
+    events
+        .lines()
+        .filter_map(|line| line.strip_prefix(&prefix))
+        .map(|rest| format!("{{{rest}"))
+        .collect()
+}
+
 #[test]
-fn parallel_sweep_run_records_and_events_match_serial() {
+fn a_runs_events_match_in_any_table_and_at_any_worker_count() {
     let keys = &spec_keys(&tiny_params())[..4];
-    // The run records and the event log of one sweep on `jobs` workers,
-    // under a fresh handle; workers record into their own handles, merged
-    // back at join.
-    let records = |jobs: usize| {
-        let tel = telemetry::enable();
+    // The run records and the event log of one table.
+    let records = |keys: &[RunKey], jobs: usize| {
         let table = RunTable::build(keys, jobs);
-        telemetry::disable();
-        let tracer = tel.tracer().unwrap();
-        assert_eq!(tracer.dropped(), 0);
-        (table.to_jsonl(), tracer.to_jsonl())
+        (table.to_jsonl(), trace::to_jsonl(table.events()))
     };
 
-    let (serial_runs, serial_events) = records(1);
-    let (parallel_runs, parallel_events) = records(4);
+    let (serial_runs, serial_events) = records(keys, 1);
+    let (parallel_runs, parallel_events) = records(keys, 4);
     assert_eq!(serial_runs.lines().count(), keys.len());
-    assert!(
-        serial_events.contains("\"type\":\"switch_restore\""),
-        "the serial sweep logged no switches"
-    );
     assert_eq!(serial_runs, parallel_runs);
     assert_eq!(serial_events, parallel_events);
+    // Every line names a run of the table.
+    for line in serial_events.lines() {
+        let run: usize = line
+            .strip_prefix("{\"run\":")
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|run| run.parse().ok())
+            .unwrap_or_else(|| panic!("no run index: {line}"));
+        assert!(run < keys.len(), "{line}");
+    }
+
+    // The third run's events, alone in a table of its own and third in the
+    // larger one: the same lines, and a log that dropped nothing.
+    let (_, alone) = records(&keys[2..3], 1);
+    let lines = run_lines(&alone, 0);
+    assert_eq!(lines.len(), alone.lines().count());
+    assert!(lines[0].starts_with("{\"seq\":0,"), "{}", lines[0]);
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("\"type\":\"switch_restore\"")),
+        "the run logged no switches"
+    );
+    assert_eq!(lines, run_lines(&serial_events, 2));
+    assert_eq!(lines, run_lines(&parallel_events, 2));
 }

@@ -14,20 +14,23 @@
 //! * [`encode`], the JSON and CSV escaping every artifact writer shares.
 //!
 //! `timecache-os` and `timecache-attacks` emit events through a
-//! [`Telemetry`]; the bench harness writes the event log and a manifest
-//! into `results/` next to each experiment's CSV. Counts are not kept
-//! here: each simulated run's counts are fields of its metrics, which the
-//! harness writes one line per run.
+//! [`Telemetry`]. The bench harness gives each simulated run its own
+//! enabled handle, keeps the run's events beside its metrics, and writes
+//! every run's events with [`trace::to_jsonl`] into `results/` next to
+//! each experiment's CSV. Counts are not kept here: each simulated run's
+//! counts are fields of its metrics, which the harness writes one line per
+//! run.
 //!
 //! # Quick start
 //!
 //! ```
-//! use timecache_telemetry::{Telemetry, TraceEvent};
+//! use timecache_telemetry::{trace, Telemetry, TraceEvent};
 //!
 //! let tel = Telemetry::enabled();
 //! tel.emit_at(100, TraceEvent::Probe { attack: "demo", latency: 2, hit: true });
-//! assert_eq!(tel.tracer().unwrap().len(), 1);
-//! assert!(tel.tracer().unwrap().to_jsonl().contains("\"type\":\"probe\""));
+//! let records = tel.tracer().unwrap().records();
+//! assert_eq!(records.len(), 1);
+//! assert!(trace::to_jsonl(&[records]).starts_with("{\"run\":0,\"seq\":0,\"cycle\":100,\"type\":\"probe\""));
 //!
 //! // Disabled telemetry: every call is a cheap no-op.
 //! let off = Telemetry::disabled();
@@ -105,12 +108,6 @@ impl Telemetry {
         self.inner.as_deref().map(|i| &i.tracer)
     }
 
-    /// Whether trace-event emission is on (false when disabled).
-    #[inline]
-    pub fn trace_events(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.trace_events.get())
-    }
-
     /// Turns trace-event emission on or off. Off, [`Telemetry::emit_at`]
     /// is a no-op on an enabled handle. No-op when disabled; emission
     /// defaults to on.
@@ -129,52 +126,6 @@ impl Telemetry {
                 inner.tracer.record(cycle, event);
             }
         }
-    }
-
-    /// Captures this handle's event log — the retained events and the drop
-    /// count — as owned plain data. The result is `Send` even
-    /// though `Telemetry` itself is not (its sinks are `Rc`-shared), which
-    /// is what lets a worker thread run with its own enabled handle and
-    /// ship the recordings back for [`Telemetry::absorb`] at join time.
-    /// A disabled handle snapshots to an empty (no-op) value.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        match &self.inner {
-            None => TelemetrySnapshot::default(),
-            Some(inner) => TelemetrySnapshot {
-                events: inner.tracer.records(),
-                events_dropped: inner.tracer.dropped(),
-            },
-        }
-    }
-
-    /// Folds a snapshot into this handle: dropped events count as recorded
-    /// and dropped here, and retained events are re-recorded at their
-    /// original cycles (fresh sequence numbers). No-op when disabled.
-    pub fn absorb(&self, snap: &TelemetrySnapshot) {
-        let Some(inner) = &self.inner else { return };
-        inner.tracer.skip(snap.events_dropped);
-        for rec in &snap.events {
-            inner.tracer.record(rec.cycle, rec.event);
-        }
-    }
-}
-
-/// A thread-transferable (`Send`) copy of a [`Telemetry`] handle's state at
-/// one instant. Produced by [`Telemetry::snapshot`], consumed by
-/// [`Telemetry::absorb`]. The default value is empty and absorbs as a
-/// no-op.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetrySnapshot {
-    events: Vec<EventRecord>,
-    /// Events the source tracer overwrote before the snapshot.
-    events_dropped: u64,
-}
-
-impl TelemetrySnapshot {
-    /// Whether the snapshot carries no events at all (taken from a
-    /// disabled handle, or an enabled handle that never recorded).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -207,45 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_across_threads() {
-        fn assert_send<T: Send>() {}
-        assert_send::<TelemetrySnapshot>();
-
-        // Worker thread records into its own handle and ships a snapshot.
-        let snap = std::thread::spawn(|| {
-            let tel = Telemetry::enabled();
-            tel.emit_at(5, probe(3));
-            tel.snapshot()
-        })
-        .join()
-        .unwrap();
-        assert!(!snap.is_empty());
-
-        let main = Telemetry::enabled();
-        main.emit_at(1, probe(2));
-        main.absorb(&snap);
-        let records = main.tracer().unwrap().records();
-        assert_eq!(records.len(), 2);
-        assert_eq!((records[1].seq, records[1].cycle), (1, 5));
-        assert_eq!(records[1].event, probe(3));
-    }
-
-    #[test]
-    fn disabled_handle_snapshot_and_absorb_are_noops() {
-        let off = Telemetry::disabled();
-        assert!(off.snapshot().is_empty());
-        let on = Telemetry::enabled();
-        on.emit_at(1, probe(1));
-        off.absorb(&on.snapshot()); // must not panic
-        assert!(!off.is_enabled());
-    }
-
-    #[test]
     fn trace_events_toggle_gates_emission_only() {
         let t = Telemetry::enabled();
-        assert!(t.trace_events());
         t.set_trace_events(false);
-        assert!(!t.trace_events());
         t.emit_at(9, probe(1));
         // Events suppressed; the handle stays enabled.
         assert_eq!(t.tracer().unwrap().len(), 0);
@@ -254,10 +169,10 @@ mod tests {
         t.emit_at(9, probe(1));
         assert_eq!(t.tracer().unwrap().len(), 1);
 
-        // A disabled handle reports off and tolerates the setter.
+        // A disabled handle tolerates the setter and stays disabled.
         let off = Telemetry::disabled();
-        assert!(!off.trace_events());
         off.set_trace_events(true);
-        assert!(!off.trace_events());
+        off.emit_at(9, probe(1));
+        assert!(off.tracer().is_none());
     }
 }

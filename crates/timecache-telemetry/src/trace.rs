@@ -215,7 +215,9 @@ impl Tracer {
         self.ring.borrow().dropped
     }
 
-    /// The retained events in sequence order (oldest first).
+    /// The retained events in sequence order (oldest first). The ring
+    /// overwrites its oldest events, so their sequence numbers run from
+    /// [`Tracer::dropped`] to [`Tracer::recorded`] minus one.
     pub fn records(&self) -> Vec<EventRecord> {
         let ring = self.ring.borrow();
         let mut out = Vec::with_capacity(ring.buf.len());
@@ -227,39 +229,30 @@ impl Tracer {
         }
         out
     }
-
-    /// Counts `n` events as recorded and dropped without retaining any (the
-    /// events a merged tracer overwrote).
-    pub(crate) fn skip(&self, n: u64) {
-        let mut ring = self.ring.borrow_mut();
-        ring.next_seq += n;
-        ring.dropped += n;
-    }
-
-    /// Discards all retained events (sequence numbers keep counting).
-    pub fn clear(&self) {
-        let mut ring = self.ring.borrow_mut();
-        ring.buf.clear();
-        ring.head = 0;
-    }
-
-    /// Exports the retained events as JSON Lines: one self-describing JSON
-    /// object per line, in sequence order.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for rec in self.records() {
-            write_record(&mut out, &rec);
-            out.push('\n');
-        }
-        out
-    }
 }
 
-fn write_record(out: &mut String, rec: &EventRecord) {
+/// Encodes the event logs of a sequence of runs as JSON Lines: one
+/// self-describing object per event, in run order and then sequence order.
+/// Each object starts with `"run":i`, the index of its log in `runs`, then
+/// the record's `seq`, `cycle`, `type` and payload fields. Sequence numbers
+/// come from each run's own [`Tracer`], so a run's lines differ only in
+/// `run` wherever it stands in `runs`.
+pub fn to_jsonl(runs: &[Vec<EventRecord>]) -> String {
+    let mut out = String::new();
+    for (run, records) in runs.iter().enumerate() {
+        for rec in records {
+            write_record(&mut out, run, rec);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+fn write_record(out: &mut String, run: usize, rec: &EventRecord) {
     use std::fmt::Write as _;
     let _ = write!(
         out,
-        "{{\"seq\":{},\"cycle\":{},\"type\":\"{}\"",
+        "{{\"run\":{run},\"seq\":{},\"cycle\":{},\"type\":\"{}\"",
         rec.seq,
         rec.cycle,
         rec.event.kind()
@@ -368,9 +361,9 @@ mod tests {
 
     #[test]
     fn jsonl_one_line_per_event() {
-        let t = Tracer::with_capacity(4);
-        t.record(5, probe(3));
-        t.record(
+        let (first, third) = (Tracer::with_capacity(4), Tracer::with_capacity(4));
+        first.record(5, probe(3));
+        third.record(
             9,
             TraceEvent::SwitchRestore {
                 core: 0,
@@ -382,11 +375,14 @@ mod tests {
                 sbits_reset: 4,
             },
         );
-        let jsonl = t.to_jsonl();
+        let jsonl = to_jsonl(&[first.records(), Vec::new(), third.records()]);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"type\":\"probe\""));
-        assert!(lines[1].contains("\"type\":\"switch_restore\""));
+        // Each run's sequence numbers start at 0.
+        assert!(lines[0].starts_with("{\"run\":0,\"seq\":0,\"cycle\":5,\"type\":\"probe\""));
+        assert!(
+            lines[1].starts_with("{\"run\":2,\"seq\":0,\"cycle\":9,\"type\":\"switch_restore\"")
+        );
         assert!(lines[1].contains("\"comparator_cycles\":200"));
         assert!(lines[1].contains("\"sbits_reset\":4"));
         for line in lines {
@@ -414,7 +410,7 @@ mod tests {
                 served_by: ServedBy::L1,
             },
         );
-        let jsonl = t.to_jsonl();
+        let jsonl = to_jsonl(&[t.records()]);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert!(lines[0].contains("\"type\":\"fault_injected\""));
         assert!(lines[0].contains("\"kind\":\"corrupt_snapshot\""));
@@ -423,16 +419,6 @@ mod tests {
         assert!(lines[1].contains("\"type\":\"invariant_violation\""));
         assert!(lines[1].contains("\"pid\":3"));
         assert!(lines[1].contains("\"served_by\":\"l1\""));
-    }
-
-    #[test]
-    fn clear_keeps_sequence_counting() {
-        let t = Tracer::with_capacity(4);
-        t.record(0, probe(1));
-        t.clear();
-        assert!(t.is_empty());
-        t.record(1, probe(2));
-        assert_eq!(t.records()[0].seq, 1, "sequence survives clear");
     }
 
     #[test]
