@@ -1,7 +1,6 @@
 //! Measurement analysis: hit/miss thresholding and key recovery.
 
 use timecache_sim::LatencyConfig;
-use timecache_telemetry::{Histogram, HISTOGRAM_BUCKETS};
 
 /// A calibrated hit/miss decision threshold, as a real attacker derives by
 /// timing a known-cached and a known-flushed access.
@@ -43,49 +42,6 @@ impl Threshold {
     /// Builds a threshold directly from a cycle count.
     pub fn from_cycles(cycles: u64) -> Self {
         Threshold { cycles }
-    }
-
-    /// Empirical calibration from a probe-latency histogram (built from
-    /// the probe events of the telemetry-instrumented attackers): assumes a bimodal latency
-    /// distribution, finds the two most-populated buckets, and places the
-    /// boundary midway between the fast mode's upper bucket bound and the
-    /// slow mode's lower bucket bound. This mirrors how a real attacker
-    /// calibrates — time many known-cached and known-flushed loads, then
-    /// split the two clusters.
-    ///
-    /// Returns `None` when the histogram has fewer than two populated
-    /// buckets (no separable modes — e.g. under TimeCache, where every
-    /// probe is miss-latency).
-    pub fn from_histogram(hist: &Histogram) -> Option<Self> {
-        let counts = hist.bucket_counts();
-        let mut top: Option<usize> = None;
-        let mut second: Option<usize> = None;
-        for (i, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            match top {
-                Some(t) if counts[t] >= c => match second {
-                    Some(s) if counts[s] >= c => {}
-                    _ => second = Some(i),
-                },
-                _ => {
-                    second = top;
-                    top = Some(i);
-                }
-            }
-        }
-        let (lo, hi) = match (top, second) {
-            (Some(a), Some(b)) => (a.min(b), a.max(b)),
-            _ => return None,
-        };
-        // Bucket `i` covers (2^(i-1), 2^i]; the overflow bucket starts at
-        // the last finite bound.
-        let fast_upper = Histogram::bucket_bound(lo);
-        let slow_lower = Histogram::bucket_bound(hi.min(HISTOGRAM_BUCKETS) - 1);
-        Some(Threshold {
-            cycles: ((fast_upper + slow_lower) / 2.0) as u64,
-        })
     }
 
     /// The decision boundary in cycles.
@@ -245,45 +201,6 @@ mod tests {
         assert!(x.is_hit(lat.llc_hit));
         assert!(x.is_hit(lat.remote_l1));
         assert!(!x.is_hit(lat.dram));
-    }
-
-    #[test]
-    fn from_histogram_splits_bimodal_latencies() {
-        let mut h = Histogram::default();
-        for _ in 0..100 {
-            h.observe(2); // L1-hit reloads
-        }
-        for _ in 0..60 {
-            h.observe(200); // DRAM reloads
-        }
-        let t = Threshold::from_histogram(&h).expect("two modes present");
-        assert!(t.is_hit(2));
-        assert!(t.is_hit(30));
-        assert!(!t.is_hit(200));
-    }
-
-    #[test]
-    fn from_histogram_needs_two_modes() {
-        let mut h = Histogram::default();
-        assert_eq!(Threshold::from_histogram(&h), None);
-        for _ in 0..10 {
-            h.observe(200);
-        }
-        assert_eq!(Threshold::from_histogram(&h), None);
-    }
-
-    #[test]
-    fn from_histogram_ignores_minor_noise_buckets() {
-        let mut h = Histogram::default();
-        for _ in 0..100 {
-            h.observe(2);
-        }
-        for _ in 0..60 {
-            h.observe(200);
-        }
-        h.observe(30); // one stray LLC-latency sample must not move the split
-        let t = Threshold::from_histogram(&h).unwrap();
-        assert!(t.is_hit(2) && !t.is_hit(200));
     }
 
     #[test]

@@ -12,7 +12,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use timecache_os::{DataKind, Observation, Op, Program};
 use timecache_sim::Addr;
-use timecache_telemetry::{Telemetry, TraceEvent};
 
 /// One probe measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +56,6 @@ pub struct FlushReloadAttacker {
     phase: Phase,
     log: ProbeLog,
     pc: Addr,
-    tel: Telemetry,
 }
 
 impl FlushReloadAttacker {
@@ -79,18 +77,9 @@ impl FlushReloadAttacker {
                 phase: Phase::Flush(0),
                 log: Rc::clone(&log),
                 pc: 0x6660_0000,
-                tel: Telemetry::disabled(),
             },
             log,
         )
-    }
-
-    /// Emits a [`TraceEvent::Probe`] into `tel` for every reload: its
-    /// latencies are the input to [`Threshold::from_histogram`]
-    /// calibration. No-op when `tel` is disabled.
-    pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
-        self.tel = tel.clone();
-        self
     }
 
     fn next_pc(&mut self) -> Addr {
@@ -139,14 +128,6 @@ impl Program for FlushReloadAttacker {
                     latency,
                     hit,
                 });
-                self.tel.emit_at(
-                    obs.now,
-                    TraceEvent::Probe {
-                        attack: "flush_reload",
-                        latency,
-                        hit,
-                    },
-                );
                 self.phase = if i + 1 < self.targets.len() {
                     Phase::Probe(i + 1)
                 } else {

@@ -7,7 +7,6 @@ use timecache_core::TimeCacheConfig;
 use timecache_os::programs::SharedWriter;
 use timecache_os::{System, SystemConfig};
 use timecache_sim::{HierarchyConfig, SecurityMode};
-use timecache_telemetry::Telemetry;
 use timecache_workloads::layout;
 
 /// Outcome of one attack demonstration, ready for reporting.
@@ -79,27 +78,7 @@ pub fn timecache_mode() -> SecurityMode {
 /// In the baseline every probed line the victim wrote reloads fast; with
 /// TimeCache the attacker "does not see any hit".
 pub fn run_microbenchmark(security: SecurityMode, rounds: u32) -> MicrobenchResult {
-    run_microbenchmark_with_telemetry(security, rounds, &Telemetry::disabled())
-}
-
-/// [`run_microbenchmark`] with observability: the system streams its
-/// scheduler events into `tel`, and the attacker emits a probe event per
-/// timed load (from whose latencies [`Threshold::from_histogram`] can
-/// re-derive the decision boundary).
-pub fn run_microbenchmark_with_telemetry(
-    security: SecurityMode,
-    rounds: u32,
-    tel: &Telemetry,
-) -> MicrobenchResult {
-    let mut hierarchy = HierarchyConfig::with_cores(1);
-    hierarchy.security = security;
-    let cfg = SystemConfig {
-        hierarchy,
-        quantum_cycles: 200_000,
-        telemetry: tel.clone(),
-        ..SystemConfig::default()
-    };
-    let mut sys = System::new(cfg).expect("table-I config is valid");
+    let mut sys = single_core_system(security);
     let lat = sys.config().hierarchy.latencies;
     let lines = 256u64;
     let targets: Vec<u64> = (0..lines)
@@ -107,7 +86,6 @@ pub fn run_microbenchmark_with_telemetry(
         .collect();
 
     let (attacker, log) = FlushReloadAttacker::new(targets, Threshold::calibrate(&lat), rounds);
-    let attacker = attacker.with_telemetry(tel);
     // Attacker first so its initial flush precedes the victim's writes.
     sys.spawn(Box::new(attacker), 0, 0, None);
     // The victim writes the shared array over and over, yielding between
@@ -153,53 +131,6 @@ mod tests {
         assert_eq!(r.rounds, 3);
         assert_eq!(r.hits, 0, "attacker must not see any hit");
         assert_eq!(r.probes, 3 * 256);
-    }
-
-    #[test]
-    fn telemetry_captures_probe_latencies() {
-        use timecache_telemetry::{Histogram, TraceEvent};
-
-        // The probe latencies the event log holds so far.
-        let probe_histogram = |tel: &Telemetry| {
-            let mut hist = Histogram::default();
-            for rec in tel.tracer().unwrap().records() {
-                if let TraceEvent::Probe { latency, .. } = rec.event {
-                    hist.observe(latency);
-                }
-            }
-            hist
-        };
-
-        // Both modes on one handle at the `security` experiment's 5 rounds
-        // each: the event log keeps every probe, with nothing dropped.
-        let tel = Telemetry::enabled();
-        let base = run_microbenchmark_with_telemetry(SecurityMode::Baseline, 5, &tel);
-        let hist = probe_histogram(&tel);
-        assert_eq!(hist.count(), base.probes);
-
-        // The baseline microbenchmark is all-hits (that's the leak), so its
-        // own histogram has a single mode and no derivable boundary.
-        assert_eq!(Threshold::from_histogram(&hist), None);
-
-        // Feeding a TimeCache run (all miss-latency probes) into the *same*
-        // handle makes the distribution bimodal — the known-cached /
-        // known-flushed calibration a real attacker performs — and the
-        // recovered boundary separates the latency model's extremes.
-        let tc = run_microbenchmark_with_telemetry(timecache_mode(), 5, &tel);
-        let hist = probe_histogram(&tel);
-        let t = Threshold::from_histogram(&hist).expect("two modes present");
-        let lat = timecache_sim::LatencyConfig::default();
-        assert!(t.is_hit(lat.l1_hit));
-        assert!(!t.is_hit(lat.dram));
-
-        let tracer = tel.tracer().unwrap();
-        let probe_events = tracer
-            .records()
-            .iter()
-            .filter(|e| matches!(e.event, TraceEvent::Probe { .. }))
-            .count() as u64;
-        assert_eq!(probe_events, base.probes + tc.probes);
-        assert_eq!(tracer.dropped(), 0);
     }
 
     #[test]

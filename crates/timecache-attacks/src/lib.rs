@@ -26,7 +26,9 @@
 //! Attacker programs expose their measurements through shared
 //! [`std::rc::Rc`]`<`[`std::cell::RefCell`]`>` logs returned alongside the
 //! program, so results can be read back after [`timecache_os::System::run`]
-//! consumes the boxed program.
+//! consumes the boxed program. These logs are the only record of a probe:
+//! attacks emit no trace events, and their thresholds come from the
+//! latency model ([`Threshold::calibrate`], [`Threshold::cross_core`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

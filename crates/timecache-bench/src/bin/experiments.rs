@@ -15,8 +15,9 @@
 //! Either way `<id>_runs.jsonl` under `results/` records every simulated
 //! run, one JSON object per line: its workload, mode, parameters, cycles,
 //! instructions, switch counts and per-cache statistics. Each run also
-//! records its rare events (context switches, rollover resets, faults,
-//! invariant violations) into a log of its own; `<id>_events.jsonl` lists
+//! records its rare events (context switches, rollover resets, fault
+//! injections and detections, its first invariant violation) into a log
+//! of its own; `<id>_events.jsonl` lists
 //! them in run order, each line tagged with its run's line in
 //! `<id>_runs.jsonl`, and `<id>_manifest.json` sums their counts.
 //!

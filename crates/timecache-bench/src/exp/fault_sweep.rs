@@ -78,7 +78,10 @@ pub struct Row {
     pub mode: String,
     /// Faults injected during the run.
     pub injected: u64,
-    /// Injected faults the defense detected and neutralised.
+    /// Detections of injected faults by the defense, each of which it
+    /// neutralised. A fault can be detected more than once (a corrupted
+    /// save is caught by each cache level that restores it), so this can
+    /// exceed `injected`.
     pub detected: u64,
     /// Security-invariant violations observed.
     pub violations: u64,

@@ -8,8 +8,8 @@
 //! [`write_artifacts`] writes into [`crate::output::results_dir`]:
 //!
 //! * `<id>_events.jsonl` — every run's context-switch saves and restores,
-//!   rollover resets, probes, injected faults and invariant violations, one
-//!   JSON object per line ([`trace::to_jsonl`]). Each line starts with
+//!   rollover resets, injected and detected faults and first invariant
+//!   violation, one JSON object per line ([`trace::to_jsonl`]). Each line starts with
 //!   `"run":i`, the 0-based line of its run in `<id>_runs.jsonl` (or its
 //!   cell's row in `fault_matrix.csv`), and `seq` counts from 0 in each run;
 //! * `<id>_manifest.json` — the event counts summed over the runs and the
@@ -69,11 +69,11 @@ mod tests {
     use super::*;
     use timecache_telemetry::TraceEvent;
 
-    fn probe(latency: u64) -> TraceEvent {
-        TraceEvent::Probe {
-            attack: "demo",
-            latency,
-            hit: true,
+    fn save(pid: u32) -> TraceEvent {
+        TraceEvent::SwitchSave {
+            core: 0,
+            thread: 0,
+            pid,
         }
     }
 
@@ -82,10 +82,10 @@ mod tests {
         crate::output::test_results_dir();
         // Two runs: one that recorded an event, one that overflowed a
         // 2-entry ring with 3 and kept the last 2.
-        let ((), first) = record(|tel| tel.emit_at(7, probe(1)));
+        let ((), first) = record(|tel| tel.emit_at(7, save(1)));
         let tel = Telemetry::with_trace_capacity(2);
-        for latency in 0..3 {
-            tel.emit_at(8, probe(latency));
+        for pid in 0..3 {
+            tel.emit_at(8, save(pid));
         }
         let runs = [first, tel.tracer().unwrap().records()];
         let written = write_artifacts("unit_demo", &runs).unwrap();

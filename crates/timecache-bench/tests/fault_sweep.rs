@@ -54,12 +54,29 @@ fn fault_matrix_is_secure_and_pinned() {
     assert_eq!(digest(dir.join("fault_matrix.csv")), 0xae2f_7f4a_4a43_6d6f);
     assert_eq!(digest(dir.join("fault_matrix.json")), 0xf5be_0934_cf10_84ac);
     // Each event names its cell's row, and no cell's log dropped any.
+    // Per cell, the log holds one line per injection and per detection
+    // and a single invariant-violation witness when the cell has any.
     let events = fs::read_to_string(dir.join("fault_sweep_events.jsonl")).unwrap();
+    let mut tally = vec![[0u64; 3]; fault_sweep::JOBS];
     for line in events.lines() {
         let run: usize = line["{\"run\":".len()..line.find(",\"seq\"").unwrap()]
             .parse()
             .unwrap();
         assert!(run < fault_sweep::JOBS, "{line}");
+        for (i, kind) in ["fault_injected", "fault_detected", "invariant_violation"]
+            .iter()
+            .enumerate()
+        {
+            if line.contains(&format!("\"type\":\"{kind}\"")) {
+                tally[run][i] += 1;
+            }
+        }
+    }
+    for (row, counts) in csv.lines().skip(1).zip(&tally) {
+        let cols: Vec<u64> = row.split(',').map(|c| c.parse().unwrap_or(0)).collect();
+        let (injected, detected, violations) = (cols[2], cols[3], cols[4]);
+        let witnesses = u64::from(violations > 0);
+        assert_eq!(*counts, [injected, detected, witnesses], "{row}");
     }
     let manifest = fs::read_to_string(dir.join("fault_sweep_manifest.json")).unwrap();
     assert!(manifest.contains("\"events_dropped\":0,"), "{manifest}");

@@ -102,7 +102,7 @@ const X264_BASELINE: Measured = Measured {
 /// Runs `programs` (the second on core `cores - 1`) for a warm-up and a
 /// measured phase, as `runner` does, and returns the invariant violations
 /// and the measured phase's report.
-fn violations(
+fn count_violations(
     programs: [SyntheticWorkload; 2],
     cores: usize,
     security: SecurityMode,
@@ -150,10 +150,10 @@ fn x264_threads() -> [SyntheticWorkload; 2] {
 #[test]
 fn shared_text_2xwrf_is_invariant_clean_under_timecache_only() {
     let tc = timecache_mode(&RunParams::quick());
-    let (tc_violations, tc_report) = violations(wrf_pair(), 1, tc);
+    let (tc_violations, tc_report) = count_violations(wrf_pair(), 1, tc);
     assert_eq!(tc_violations, 0);
     assert_eq!(Measured::of(&tc_report), WRF_TIMECACHE);
-    let (base_violations, base_report) = violations(wrf_pair(), 1, SecurityMode::Baseline);
+    let (base_violations, base_report) = count_violations(wrf_pair(), 1, SecurityMode::Baseline);
     assert!(base_violations > 0);
     assert_eq!(Measured::of(&base_report), WRF_BASELINE);
 }
@@ -161,10 +161,11 @@ fn shared_text_2xwrf_is_invariant_clean_under_timecache_only() {
 #[test]
 fn two_core_x264_is_invariant_clean_under_timecache_only() {
     let tc = timecache_mode(&RunParams::quick());
-    let (tc_violations, tc_report) = violations(x264_threads(), 2, tc);
+    let (tc_violations, tc_report) = count_violations(x264_threads(), 2, tc);
     assert_eq!(tc_violations, 0);
     assert_eq!(Measured::of(&tc_report), X264_TIMECACHE);
-    let (base_violations, base_report) = violations(x264_threads(), 2, SecurityMode::Baseline);
+    let (base_violations, base_report) =
+        count_violations(x264_threads(), 2, SecurityMode::Baseline);
     assert!(base_violations > 0);
     assert_eq!(Measured::of(&base_report), X264_BASELINE);
 }

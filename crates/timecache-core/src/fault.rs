@@ -156,18 +156,20 @@ impl FaultPlan {
     }
 }
 
-/// One fault that actually fired, for telemetry.
+/// One injection or one detection of the planned fault, for telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRecord {
-    /// The injected fault.
+    /// The planned fault.
     pub kind: FaultKind,
-    /// Where it struck.
+    /// Where it strikes.
     pub trigger: TriggerPoint,
-    /// Whether the defense explicitly *detected* the fault (checksum
-    /// mismatch, comparator redundancy mismatch, software rollover
-    /// cross-check) — as opposed to faults whose effect is conservative
-    /// by construction and needs no detection.
-    pub detected: bool,
+    /// False when the injector struck; true when the defense explicitly
+    /// *detected* an injected fault (checksum mismatch, comparator
+    /// redundancy mismatch, software rollover cross-check). One injection
+    /// may be detected several times (a corrupted save is caught by each
+    /// cache level that restores it) or never (faults whose effect is
+    /// conservative by construction need no detection).
+    pub detection: bool,
 }
 
 #[derive(Debug)]
@@ -177,6 +179,19 @@ struct InjectorInner {
     injected: Cell<u64>,
     detected: Cell<u64>,
     records: RefCell<Vec<FaultRecord>>,
+}
+
+impl InjectorInner {
+    fn record(&self, detection: bool) {
+        let mut records = self.records.borrow_mut();
+        if records.len() < MAX_RECORDS {
+            records.push(FaultRecord {
+                kind: self.plan.kind,
+                trigger: self.plan.trigger,
+                detection,
+            });
+        }
+    }
 }
 
 /// The fault-injection handle threaded through core, sim, and os.
@@ -234,25 +249,16 @@ impl FaultInjector {
             return false;
         }
         inner.injected.set(inner.injected.get() + 1);
-        let mut records = inner.records.borrow_mut();
-        if records.len() < MAX_RECORDS {
-            records.push(FaultRecord {
-                kind,
-                trigger,
-                detected: false,
-            });
-        }
+        inner.record(false);
         true
     }
 
-    /// Marks the most recent injection as explicitly detected (and
-    /// contained) by the defense.
+    /// Counts and records one explicit detection (and containment) of an
+    /// injected fault by the defense.
     pub fn note_detected(&self) {
         let Some(inner) = &self.inner else { return };
         inner.detected.set(inner.detected.get() + 1);
-        if let Some(last) = inner.records.borrow_mut().last_mut() {
-            last.detected = true;
-        }
+        inner.record(true);
     }
 
     /// Total faults injected so far.
@@ -366,9 +372,12 @@ mod tests {
         assert_eq!(inj.injected(), 1);
         inj.note_detected();
         assert_eq!(other.detected(), 1);
+        // The injection and its detection are separate records.
         let records = inj.take_records();
-        assert_eq!(records.len(), 1);
-        assert!(records[0].detected);
+        assert_eq!(
+            records.iter().map(|r| r.detection).collect::<Vec<_>>(),
+            [false, true]
+        );
         assert!(other.take_records().is_empty(), "drain is shared");
     }
 

@@ -34,25 +34,6 @@
 use std::collections::HashMap;
 use timecache_sim::{AccessOutcome, Level};
 
-/// One observed breach of the first-access invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Violation {
-    /// The observing process.
-    pub pid: u32,
-    /// The line (byte address >> line-size bits) whose latency leaked.
-    pub line: u64,
-    /// The observed (fast) latency in cycles.
-    pub latency: u64,
-    /// Which component served the access faster than memory.
-    pub served_by: Level,
-    /// Simulated cycle at which the access completed.
-    pub cycle: u64,
-}
-
-/// Capped number of violations retained with full detail; the total count
-/// keeps incrementing past the cap.
-const MAX_RETAINED: usize = 256;
-
 /// Shadow state for the first-access invariant. See the module docs.
 #[derive(Debug, Default)]
 pub struct InvariantChecker {
@@ -60,7 +41,6 @@ pub struct InvariantChecker {
     fill_epoch: HashMap<u64, u64>,
     /// Epoch in which each `(pid, line)` last paid memory latency.
     paid: HashMap<(u32, u64), u64>,
-    violations: Vec<Violation>,
     total_violations: u64,
 }
 
@@ -72,35 +52,18 @@ impl InvariantChecker {
 
     /// Feeds one completed memory access through the checker.
     ///
-    /// Returns the violation, if this access was one. Call *after* the
-    /// hierarchy resolved the access, with the line index the hierarchy
-    /// used (`addr >> line_bits`).
-    pub fn observe(
-        &mut self,
-        pid: u32,
-        line: u64,
-        out: &AccessOutcome,
-        cycle: u64,
-    ) -> Option<Violation> {
+    /// Returns whether this access was a violation: a process (`pid`)
+    /// seeing faster-than-memory latency for `line` it has not paid for.
+    /// Call *after* the hierarchy resolved the access, with the line index
+    /// the hierarchy used (`addr >> line_bits`).
+    pub fn observe(&mut self, pid: u32, line: u64, out: &AccessOutcome) -> bool {
         let epoch = self.fill_epoch.get(&line).copied().unwrap_or(0);
-        let mut violation = None;
         if out.served_by != Level::Memory {
             // Fast path: only legitimate if this process paid for this line
             // in the line's current fill generation.
-            if self.paid.get(&(pid, line)) != Some(&epoch) {
-                let v = Violation {
-                    pid,
-                    line,
-                    latency: out.latency,
-                    served_by: out.served_by,
-                    cycle,
-                };
-                self.total_violations += 1;
-                if self.violations.len() < MAX_RETAINED {
-                    self.violations.push(v);
-                }
-                violation = Some(v);
-            }
+            let violation = self.paid.get(&(pid, line)) != Some(&epoch);
+            self.total_violations += u64::from(violation);
+            violation
         } else {
             // Memory latency paid. A true LLC miss (not a first-access
             // replay of already-resident data) re-establishes the line
@@ -113,8 +76,8 @@ impl InvariantChecker {
                 epoch
             };
             self.paid.insert((pid, line), epoch);
+            false
         }
-        violation
     }
 
     /// Records a `clflush` of `line`: the cached copy is gone, so the next
@@ -123,14 +86,9 @@ impl InvariantChecker {
         *self.fill_epoch.entry(line).or_insert(0) += 1;
     }
 
-    /// Total violations observed, including any past the retention cap.
+    /// Total violations observed.
     pub fn total_violations(&self) -> u64 {
         self.total_violations
-    }
-
-    /// The first `MAX_RETAINED` violations, in observation order.
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 }
 
@@ -152,16 +110,10 @@ mod tests {
     fn paying_then_hitting_is_clean() {
         let mut c = InvariantChecker::new();
         // True miss: fill + payment.
-        assert!(c
-            .observe(1, 0x40, &outcome(Level::Memory, false, false), 10)
-            .is_none());
+        assert!(!c.observe(1, 0x40, &outcome(Level::Memory, false, false)));
         // Subsequent hits at any level are earned.
-        assert!(c
-            .observe(1, 0x40, &outcome(Level::L1, true, false), 20)
-            .is_none());
-        assert!(c
-            .observe(1, 0x40, &outcome(Level::LLC, false, false), 30)
-            .is_none());
+        assert!(!c.observe(1, 0x40, &outcome(Level::L1, true, false)));
+        assert!(!c.observe(1, 0x40, &outcome(Level::LLC, false, false)));
         assert_eq!(c.total_violations(), 0);
     }
 
@@ -170,85 +122,70 @@ mod tests {
         let mut c = InvariantChecker::new();
         // pid 1 fills the line; pid 2 then observes a fast hit it never
         // paid for — the classic shared-cache leak.
-        c.observe(1, 0x40, &outcome(Level::Memory, false, false), 10);
-        let v = c
-            .observe(2, 0x40, &outcome(Level::LLC, false, false), 20)
-            .expect("leak must be flagged");
-        assert_eq!((v.pid, v.line, v.served_by), (2, 0x40, Level::LLC));
+        c.observe(1, 0x40, &outcome(Level::Memory, false, false));
+        assert!(
+            c.observe(2, 0x40, &outcome(Level::LLC, false, false)),
+            "leak must be flagged"
+        );
         assert_eq!(c.total_violations(), 1);
-        assert_eq!(c.violations().len(), 1);
     }
 
     #[test]
     fn first_access_replay_pays_without_opening_a_new_generation() {
         let mut c = InvariantChecker::new();
-        c.observe(1, 0x40, &outcome(Level::Memory, false, false), 10);
+        c.observe(1, 0x40, &outcome(Level::Memory, false, false));
         // pid 2 takes a first-access miss on the resident line (TimeCache
         // defense): memory latency paid, data served from the same fill.
-        c.observe(2, 0x40, &outcome(Level::Memory, false, true), 20);
+        c.observe(2, 0x40, &outcome(Level::Memory, false, true));
         // Both processes may now hit.
-        assert!(c
-            .observe(1, 0x40, &outcome(Level::L1, true, false), 30)
-            .is_none());
-        assert!(c
-            .observe(2, 0x40, &outcome(Level::LLC, false, false), 40)
-            .is_none());
+        assert!(!c.observe(1, 0x40, &outcome(Level::L1, true, false)));
+        assert!(!c.observe(2, 0x40, &outcome(Level::LLC, false, false)));
         assert_eq!(c.total_violations(), 0);
     }
 
     #[test]
     fn refill_invalidates_old_payments() {
         let mut c = InvariantChecker::new();
-        c.observe(1, 0x40, &outcome(Level::Memory, false, false), 10);
+        c.observe(1, 0x40, &outcome(Level::Memory, false, false));
         // Someone else evicts and refills the line: new generation.
-        c.observe(2, 0x40, &outcome(Level::Memory, false, false), 20);
+        c.observe(2, 0x40, &outcome(Level::Memory, false, false));
         // pid 1's old payment is stale; a fast hit now leaks pid 2's fill.
-        assert!(c
-            .observe(1, 0x40, &outcome(Level::LLC, false, false), 30)
-            .is_some());
+        assert!(c.observe(1, 0x40, &outcome(Level::LLC, false, false)));
         assert_eq!(c.total_violations(), 1);
     }
 
     #[test]
     fn flush_forces_repayment() {
         let mut c = InvariantChecker::new();
-        c.observe(1, 0x40, &outcome(Level::Memory, false, false), 10);
+        c.observe(1, 0x40, &outcome(Level::Memory, false, false));
         c.flush(0x40);
         // Flush+Reload probe: a fast access after the flush is a leak.
-        assert!(c
-            .observe(1, 0x40, &outcome(Level::L1, true, false), 20)
-            .is_some());
+        assert!(c.observe(1, 0x40, &outcome(Level::L1, true, false)));
         // Repaying with a true miss restores the process's standing.
-        c.observe(1, 0x40, &outcome(Level::Memory, false, false), 30);
-        assert!(c
-            .observe(1, 0x40, &outcome(Level::L1, true, false), 40)
-            .is_none());
+        c.observe(1, 0x40, &outcome(Level::Memory, false, false));
+        assert!(!c.observe(1, 0x40, &outcome(Level::L1, true, false)));
     }
 
     #[test]
     fn dram_wait_replay_with_l1_tag_hit_counts_as_payment() {
         let mut c = InvariantChecker::new();
-        c.observe(1, 0x40, &outcome(Level::Memory, false, false), 10);
+        c.observe(1, 0x40, &outcome(Level::Memory, false, false));
         // First access at the L1 that still waits for DRAM (tag hit, memory
         // latency): pays, but the resident fill is untouched.
-        c.observe(2, 0x40, &outcome(Level::Memory, true, false), 20);
-        assert!(c
-            .observe(2, 0x40, &outcome(Level::L1, true, false), 30)
-            .is_none());
+        c.observe(2, 0x40, &outcome(Level::Memory, true, false));
+        assert!(!c.observe(2, 0x40, &outcome(Level::L1, true, false)));
         // pid 1's payment stayed valid throughout.
-        assert!(c
-            .observe(1, 0x40, &outcome(Level::L1, true, false), 40)
-            .is_none());
+        assert!(!c.observe(1, 0x40, &outcome(Level::L1, true, false)));
     }
 
     #[test]
-    fn retention_is_capped_but_counting_is_not() {
+    fn every_unpaid_fast_access_counts() {
         let mut c = InvariantChecker::new();
-        c.observe(1, 0, &outcome(Level::Memory, false, false), 0);
-        for i in 0..(MAX_RETAINED as u64 + 10) {
-            c.observe(2, 0, &outcome(Level::LLC, false, false), i);
+        c.observe(1, 0, &outcome(Level::Memory, false, false));
+        // Repeating an unpaid hit never settles the debt: each one counts.
+        for _ in 0..300 {
+            assert!(c.observe(2, 0, &outcome(Level::LLC, false, false)));
         }
-        assert_eq!(c.total_violations(), MAX_RETAINED as u64 + 10);
-        assert_eq!(c.violations().len(), MAX_RETAINED);
+        assert_eq!(c.total_violations(), 300);
     }
 }

@@ -28,8 +28,8 @@ pub struct SystemConfig {
     pub discard_snapshots: bool,
     /// Observability handle. Disabled by default; when enabled, the system
     /// streams its rare events (snapshot saves, restores with the charged
-    /// DMA cost, rollover resets, injected faults, invariant violations)
-    /// into its tracer.
+    /// DMA cost, rollover resets, injected and detected faults, the first
+    /// invariant violation) into its tracer.
     pub telemetry: Telemetry,
     /// Robustness testing: when set, a seed-driven [`FaultInjector`] built
     /// from this plan is attached to the hierarchy (snapshot drop/corrupt,
@@ -40,8 +40,9 @@ pub struct SystemConfig {
     /// When true, every memory access is fed through the
     /// [`InvariantChecker`]: a process observing a hit-latency access to a
     /// line it has not itself paid a first-access miss for (since the
-    /// line's current fill generation) is recorded as a violation. Off by
-    /// default; entirely outside the simulated timing path.
+    /// line's current fill generation) is counted as a violation, and the
+    /// run's first violation is traced as its witness. Off by default;
+    /// entirely outside the simulated timing path.
     pub check_invariants: bool,
 }
 
@@ -239,12 +240,6 @@ impl System {
     /// [`SystemConfig::check_invariants`] is off).
     pub fn invariant_violations(&self) -> u64 {
         self.invariants.as_ref().map_or(0, |i| i.total_violations())
-    }
-
-    /// The invariant checker, when enabled — for inspecting retained
-    /// [`crate::invariant::Violation`] details.
-    pub fn invariants(&self) -> Option<&InvariantChecker> {
-        self.invariants.as_deref()
     }
 
     /// The largest context clock so far (total simulated cycles).
@@ -566,43 +561,44 @@ impl System {
     }
 
     /// Feeds one resolved access through the invariant checker (no-op
-    /// unless [`SystemConfig::check_invariants`] is set), tracing any
-    /// violation.
+    /// unless [`SystemConfig::check_invariants`] is set). The run's first
+    /// violation is traced as its witness; the rest are only counted
+    /// ([`System::invariant_violations`]).
     fn check_invariant(&mut self, pi: usize, addr: u64, out: &AccessOutcome, cycle: u64) {
         let Some(inv) = self.invariants.as_mut() else {
             return;
         };
         let pid = self.processes[pi].pid().0;
         let line = addr >> self.line_shift;
-        if let Some(v) = inv.observe(pid, line, out, cycle) {
+        if inv.observe(pid, line, out) && inv.total_violations() == 1 {
             self.cfg.telemetry.emit_at(
                 cycle,
                 TraceEvent::InvariantViolation {
-                    pid: v.pid,
-                    line: v.line,
-                    latency: v.latency,
-                    served_by: served_by(v.served_by),
+                    pid,
+                    line,
+                    latency: out.latency,
+                    served_by: served_by(out.served_by),
                 },
             );
         }
     }
 
     /// Emits the injector's accumulated [`timecache_core::FaultRecord`]s
-    /// as trace events. Called after each save/restore choreography (the
-    /// only places faults fire).
+    /// as trace events: one per injection, and one per detection at the
+    /// choreography that detected it. Called after each save/restore
+    /// choreography (the only places faults fire or are detected).
     fn drain_fault_records(&mut self, cycle: u64) {
         if !self.faults.is_enabled() {
             return;
         }
         for rec in self.faults.take_records() {
-            self.cfg.telemetry.emit_at(
-                cycle,
-                TraceEvent::FaultInjected {
-                    kind: rec.kind.as_str(),
-                    trigger: rec.trigger.as_str(),
-                    detected: rec.detected,
-                },
-            );
+            let (kind, trigger) = (rec.kind.as_str(), rec.trigger.as_str());
+            let event = if rec.detection {
+                TraceEvent::FaultDetected { kind, trigger }
+            } else {
+                TraceEvent::FaultInjected { kind, trigger }
+            };
+            self.cfg.telemetry.emit_at(cycle, event);
         }
     }
 
@@ -664,7 +660,7 @@ impl std::fmt::Debug for System {
 mod tests {
     use super::*;
     use crate::programs::{SharedWriter, Spin, StridedLoop};
-    use timecache_sim::{Level, SecurityMode};
+    use timecache_sim::SecurityMode;
 
     fn sys(security: SecurityMode, cores: usize) -> System {
         let mut cfg = SystemConfig::default();
@@ -925,32 +921,38 @@ mod tests {
         assert!(r.all_completed());
         // With no defense, the second process hits lines the first one
         // fetched without ever paying a miss for them: a leak.
-        assert!(s.invariant_violations() > 0);
-        let v = s.invariants().unwrap().violations()[0];
-        assert_ne!(v.served_by, Level::Memory);
-        // The event log holds each violation once.
-        let tracer = tel.tracer().unwrap();
-        assert_eq!(tracer.dropped(), 0);
-        let logged = tracer
+        assert!(s.invariant_violations() > 1);
+        // The event log holds the first violation as the witness; the
+        // count holds the rest.
+        let witnesses: Vec<_> = tel
+            .tracer()
+            .unwrap()
             .records()
-            .iter()
-            .filter(|e| matches!(e.event, TraceEvent::InvariantViolation { .. }))
-            .count() as u64;
-        assert_eq!(logged, s.invariant_violations());
+            .into_iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::InvariantViolation { served_by, .. } => Some(served_by),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(witnesses.len(), 1);
+        assert_ne!(witnesses[0], ServedBy::Memory);
     }
 
     #[test]
     fn invariant_checker_is_clean_under_timecache() {
         use timecache_core::TimeCacheConfig;
         let mut s = shared_buffer_system(SecurityMode::TimeCache(TimeCacheConfig::default()), None);
+        let tel = s.telemetry().clone();
         let r = s.run(u64::MAX);
         assert!(r.all_completed());
-        assert_eq!(
-            s.invariant_violations(),
-            0,
-            "first: {:?}",
-            s.invariants().unwrap().violations().first()
-        );
+        let witness = tel
+            .tracer()
+            .unwrap()
+            .records()
+            .into_iter()
+            .find(|e| matches!(e.event, TraceEvent::InvariantViolation { .. }));
+        assert_eq!(s.invariant_violations(), 0, "first: {witness:?}");
+        assert_eq!(witness, None);
     }
 
     #[test]
@@ -969,18 +971,21 @@ mod tests {
         assert_eq!(s.fault_detections(), s.fault_injections());
         assert_eq!(s.invariant_violations(), 0);
 
-        // The event log holds each injection once, with its verdict.
+        // The event log holds each injection and each detection once.
         let tracer = tel.tracer().unwrap();
         assert_eq!(tracer.dropped(), 0);
         let (mut injected, mut detected) = (0u64, 0u64);
         for rec in tracer.records() {
-            if let TraceEvent::FaultInjected {
-                kind, detected: d, ..
-            } = rec.event
-            {
-                assert_eq!(kind, "corrupt_snapshot");
-                injected += 1;
-                detected += u64::from(d);
+            match rec.event {
+                TraceEvent::FaultInjected { kind, .. } => {
+                    assert_eq!(kind, "corrupt_snapshot");
+                    injected += 1;
+                }
+                TraceEvent::FaultDetected { kind, .. } => {
+                    assert_eq!(kind, "corrupt_snapshot");
+                    detected += 1;
+                }
+                _ => {}
             }
         }
         assert_eq!(injected, s.fault_injections());

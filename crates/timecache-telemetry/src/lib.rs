@@ -4,17 +4,14 @@
 //!
 //! * a bounded, typed event [`Tracer`] (ring buffer + JSONL export) of the
 //!   rare events that explain a number: context-switch saves and restores,
-//!   rollover resets, attacker probes, injected faults and invariant
-//!   violations;
+//!   rollover resets, injected and detected faults, and a run's first
+//!   invariant violation;
 //! * the [`Telemetry`] handle around it, cheap to pass everywhere: when
 //!   disabled it is a `None` and every emit site short-circuits without
 //!   touching the heap;
-//! * a log2-bucketed latency [`Histogram`] for attacker threshold
-//!   calibration;
 //! * [`encode`], the JSON and CSV escaping every artifact writer shares.
 //!
-//! `timecache-os` and `timecache-attacks` emit events through a
-//! [`Telemetry`]. The bench harness gives each simulated run its own
+//! `timecache-os` emits events through a [`Telemetry`]. The bench harness gives each simulated run its own
 //! enabled handle, keeps the run's events beside its metrics, and writes
 //! every run's events with [`trace::to_jsonl`] into `results/` next to
 //! each experiment's CSV. Counts are not kept here: each simulated run's
@@ -27,14 +24,14 @@
 //! use timecache_telemetry::{trace, Telemetry, TraceEvent};
 //!
 //! let tel = Telemetry::enabled();
-//! tel.emit_at(100, TraceEvent::Probe { attack: "demo", latency: 2, hit: true });
+//! tel.emit_at(100, TraceEvent::SwitchSave { core: 0, thread: 0, pid: 1 });
 //! let records = tel.tracer().unwrap().records();
 //! assert_eq!(records.len(), 1);
-//! assert!(trace::to_jsonl(&[records]).starts_with("{\"run\":0,\"seq\":0,\"cycle\":100,\"type\":\"probe\""));
+//! assert!(trace::to_jsonl(&[records]).starts_with("{\"run\":0,\"seq\":0,\"cycle\":100,\"type\":\"switch_save\""));
 //!
 //! // Disabled telemetry: every call is a cheap no-op.
 //! let off = Telemetry::disabled();
-//! off.emit_at(100, TraceEvent::Probe { attack: "demo", latency: 2, hit: true });
+//! off.emit_at(100, TraceEvent::SwitchSave { core: 0, thread: 0, pid: 1 });
 //! assert!(off.tracer().is_none());
 //! ```
 
@@ -42,10 +39,8 @@
 #![warn(missing_docs)]
 
 pub mod encode;
-pub mod histogram;
 pub mod trace;
 
-pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 pub use trace::{EventRecord, ServedBy, TraceEvent, Tracer};
 
 use std::cell::Cell;
@@ -133,11 +128,11 @@ impl Telemetry {
 mod tests {
     use super::*;
 
-    fn probe(latency: u64) -> TraceEvent {
-        TraceEvent::Probe {
-            attack: "x",
-            latency,
-            hit: latency < 10,
+    fn save(pid: u32) -> TraceEvent {
+        TraceEvent::SwitchSave {
+            core: 0,
+            thread: 0,
+            pid,
         }
     }
 
@@ -146,14 +141,14 @@ mod tests {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
         assert!(t.tracer().is_none());
-        t.emit_at(5, probe(1));
+        t.emit_at(5, save(1));
     }
 
     #[test]
     fn clones_share_sinks() {
         let t = Telemetry::enabled();
         let u = t.clone();
-        u.emit_at(7, probe(1));
+        u.emit_at(7, save(1));
         assert_eq!(t.tracer().unwrap().records()[0].cycle, 7);
     }
 
@@ -161,18 +156,18 @@ mod tests {
     fn trace_events_toggle_gates_emission_only() {
         let t = Telemetry::enabled();
         t.set_trace_events(false);
-        t.emit_at(9, probe(1));
+        t.emit_at(9, save(1));
         // Events suppressed; the handle stays enabled.
         assert_eq!(t.tracer().unwrap().len(), 0);
         assert!(t.is_enabled());
         t.set_trace_events(true);
-        t.emit_at(9, probe(1));
+        t.emit_at(9, save(1));
         assert_eq!(t.tracer().unwrap().len(), 1);
 
         // A disabled handle tolerates the setter and stays disabled.
         let off = Telemetry::disabled();
         off.set_trace_events(true);
-        off.emit_at(9, probe(1));
+        off.emit_at(9, save(1));
         assert!(off.tracer().is_none());
     }
 }

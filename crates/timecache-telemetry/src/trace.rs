@@ -38,8 +38,8 @@ impl ServedBy {
 }
 
 /// One typed simulator event. Only rare events that explain a number are
-/// traced: context-switch save and restore, rollover resets, attacker
-/// probes, injected faults and invariant violations. Per-access and
+/// traced: context-switch save and restore, rollover resets, injected and
+/// detected faults, and a run's first invariant violation. Per-access and
 /// per-line activity is counted once, in each run's cache statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
@@ -81,30 +81,29 @@ pub enum TraceEvent {
         /// Incoming process.
         pid: u32,
     },
-    /// An attacker probe measurement (reload/time step of an attack
-    /// program), feeding threshold calibration.
-    Probe {
-        /// Attack name ("flush_reload", "evict_time", ...).
-        attack: &'static str,
-        /// Measured latency in cycles.
-        latency: u64,
-        /// Whether the attacker classified it as a hit.
-        hit: bool,
-    },
-    /// The fault injector struck. `detected` records whether the defense
-    /// explicitly caught the fault (checksum / redundancy / software
-    /// rollover cross-check) rather than being conservative by construction.
+    /// The fault injector struck.
     FaultInjected {
         /// Fault kind name ("drop_snapshot", "flip_comparator", ...).
         kind: &'static str,
         /// Trigger point name ("save", "restore", "compare", "rollover").
         trigger: &'static str,
-        /// Whether the defense explicitly detected the fault.
-        detected: bool,
+    },
+    /// The defense explicitly caught an injected fault (checksum,
+    /// redundancy or software rollover cross-check) at the restore that
+    /// detected it. Faults that are conservative by construction are
+    /// never detected; a corrupted save may be detected once per cache
+    /// level.
+    FaultDetected {
+        /// Fault kind name, as in [`TraceEvent::FaultInjected`].
+        kind: &'static str,
+        /// Trigger point name, as in [`TraceEvent::FaultInjected`].
+        trigger: &'static str,
     },
     /// The security-invariant checker caught a process observing a
     /// hit-latency access to a line it has not itself paid a first-access
-    /// miss for since its `Ts` — a defense failure.
+    /// miss for since the line's current fill — a defense failure. Only a
+    /// run's first violation is traced, as its witness; the run's metrics
+    /// count them all.
     InvariantViolation {
         /// The observing process.
         pid: u32,
@@ -124,8 +123,8 @@ impl TraceEvent {
             TraceEvent::SwitchSave { .. } => "switch_save",
             TraceEvent::SwitchRestore { .. } => "switch_restore",
             TraceEvent::RolloverReset { .. } => "rollover_reset",
-            TraceEvent::Probe { .. } => "probe",
             TraceEvent::FaultInjected { .. } => "fault_injected",
+            TraceEvent::FaultDetected { .. } => "fault_detected",
             TraceEvent::InvariantViolation { .. } => "invariant_violation",
         }
     }
@@ -280,25 +279,12 @@ fn write_record(out: &mut String, run: usize, rec: &EventRecord) {
         TraceEvent::RolloverReset { core, thread, pid } => {
             let _ = write!(out, ",\"core\":{core},\"thread\":{thread},\"pid\":{pid}");
         }
-        TraceEvent::Probe {
-            attack,
-            latency,
-            hit,
-        } => {
-            let _ = write!(out, ",\"attack\":");
-            encode::json_string(out, attack);
-            let _ = write!(out, ",\"latency\":{latency},\"hit\":{hit}");
-        }
-        TraceEvent::FaultInjected {
-            kind,
-            trigger,
-            detected,
-        } => {
+        TraceEvent::FaultInjected { kind, trigger }
+        | TraceEvent::FaultDetected { kind, trigger } => {
             let _ = write!(out, ",\"kind\":");
             encode::json_string(out, kind);
             let _ = write!(out, ",\"trigger\":");
             encode::json_string(out, trigger);
-            let _ = write!(out, ",\"detected\":{detected}");
         }
         TraceEvent::InvariantViolation {
             pid,
@@ -320,11 +306,11 @@ fn write_record(out: &mut String, run: usize, rec: &EventRecord) {
 mod tests {
     use super::*;
 
-    fn probe(latency: u64) -> TraceEvent {
-        TraceEvent::Probe {
-            attack: "test",
-            latency,
-            hit: latency < 10,
+    fn save(pid: u32) -> TraceEvent {
+        TraceEvent::SwitchSave {
+            core: 0,
+            thread: 0,
+            pid,
         }
     }
 
@@ -332,7 +318,7 @@ mod tests {
     fn records_in_order_with_sequence_numbers() {
         let t = Tracer::with_capacity(8);
         for i in 0..5 {
-            t.record(i * 10, probe(i));
+            t.record(i * 10, save(i as u32));
         }
         let recs = t.records();
         assert_eq!(recs.len(), 5);
@@ -346,7 +332,7 @@ mod tests {
     fn ring_overwrites_oldest_and_counts_drops() {
         let t = Tracer::with_capacity(3);
         for i in 0..7u64 {
-            t.record(i, probe(i));
+            t.record(i, save(i as u32));
         }
         let recs = t.records();
         assert_eq!(recs.len(), 3);
@@ -362,7 +348,7 @@ mod tests {
     #[test]
     fn jsonl_one_line_per_event() {
         let (first, third) = (Tracer::with_capacity(4), Tracer::with_capacity(4));
-        first.record(5, probe(3));
+        first.record(5, save(3));
         third.record(
             9,
             TraceEvent::SwitchRestore {
@@ -379,7 +365,10 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         // Each run's sequence numbers start at 0.
-        assert!(lines[0].starts_with("{\"run\":0,\"seq\":0,\"cycle\":5,\"type\":\"probe\""));
+        assert_eq!(
+            lines[0],
+            "{\"run\":0,\"seq\":0,\"cycle\":5,\"type\":\"switch_save\",\"core\":0,\"thread\":0,\"pid\":3}"
+        );
         assert!(
             lines[1].starts_with("{\"run\":2,\"seq\":0,\"cycle\":9,\"type\":\"switch_restore\"")
         );
@@ -397,12 +386,18 @@ mod tests {
             10,
             TraceEvent::FaultInjected {
                 kind: "corrupt_snapshot",
-                trigger: "restore",
-                detected: true,
+                trigger: "save",
             },
         );
         t.record(
             11,
+            TraceEvent::FaultDetected {
+                kind: "corrupt_snapshot",
+                trigger: "save",
+            },
+        );
+        t.record(
+            12,
             TraceEvent::InvariantViolation {
                 pid: 3,
                 line: 0x40,
@@ -412,13 +407,19 @@ mod tests {
         );
         let jsonl = to_jsonl(&[t.records()]);
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert!(lines[0].contains("\"type\":\"fault_injected\""));
-        assert!(lines[0].contains("\"kind\":\"corrupt_snapshot\""));
-        assert!(lines[0].contains("\"trigger\":\"restore\""));
-        assert!(lines[0].contains("\"detected\":true"));
-        assert!(lines[1].contains("\"type\":\"invariant_violation\""));
-        assert!(lines[1].contains("\"pid\":3"));
-        assert!(lines[1].contains("\"served_by\":\"l1\""));
+        assert_eq!(
+            lines[0],
+            "{\"run\":0,\"seq\":0,\"cycle\":10,\"type\":\"fault_injected\",\
+             \"kind\":\"corrupt_snapshot\",\"trigger\":\"save\"}"
+        );
+        assert_eq!(
+            lines[1],
+            "{\"run\":0,\"seq\":1,\"cycle\":11,\"type\":\"fault_detected\",\
+             \"kind\":\"corrupt_snapshot\",\"trigger\":\"save\"}"
+        );
+        assert!(lines[2].contains("\"type\":\"invariant_violation\""));
+        assert!(lines[2].contains("\"pid\":3"));
+        assert!(lines[2].contains("\"served_by\":\"l1\""));
     }
 
     #[test]
