@@ -137,6 +137,7 @@ impl SBitArray {
 
     /// The packed words backing the array. Word `i` holds lines
     /// `64*i .. 64*i+63`, line index increasing from bit 0.
+    #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
     }

@@ -158,13 +158,19 @@ impl TimeCacheState {
     /// Consults the s-bit on a tag hit: is the access an ordinary hit or a
     /// first access that must be delayed?
     ///
+    /// This is one indexed word read, inlined into every cache hit. The
+    /// context assert stands in for the `Vec` index check; a `line` past
+    /// the end is a caller bug that only debug builds name (a release
+    /// build reads a cleared padding bit or panics on the word index).
+    ///
     /// # Panics
     ///
-    /// Panics if `line` or `ctx` is out of range.
+    /// Panics if `ctx` is out of range, and in debug builds if `line` is.
     #[inline]
     pub fn visibility(&self, line: usize, ctx: usize) -> Visibility {
-        self.check(line, ctx);
-        if self.sbits[ctx].get(line) {
+        assert!(ctx < self.sbits.len(), "context {ctx} out of range");
+        debug_assert!(line < self.num_lines, "line {line} out of range");
+        if self.sbits[ctx].words()[line / 64] >> (line % 64) & 1 == 1 {
             Visibility::Visible
         } else {
             Visibility::FirstAccess

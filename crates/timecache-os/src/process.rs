@@ -49,7 +49,7 @@ impl Process {
             has_run: false,
             instructions: 0,
             cpu_cycles: 0,
-            target_instructions: None.or(target_instructions),
+            target_instructions,
             completed: false,
             completion_cycle: None,
         }
