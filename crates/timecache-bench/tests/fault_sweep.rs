@@ -51,8 +51,8 @@ fn fault_matrix_is_secure_and_pinned() {
     );
     assert!(!csv.contains("VIOLATED"));
     assert!(csv.contains("leaks"));
-    assert_eq!(digest(dir.join("fault_matrix.csv")), 0xae2f_7f4a_4a43_6d6f);
-    assert_eq!(digest(dir.join("fault_matrix.json")), 0xf5be_0934_cf10_84ac);
+    assert_eq!(digest(dir.join("fault_matrix.csv")), 0xc573_4810_1858_d03f);
+    assert_eq!(digest(dir.join("fault_matrix.json")), 0xe485_693f_3846_f8b4);
     // Each event names its cell's row, and no cell's log dropped any.
     // Per cell, the log holds one line per injection and per detection
     // and a single invariant-violation witness when the cell has any.

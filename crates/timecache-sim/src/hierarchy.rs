@@ -524,12 +524,15 @@ impl Hierarchy {
     }
 
     /// Saves the caching context of `(core, thread)` across all levels at
-    /// cycle `now`. Returns an empty snapshot in baseline mode.
+    /// cycle `now`. Returns an empty snapshot unless the hierarchy runs
+    /// TimeCache.
     pub fn save_context(&self, core: usize, thread: usize, now: u64) -> ContextSnapshot {
         self.check_context(core, thread);
-        if self.cfg.security.is_ftm() {
-            // FTM has no per-process state: presence bits stay with the
-            // core across context switches (which is exactly its weakness).
+        if !self.cfg.security.is_timecache() {
+            // Nothing to save, so nothing for a save-time fault to strike:
+            // baseline has no s-bits, and FTM's presence bits stay with
+            // the core across context switches (which is exactly its
+            // weakness).
             return ContextSnapshot::default();
         }
         if self
