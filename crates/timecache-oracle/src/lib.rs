@@ -6,9 +6,11 @@
 //! against two independent oracles:
 //!
 //! * a **differential oracle** ([`refmodel`], [`diff`]): a deliberately
-//!   slow, executable transcription of the paper's semantics, replayed in
-//!   lock-step with the real [`timecache_sim::Hierarchy`] over randomly
-//!   generated multi-process traces ([`generate`](mod@generate)), with greedy
+//!   slow, executable transcription of the paper's semantics (linear tag
+//!   scans, a per-line s-bit vector with one bit per hardware context, up
+//!   to 64 contexts), replayed in lock-step with the real
+//!   [`timecache_sim::Hierarchy`] over randomly generated multi-process
+//!   traces ([`generate`](mod@generate)), with greedy
 //!   delta-debugging shrinking ([`shrink`](mod@shrink)) of any diverging trace; and
 //! * a **statistical leakage oracle** ([`welch`], [`leakage`]): a
 //!   TVLA-style Welch's t-test over attacker-observed latency samples

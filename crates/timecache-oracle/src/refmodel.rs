@@ -2,10 +2,12 @@
 //! transcription of the paper's semantics as documented in DESIGN.md.
 //!
 //! Nothing here is optimized. Lookups are linear scans over plain structs,
-//! s-bits are `BTreeSet<usize>` per slot, fill timestamps are kept at full
-//! `u64` precision and truncated only at the comparison point, and the
-//! directory is an address-keyed map. The point is that every rule from
-//! Section V of the paper appears exactly once, in the obvious form:
+//! each slot carries the paper's s-bit vector (one bit per hardware
+//! context, kept slot by slot in a `u64`, so at most 64 contexts), fill
+//! timestamps are kept at full `u64` precision and truncated only at the
+//! comparison point, and the directory is an address-keyed map. The point
+//! is that every rule from Section V of the paper appears exactly once, in
+//! the obvious form:
 //!
 //! * tag hit + s-bit set ⇒ ordinary hit;
 //! * tag hit + s-bit clear ⇒ **first access**: serviced with the latency of
@@ -22,7 +24,7 @@
 //! harness's mutation tests use it to prove the oracle can catch and shrink
 //! real s-bit bugs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use timecache_sim::{
     AccessKind, AccessOutcome, CacheConfig, CacheStats, HierarchyConfig, HierarchyStats, IndexFn,
     LatencyConfig, Level, LineAddr, SecurityMode, SwitchCost,
@@ -46,6 +48,53 @@ pub enum BugKind {
     IgnoreRollover,
 }
 
+/// The most hardware contexts (and so cores) the reference model covers:
+/// one bit each in an [`IdSet`].
+const MAX_CONTEXTS: usize = 64;
+
+/// A set of small ids, one bit per id: a slot's s-bits (one per hardware
+/// context, as the paper's per-line s-bit vector) or a directory entry's
+/// sharer cores.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdSet(u64);
+
+impl IdSet {
+    fn only(id: usize) -> Self {
+        IdSet(1 << id)
+    }
+
+    fn contains(self, id: usize) -> bool {
+        self.0 & (1 << id) != 0
+    }
+
+    fn insert(&mut self, id: usize) {
+        self.0 |= 1 << id;
+    }
+
+    /// Removes `id`; returns whether it was present.
+    fn remove(&mut self, id: usize) -> bool {
+        let present = self.contains(id);
+        self.0 &= !(1 << id);
+        present
+    }
+
+    fn clear(&mut self) {
+        self.0 = 0;
+    }
+
+    /// The ids in ascending order.
+    fn iter(self) -> impl Iterator<Item = usize> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let id = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                id
+            })
+        })
+    }
+}
+
 /// One tag-array slot of the reference model.
 #[derive(Debug, Clone, Default)]
 struct Slot {
@@ -54,19 +103,19 @@ struct Slot {
     dirty: bool,
 }
 
-/// Per-slot TimeCache state: the full-precision fill time and the set of
+/// Per-slot TimeCache state: the full-precision fill time and the
 /// hardware contexts whose s-bit is set.
 #[derive(Debug, Clone, Default)]
 struct SlotTc {
     tc_raw: u64,
-    sbits: BTreeSet<usize>,
+    sbits: IdSet,
 }
 
 /// A saved caching context for one cache: the slots whose s-bit the context
-/// held at preemption, plus the full-precision preemption time.
+/// held at preemption (ascending), plus the full-precision preemption time.
 #[derive(Debug, Clone)]
 pub struct RefSnap {
-    slots: BTreeSet<usize>,
+    slots: Vec<usize>,
     ts_raw: u64,
 }
 
@@ -137,7 +186,7 @@ impl RefCache {
         }
         match &self.tc {
             None => true,
-            Some(tc) => tc[slot].sbits.contains(&ctx),
+            Some(tc) => tc[slot].sbits.contains(ctx),
         }
     }
 
@@ -187,7 +236,7 @@ impl RefCache {
             if self.bug == Some(BugKind::SkipGrantOnFill) {
                 tc[slot].sbits.clear();
             } else {
-                tc[slot].sbits = BTreeSet::from([ctx]);
+                tc[slot].sbits = IdSet::only(ctx);
             }
         }
         evicted
@@ -212,7 +261,7 @@ impl RefCache {
     fn save(&self, ctx: usize, now: u64) -> Option<RefSnap> {
         let tc = self.tc.as_ref()?;
         let slots = (0..self.slots.len())
-            .filter(|&s| tc[s].sbits.contains(&ctx))
+            .filter(|&s| tc[s].sbits.contains(ctx))
             .collect();
         Some(RefSnap { slots, ts_raw: now })
     }
@@ -235,7 +284,7 @@ impl RefCache {
         let clear_ctx = |tc: &mut Vec<SlotTc>| -> usize {
             let mut cleared = 0;
             for s in tc.iter_mut() {
-                if s.sbits.remove(&ctx) {
+                if s.sbits.remove(ctx) {
                     cleared += 1;
                 }
             }
@@ -295,7 +344,7 @@ impl RefCache {
 /// correct).
 #[derive(Debug, Clone, Default)]
 struct RefDir {
-    sharers: BTreeSet<usize>,
+    sharers: IdSet,
     dirty_owner: Option<usize>,
 }
 
@@ -328,8 +377,13 @@ pub struct RefHierarchy {
 impl RefHierarchy {
     /// Builds the reference model for a configuration. Only `Baseline` and
     /// `TimeCache` security modes are supported (FTM is out of the
-    /// differential oracle's scope).
+    /// differential oracle's scope), on at most 64 hardware contexts.
     pub fn new(cfg: &HierarchyConfig, bug: Option<BugKind>) -> Self {
+        let contexts = cfg.total_contexts();
+        assert!(
+            contexts <= MAX_CONTEXTS,
+            "reference model covers at most {MAX_CONTEXTS} hardware contexts, got {contexts}"
+        );
         let (timecache, ts_bits, ctc, dram_wait) = match cfg.security {
             SecurityMode::Baseline => (false, 64, false, false),
             SecurityMode::TimeCache(tc) => (
@@ -507,15 +561,13 @@ impl RefHierarchy {
     fn fill_llc(&mut self, line: u64, llc_ctx: usize, now: u64) {
         if let Some((victim_line, victim_dirty)) = self.llc.fill(line, llc_ctx, now) {
             let victim_entry = self.dir.remove(&victim_line).unwrap_or_default();
-            for core in 0..self.cores {
-                if victim_entry.sharers.contains(&core) {
-                    self.l1i[core].invalidate(victim_line);
-                    if let Some(dirty) = self.l1d[core].invalidate(victim_line) {
-                        if dirty {
-                            // Dirty L1 copy of a dying LLC line: straight to
-                            // memory.
-                            self.l1d[core].stats.writebacks += 1;
-                        }
+            for core in victim_entry.sharers.iter() {
+                self.l1i[core].invalidate(victim_line);
+                if let Some(dirty) = self.l1d[core].invalidate(victim_line) {
+                    if dirty {
+                        // Dirty L1 copy of a dying LLC line: straight to
+                        // memory.
+                        self.l1d[core].stats.writebacks += 1;
                     }
                 }
             }
@@ -557,12 +609,8 @@ impl RefHierarchy {
             self.l1d[core].slots[slot].dirty = true;
         }
         if self.llc.find(line).is_some() {
-            let sharers: Vec<usize> = self
-                .dir
-                .get(&line)
-                .map(|d| d.sharers.iter().copied().collect())
-                .unwrap_or_default();
-            for other in sharers {
+            let sharers = self.dir.get(&line).map(|d| d.sharers).unwrap_or_default();
+            for other in sharers.iter() {
                 if other != core {
                     self.l1i[other].invalidate(line);
                     if let Some(dirty) = self.l1d[other].invalidate(line) {
@@ -576,7 +624,7 @@ impl RefHierarchy {
                 }
             }
             let entry = self.dir.entry(line).or_default();
-            entry.sharers = BTreeSet::from([core]);
+            entry.sharers = IdSet::only(core);
             entry.dirty_owner = Some(core);
         }
     }
@@ -601,7 +649,7 @@ impl RefHierarchy {
         let still_held = self.l1i[core].find(line).is_some() || self.l1d[core].find(line).is_some();
         if !still_held && self.llc.find(line).is_some() {
             if let Some(entry) = self.dir.get_mut(&line) {
-                entry.sharers.remove(&core);
+                entry.sharers.remove(core);
                 if entry.dirty_owner == Some(core) {
                     entry.dirty_owner = None;
                 }
@@ -707,6 +755,46 @@ mod tests {
         assert_eq!(spy.latency, cfg.latencies.dram);
         let again = h.access(0, 1, AccessKind::Load, 0x3000, 20);
         assert_eq!(again.served_by, Level::L1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not cover FTM")]
+    fn ftm_is_refused() {
+        let mut cfg = tc_cfg();
+        cfg.security = SecurityMode::Ftm;
+        RefHierarchy::new(&cfg, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 hardware contexts, got 96")]
+    fn more_than_64_contexts_are_refused() {
+        let mut cfg = tc_cfg();
+        cfg.cores = 32;
+        cfg.smt_per_core = 3;
+        RefHierarchy::new(&cfg, None);
+    }
+
+    #[test]
+    fn context_63_has_its_own_sbit() {
+        let mut cfg = tc_cfg();
+        cfg.cores = 32;
+        cfg.smt_per_core = 2;
+        let mut h = RefHierarchy::new(&cfg, None);
+        let line = 0x5000 / cfg.llc.geometry.line_size();
+        h.access(0, 0, AccessKind::Load, 0x5000, 0);
+        // LLC context 63 is core 31, thread 1.
+        let first = h.access(31, 1, AccessKind::Load, 0x5000, 10);
+        assert!(!first.l1_tag_hit && first.first_access_llc);
+        assert_eq!(first.served_by, Level::Memory);
+        // Its L1I misses, so this hit is decided by its LLC s-bit.
+        let hit = h.access(31, 1, AccessKind::IFetch, 0x5000, 20);
+        assert_eq!(hit.served_by, Level::LLC);
+        assert!(!hit.first_access_llc);
+        let slot = h.llc.find(line).expect("line is LLC-resident");
+        let sbits = h.llc.tc.as_ref().expect("TimeCache LLC")[slot].sbits;
+        assert_eq!(sbits.iter().collect::<Vec<_>>(), [0, 63]);
+        let owner = h.access(0, 0, AccessKind::IFetch, 0x5000, 30);
+        assert_eq!(owner.served_by, Level::LLC, "context 0 keeps its s-bit");
     }
 
     #[test]

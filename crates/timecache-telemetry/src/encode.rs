@@ -1,8 +1,8 @@
 //! Minimal hand-rolled serialization helpers shared by every artifact
-//! writer: JSON string escaping, JSON-safe float formatting, and RFC-4180
-//! CSV escaping. Keeping one implementation here means the tracer, the
-//! bench harness's run records and its CSV emitter all serialize through
-//! the same code path (no third-party serializers, per DESIGN.md §6).
+//! writer: JSON string escaping and RFC-4180 CSV escaping. Keeping one
+//! implementation here means the tracer, the bench harness's run records
+//! and its CSV emitter all serialize through the same code path (no
+//! third-party serializers, per DESIGN.md §6).
 
 use std::fmt::Write as _;
 
@@ -23,16 +23,6 @@ pub fn json_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-/// Appends a JSON number. JSON has no NaN/Infinity; non-finite values are
-/// emitted as `null` so the output always parses.
-pub fn json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
 }
 
 /// Escapes one CSV cell per RFC 4180: cells containing a comma, quote, or
@@ -78,16 +68,6 @@ mod tests {
         let mut s = String::new();
         json_string(&mut s, "a\"b\\c\nd\u{1}");
         assert_eq!(s, r#""a\"b\\c\nd\u0001""#);
-    }
-
-    #[test]
-    fn json_f64_handles_nonfinite() {
-        let mut s = String::new();
-        json_f64(&mut s, 1.5);
-        assert_eq!(s, "1.5");
-        s.clear();
-        json_f64(&mut s, f64::NAN);
-        assert_eq!(s, "null");
     }
 
     #[test]
