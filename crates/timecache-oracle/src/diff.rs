@@ -18,7 +18,7 @@ use crate::generate::generate;
 use crate::refmodel::{BugKind, RefContextSnapshot, RefHierarchy};
 use crate::shrink::shrink;
 use crate::trace::{Event, TraceDoc};
-use timecache_sim::{ContextSnapshot, Hierarchy};
+use timecache_sim::{ContextSnapshot, Hierarchy, HierarchyConfig};
 
 /// A reference-vs-simulator disagreement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,23 +81,38 @@ fn check<T: std::fmt::Debug + PartialEq>(
     }
 }
 
-/// Replays `doc` through both models. `bug`, if set, is injected into the
-/// *reference* side — divergence detection is symmetric, so mutation tests
-/// use this to prove the harness catches s-bit defects.
+/// Replays `doc` through both models on its trace configuration's tiny
+/// hierarchy. `bug`, if set, is injected into the *reference* side —
+/// divergence detection is symmetric, so mutation tests use this to prove
+/// the harness catches s-bit defects.
 pub fn replay(doc: &TraceDoc, bug: Option<BugKind>) -> Result<ReplaySummary, Divergence> {
-    let cfg = doc.cfg.hierarchy();
-    let mut reference = RefHierarchy::new(&cfg, bug);
-    let mut real = Hierarchy::new(cfg).expect("trace configs are always valid");
+    replay_events(&doc.cfg.hierarchy(), &doc.events, bug)
+}
 
-    let cores = doc.cfg.cores;
-    let smt = doc.cfg.smt;
+/// Replays `events` through both models built from `cfg`, which may be any
+/// valid configuration the reference model supports (e.g. the experiments'
+/// associativity). `bug` is as for [`replay`].
+///
+/// # Panics
+///
+/// Panics if `cfg` is invalid.
+pub fn replay_events(
+    cfg: &HierarchyConfig,
+    events: &[Event],
+    bug: Option<BugKind>,
+) -> Result<ReplaySummary, Divergence> {
+    let mut reference = RefHierarchy::new(cfg, bug);
+    let mut real = Hierarchy::new(cfg.clone()).expect("replay needs a valid config");
+
+    let cores = cfg.cores;
+    let smt = cfg.smt_per_core;
     // Hardware context i boots running pid i.
     let mut current: Vec<u32> = (0..(cores * smt) as u32).collect();
     let mut snaps_real: BTreeMap<u32, ContextSnapshot> = BTreeMap::new();
     let mut snaps_ref: BTreeMap<u32, RefContextSnapshot> = BTreeMap::new();
     let mut now: u64 = 1;
 
-    for (step, &ev) in doc.events.iter().enumerate() {
+    for (step, &ev) in events.iter().enumerate() {
         match ev {
             Event::Access {
                 core,
@@ -159,7 +174,7 @@ pub fn replay(doc: &TraceDoc, bug: Option<BugKind>) -> Result<ReplaySummary, Div
         });
     }
     Ok(ReplaySummary {
-        events: doc.events.len(),
+        events: events.len(),
         final_cycle: now,
     })
 }

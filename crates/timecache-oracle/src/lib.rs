@@ -1,9 +1,9 @@
 //! Correctness oracles for the TimeCache simulator.
 //!
 //! The optimized simulator in `timecache-sim` has accumulated hot-path
-//! machinery (sentinel tag-folding, precomputed geometry, L1→LLC slot
-//! links) that is hard to audit by eye. This crate checks it
-//! against two independent oracles:
+//! machinery (tag fingerprints in per-way metadata bytes, precomputed
+//! geometry, L1→LLC slot links) that is hard to audit by eye. This crate
+//! checks it against two independent oracles:
 //!
 //! * a **differential oracle** ([`refmodel`], [`diff`]): a deliberately
 //!   slow, executable transcription of the paper's semantics (linear tag
@@ -29,7 +29,9 @@ pub mod shrink;
 pub mod trace;
 pub mod welch;
 
-pub use diff::{replay, run_random, Divergence, FoundDivergence, RandomReport, ReplaySummary};
+pub use diff::{
+    replay, replay_events, run_random, Divergence, FoundDivergence, RandomReport, ReplaySummary,
+};
 pub use generate::generate;
 pub use leakage::{assess, Assessment, Channel};
 pub use refmodel::{BugKind, RefHierarchy};

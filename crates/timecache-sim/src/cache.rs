@@ -15,11 +15,11 @@
 //! a resident way's is at least 1, so that one scan already picks the first
 //! empty way before any LRU eviction.
 //!
-//! The tag array is structure-of-arrays: tags live in one contiguous
-//! `Vec<u64>` (so the way-scan in [`Cache::lookup`] is a branch-light
-//! compare over a contiguous slab) and dirty bits in a packed bitset,
-//! instead of an array-of-structs `Vec<Line>` whose per-entry flag padded
-//! every tag to 16 bytes and halved scan density.
+//! The tag array is structure-of-arrays: full tags live in one contiguous
+//! `Vec<u64>`, and beside it one metadata byte per way holds validity,
+//! dirtiness and a 7-bit tag fingerprint. [`Cache::lookup`] compares eight
+//! ways per `u64` word of metadata bytes and reads a full tag only where
+//! the fingerprint matches, which is usually the hit way alone.
 
 use crate::addr::LineAddr;
 use crate::config::CacheConfig;
@@ -27,12 +27,22 @@ use crate::geometry::CacheGeometry;
 use crate::stats::CacheStats;
 use timecache_core::{Snapshot, TimeCacheConfig, TimeCacheState, Visibility};
 
-/// Sentinel tag marking an invalid way. Folding validity into the tag
-/// keeps the lookup scan to a single compare per way (no separate valid-bit
-/// branch). No real line can carry this tag: line addresses are byte
-/// addresses shifted right by the (nonzero) line-size bits, so their top
-/// bits are always clear.
-const INVALID_TAG: u64 = u64::MAX;
+/// The dirty bit of a metadata byte.
+const DIRTY: u8 = 0x80;
+
+/// Byte `i` of a `u64` holds lane `i`'s byte. These splat one byte value
+/// to all eight lanes: [`FP_LANES`] masks off every lane's dirty bit, and
+/// [`DIRTY_LANES`] keeps only that bit.
+const ONE_LANES: u64 = 0x0101_0101_0101_0101;
+const FP_LANES: u64 = 0x7F * ONE_LANES;
+const DIRTY_LANES: u64 = 0x80 * ONE_LANES;
+
+/// The 7-bit fingerprint of a tag: the top 7 bits of a multiplicative
+/// hash, raised to 1 so that no resident way's metadata byte is 0.
+#[inline]
+fn fingerprint(tag: u64) -> u8 {
+    ((tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as u8).max(1)
+}
 
 /// Result of a tag lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,11 +70,14 @@ pub struct Cache {
     name: &'static str,
     geometry: CacheGeometry,
     index: crate::index::IndexFn,
-    /// Tag per flat line index (`set * ways + way`); [`INVALID_TAG`] marks
-    /// an empty way. Contiguous so a set's ways are one cache-friendly slab.
+    /// Tag per flat line index (`set * ways + way`). Meaningful only where
+    /// the slot's metadata byte is nonzero.
     tags: Vec<u64>,
-    /// Dirty flags, packed 64 lines per word, indexed by flat line index.
-    dirty: Vec<u64>,
+    /// Metadata byte per flat line index: 0 for an empty way, otherwise
+    /// bit 7 the dirty bit and bits 0-6 the tag's (never-zero)
+    /// [`fingerprint`]. Seven zero bytes of padding follow the last slot,
+    /// so any set's ways load as whole little-endian `u64` words.
+    meta: Vec<u8>,
     /// LRU stamp per flat line index: the `lru_clock` value of the slot's
     /// last touch or fill, or 0 exactly when the slot is empty.
     stamps: Vec<u64>,
@@ -75,6 +88,9 @@ pub struct Cache {
     /// so `lookup`/`fill` never re-divide capacity by ways × line size.
     num_sets: u64,
     ways: usize,
+    /// The bits of [`Cache::lookup`]'s candidate mask that stand for one of
+    /// the set's ways.
+    live_lanes: u64,
 }
 
 impl Cache {
@@ -97,14 +113,15 @@ impl Cache {
             name,
             geometry: g,
             index: config.index,
-            tags: vec![INVALID_TAG; g.num_lines()],
-            dirty: vec![0; g.num_lines().div_ceil(64)],
+            tags: vec![0; g.num_lines()],
+            meta: vec![0; g.num_lines() + 7],
             stamps: vec![0; g.num_lines()],
             lru_clock: 0,
             timecache: timecache.map(|tc| TimeCacheState::new(g.num_lines(), num_contexts, tc)),
             stats: CacheStats::new(),
             num_sets: g.num_sets(),
             ways: g.ways() as usize,
+            live_lanes: (0..g.ways()).fold(0, |m, way| m | 1 << (way % 8 * 8 + way / 8)),
         }
     }
 
@@ -136,56 +153,51 @@ impl Cache {
         self.stats = CacheStats::new();
     }
 
-    #[inline]
-    fn dirty_bit(&self, flat: usize) -> bool {
-        self.dirty[flat / 64] >> (flat % 64) & 1 == 1
-    }
-
-    #[inline]
-    fn set_dirty_bit(&mut self, flat: usize, dirty: bool) {
-        let (word, bit) = (flat / 64, flat % 64);
-        if dirty {
-            self.dirty[word] |= 1 << bit;
-        } else {
-            self.dirty[word] &= !(1 << bit);
-        }
-    }
-
-    /// Bitmask of the ways in the set starting at flat index `base` whose
-    /// tag equals `tag`: bit `w` set iff way `w` matches. Building the whole
-    /// mask is branch-free, so a hit at a random way costs no mispredicted
-    /// early exit; callers take `trailing_zeros` for the first match.
-    ///
-    /// The mask is shifted in from the last way down, one bit per way. The
-    /// equivalent `mask | eq << w` form gets auto-vectorised into
-    /// per-lane variable shifts, which measured ~12 % slower end to end.
-    #[inline]
-    fn match_mask(&self, base: usize, tag: u64) -> u64 {
-        self.tags[base..base + self.ways]
-            .iter()
-            .rev()
-            .fold(0, |mask, &t| mask << 1 | u64::from(t == tag))
-    }
-
     /// Tag lookup without side effects.
     ///
-    /// This is the innermost loop of the whole simulator, so the scan is a
-    /// branch-free `match_mask` over the set's contiguous tag slab, with
-    /// validity folded into the tag via `INVALID_TAG`. Tags are unique
-    /// within a set, so at most one bit of the mask is set.
+    /// This is the innermost loop of the whole simulator. It loads the
+    /// set's metadata bytes eight ways per word, XORs each word with the
+    /// line's fingerprint in every lane, and takes the exact mask of zero
+    /// lanes (an empty way's byte never matches: fingerprints are nonzero).
+    /// The words' masks interleave into one candidate mask without a
+    /// branch, so where in the set the hit lies costs no misprediction.
+    /// Only the candidates' full tags are compared, so a lookup usually
+    /// reads one tag, and a miss usually none. Tags are unique within a
+    /// set, so the first full match is the only one.
     #[inline]
     pub fn lookup(&self, line: LineAddr) -> Option<LookupResult> {
         let set = self.index.set_of(line, self.num_sets);
         let base = set as usize * self.ways;
-        let mask = self.match_mask(base, line.raw());
-        (mask != 0).then(|| {
-            let way = mask.trailing_zeros();
-            LookupResult {
-                set,
-                way,
-                flat: base + way as usize,
+        let raw = line.raw();
+        let splat = u64::from(fingerprint(raw)) * ONE_LANES;
+        // Bit `8 * k + i` of `candidates` stands for way `8 * i + k`: the
+        // words fold in from the last down, one shift each.
+        let words = &self.meta[base..base + 8 * self.ways.div_ceil(8)];
+        let mut candidates = 0;
+        for word in words.chunks_exact(8).rev() {
+            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            // Every lane of `diff` is at most 0x7F, so adding 0x7F carries
+            // into its bit 7 exactly when the lane is nonzero.
+            let diff = (word & FP_LANES) ^ splat;
+            candidates = candidates << 1 | (!(diff + FP_LANES) & DIRTY_LANES) >> 7;
+        }
+        // Lanes past the set's last way belong to the next set, whose tags
+        // never equal this line's, or to the zero padding: masking them off
+        // only spares a tag compare.
+        candidates &= self.live_lanes;
+        while candidates != 0 {
+            let bit = candidates.trailing_zeros() as usize;
+            let way = bit % 8 * 8 + bit / 8;
+            if self.tags[base + way] == raw {
+                return Some(LookupResult {
+                    set,
+                    way: way as u32,
+                    flat: base + way,
+                });
             }
-        })
+            candidates &= candidates - 1;
+        }
+        None
     }
 
     /// Records a demand hit on the slot at flat index `flat` for
@@ -247,24 +259,22 @@ impl Cache {
         let set = self.index.set_of(line, self.num_sets);
         let base = set as usize * self.ways;
         debug_assert!(
-            (base..base + self.ways)
-                .all(|f| (self.tags[f] == INVALID_TAG) == (self.stamps[f] == 0)),
-            "{}: a way is empty exactly when its stamp is 0",
+            (base..base + self.ways).all(|f| (self.meta[f] == 0) == (self.stamps[f] == 0)),
+            "{}: a way is empty exactly when its metadata byte and its stamp are 0",
             self.name
         );
         let way = self.lru_victim(base);
         let flat = base + way as usize;
 
-        let old = self.tags[flat];
-        let evicted = (old != INVALID_TAG).then(|| {
+        let evicted = (self.stamps[flat] != 0).then(|| {
             self.stats.evictions += 1;
             Evicted {
-                line: LineAddr::from_raw(old),
-                dirty: self.dirty_bit(flat),
+                line: LineAddr::from_raw(self.tags[flat]),
+                dirty: self.is_dirty(flat),
             }
         });
         self.tags[flat] = line.raw();
-        self.set_dirty_bit(flat, false);
+        self.meta[flat] = fingerprint(line.raw());
         self.stamp(flat);
         if let Some(tc) = &mut self.timecache {
             tc.on_fill(flat, ctx, now);
@@ -276,10 +286,9 @@ impl Cache {
     /// `clflush`). Returns whether it was present and dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
         let hit = self.lookup(line)?;
-        let dirty = self.dirty_bit(hit.flat);
-        self.tags[hit.flat] = INVALID_TAG;
+        let dirty = self.is_dirty(hit.flat);
+        self.meta[hit.flat] = 0;
         self.stamps[hit.flat] = 0;
-        self.set_dirty_bit(hit.flat, false);
         self.stats.invalidations += 1;
         if let Some(tc) = &mut self.timecache {
             tc.on_evict(hit.flat);
@@ -290,14 +299,18 @@ impl Cache {
     /// Marks the resident line at flat index `flat` dirty (write hit) or
     /// clean (write-back done).
     pub fn set_dirty(&mut self, flat: usize, dirty: bool) {
-        debug_assert!(self.tags[flat] != INVALID_TAG);
-        self.set_dirty_bit(flat, dirty);
+        debug_assert!(self.meta[flat] != 0);
+        if dirty {
+            self.meta[flat] |= DIRTY;
+        } else {
+            self.meta[flat] &= !DIRTY;
+        }
     }
 
     /// Whether the resident line at flat index `flat` is dirty.
     #[inline]
     pub fn is_dirty(&self, flat: usize) -> bool {
-        self.dirty_bit(flat)
+        self.meta[flat] & DIRTY != 0
     }
 
     /// TimeCache visibility for `ctx` of the resident line at flat index
@@ -349,6 +362,7 @@ impl Cache {
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
+    use crate::index::IndexFn;
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64B lines = 512 B.
@@ -388,7 +402,7 @@ mod tests {
             let sets = 4u64;
             let (mut c, line) = shaped(sets, ways);
             for set in 0..sets {
-                // Fill every way but the last, so INVALID_TAG ways remain.
+                // Fill every way but the last, so an empty way remains.
                 for k in 0..ways as u64 - 1 {
                     c.fill(line(set, k), 0, 0);
                 }
@@ -402,6 +416,7 @@ mod tests {
                     assert_eq!(hit.set, set);
                     assert_eq!(hit.flat, (set * ways as u64) as usize + hit.way as usize);
                     assert_eq!(c.tags[hit.flat], line(set, k).raw());
+                    assert_eq!(c.meta[hit.flat], fingerprint(line(set, k).raw()));
                     seen |= 1 << hit.way;
                 }
                 // Every way position produced a hit exactly once.
@@ -413,14 +428,78 @@ mod tests {
     #[test]
     fn invalid_ways_never_match() {
         let mut c = Cache::new("T", CacheConfig::new(64 * 64, 64, 64), 1, None);
-        assert!(c.tags.iter().all(|&t| t == INVALID_TAG));
+        // Every slot and the padding start empty, and tags start zeroed:
+        // line 0 must still miss.
+        assert_eq!(c.meta.len(), 64 + 7);
+        assert!(c.meta.iter().all(|&m| m == 0));
+        assert!(c.tags.iter().all(|&t| t == 0));
         for raw in [0, 1, 63, 1 << 40] {
+            assert_ne!(fingerprint(raw), 0);
             assert_eq!(c.lookup(LineAddr::from_raw(raw)), None);
         }
         let (slot, _) = c.fill(LineAddr::from_raw(5), 0, 0);
         assert_eq!(slot.way, 0, "fills take the first invalid way");
+        c.set_dirty(slot.flat, true);
+        assert_eq!(c.meta[slot.flat], DIRTY | fingerprint(5));
         c.invalidate(LineAddr::from_raw(5));
+        // The stale tag stays behind, but the cleared byte hides it.
+        assert_eq!((c.meta[slot.flat], c.tags[slot.flat]), (0, 5));
         assert_eq!(c.lookup(LineAddr::from_raw(5)), None);
+    }
+
+    /// Lines that share a set *and* a fingerprint: every resident one must
+    /// be found at its own way and every absent one must miss, whatever
+    /// the associativity (one or several metadata words per set, a set
+    /// narrower than a word), index function and dirty bits.
+    #[test]
+    fn fingerprint_collisions_compare_the_full_tag() {
+        for index in [IndexFn::Modulo, IndexFn::Keyed { key: 0x5EED }] {
+            for ways in [1u32, 2, 4, 8, 12, 16, 64] {
+                let sets = 4u64;
+                let mut config = CacheConfig::new(sets * ways as u64 * 64, ways, 64);
+                config.index = index;
+                let mut c = Cache::new("T", config, 1, None);
+                // Per set, `ways` + 4 lines with the fingerprint every set
+                // uses: the first `ways` go resident, the rest stay absent.
+                // Every set is full before any lookup, so a word reaching
+                // past its set's last way matches in the next set too.
+                let fp = fingerprint(0);
+                let mut resident = Vec::new();
+                let mut absent = Vec::new();
+                for set in 0..sets {
+                    let lines = (0u64..)
+                        .map(LineAddr::from_raw)
+                        .filter(|&l| index.set_of(l, sets) == set && fingerprint(l.raw()) == fp);
+                    for (k, l) in lines.take(ways as usize + 4).enumerate() {
+                        if k >= ways as usize {
+                            absent.push(l);
+                            continue;
+                        }
+                        let (slot, evicted) = c.fill(l, 0, k as u64);
+                        assert_eq!(evicted, None);
+                        if k % 3 == 1 {
+                            c.set_dirty(slot.flat, true);
+                        }
+                        resident.push((l, slot, k % 3 == 1));
+                    }
+                }
+                let check = |c: &Cache, skip: usize| {
+                    for &(l, slot, dirty) in &resident[skip..] {
+                        assert_eq!(c.lookup(l), Some(slot), "{index:?} {ways}-way {l}");
+                        assert_eq!(c.is_dirty(slot.flat), dirty);
+                    }
+                    for &l in &absent {
+                        assert_eq!(c.lookup(l), None, "{index:?} {ways}-way absent {l}");
+                    }
+                };
+                check(&c, 0);
+                // Emptying set 0's first way leaves every other line found
+                // at its own way, and the emptied line missing.
+                c.invalidate(resident[0].0);
+                assert_eq!(c.lookup(resident[0].0), None);
+                check(&c, 1);
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@ impl CacheGeometry {
     /// # Panics
     ///
     /// Panics unless `line_size` is a power of two, `ways` is in `1..=64`
-    /// (the width of [`crate::Cache::lookup`]'s per-set match mask), and
+    /// (64 ways is the widest geometry [`crate::Cache::lookup`] is tested
+    /// at, and fills its candidate mask, one bit per way), and
     /// `size_bytes` is a multiple of `ways * line_size` with a power-of-two
     /// number of sets.
     pub fn new(size_bytes: u64, ways: u32, line_size: u64) -> Self {
@@ -38,7 +39,7 @@ impl CacheGeometry {
         assert!(ways > 0, "cache must have at least one way");
         assert!(
             ways <= 64,
-            "at most 64 ways fit the lookup mask, got {ways}"
+            "at most 64 ways, the widest geometry lookup is tested at, got {ways}"
         );
         assert!(
             size_bytes.is_multiple_of(ways as u64 * line_size),
@@ -127,7 +128,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "at most 64 ways")]
-    fn rejects_more_ways_than_the_match_mask() {
+    fn rejects_more_ways_than_lookup_is_tested_at() {
         CacheGeometry::new(128 * 64, 128, 64);
     }
 

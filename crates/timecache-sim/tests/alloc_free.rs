@@ -1,6 +1,8 @@
 //! The simulator's access hot path must not allocate. Construction
 //! allocates, but a fixed number of times: a TimeCache cache keeps its
-//! per-line timestamps in one `Vec<u64>`, whatever the timestamp width.
+//! per-line timestamps in one `Vec<u64>`, whatever the timestamp width,
+//! and every cache keeps its tags, metadata bytes and LRU stamps in three
+//! `Vec`s. A new per-cache array would show here and in set-up time.
 //!
 //! The counting allocator counts per thread: the test harness's main
 //! thread allocates while a test runs, and a process-wide count picked
@@ -36,6 +38,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations `Hierarchy::new` makes for the 1-core TimeCache
+/// config.
+const CONSTRUCTION_ALLOCATIONS: u64 = 24;
 
 fn config(timestamp_bits: u8) -> HierarchyConfig {
     let mut cfg = HierarchyConfig::with_cores(1);
@@ -76,7 +82,10 @@ fn access_hot_path_never_allocates() {
     // Construction: the per-cache Tc store is one allocation, so widening
     // the timestamps adds no allocations.
     let narrow = construction_allocations(8);
-    assert!(narrow > 0, "the counter must see this thread's allocations");
+    assert_eq!(
+        narrow, CONSTRUCTION_ALLOCATIONS,
+        "Hierarchy::new must allocate exactly as often as it did"
+    );
     assert_eq!(
         narrow,
         construction_allocations(32),
